@@ -45,8 +45,10 @@ from repro.modeling.replay_model import ReplayModel
 from repro.modeling.trace_distance import (
     DISTANCE_THRESHOLD,
     feature_distance,
+    shape_distance,
     structure_signature,
     trace_distance,
+    trace_shape,
 )
 
 __all__ = [
@@ -74,8 +76,10 @@ __all__ = [
     "pearson_correlation",
     "polynomial_features",
     "profile_features",
+    "shape_distance",
     "structure_signature",
     "t_test",
     "trace_distance",
+    "trace_shape",
     "workload_features",
 ]

@@ -14,6 +14,9 @@ A trace is reduced to two vectors and compared field-by-field:
 
 :func:`trace_distance` is a bounded [0, 1] mean of per-field symmetric
 relative differences: 0 for identical patterns, ~1 for disjoint ones.
+It is split into a per-stream step (:func:`trace_shape`) and a comparison
+step (:func:`shape_distance`), so a search scoring many candidates
+against one target reduces the target once.
 It is symmetric and scale-free, so a threshold transfers across traces
 of very different lengths.  :data:`DISTANCE_THRESHOLD` is the documented
 "same pattern" cutoff the synthesis CLI enforces: re-simulating a
@@ -22,7 +25,7 @@ recovered derivation must land below it against the source trace.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from repro.modeling.trace_compress import Loop, OpNode, Run, compress_ops
 from repro.monitoring.features import access_features
@@ -122,6 +125,36 @@ def feature_distance(fa: Dict[str, float], fb: Dict[str, float]) -> float:
     ) / len(keys)
 
 
+#: What :func:`trace_shape` reduces a stream to: its access features and
+#: its structure signature.
+TraceShape = Tuple[Dict[str, float], Dict[str, float]]
+
+
+def trace_shape(stream: Iterable[Union[IOOp, IORecord]]) -> TraceShape:
+    """The ``(access_features, structure_signature)`` pair of a stream.
+
+    The per-stream half of :func:`trace_distance`: a caller comparing one
+    stream against many computes its shape once and compares shapes with
+    :func:`shape_distance`.
+    """
+    ops = list(stream)
+    return access_features(ops), structure_signature(ops)
+
+
+def shape_distance(a: TraceShape, b: TraceShape,
+                   structure_weight: float = 0.5) -> float:
+    """Bounded [0, 1] distance between two :func:`trace_shape` results.
+
+    A convex combination of the access-feature distance and the
+    loop-structure distance (``structure_weight`` sets the blend).
+    """
+    if not 0.0 <= structure_weight <= 1.0:
+        raise ValueError("structure_weight must be in [0, 1]")
+    d_feat = feature_distance(a[0], b[0])
+    d_struct = feature_distance(a[1], b[1])
+    return (1.0 - structure_weight) * d_feat + structure_weight * d_struct
+
+
 def trace_distance(
     a: Iterable[Union[IOOp, IORecord]],
     b: Iterable[Union[IOOp, IORecord]],
@@ -129,14 +162,7 @@ def trace_distance(
 ) -> float:
     """Bounded [0, 1] access-pattern distance between two op streams.
 
-    A convex combination of the access-feature distance and the
-    loop-structure distance (``structure_weight`` sets the blend).
+    ``shape_distance(trace_shape(a), trace_shape(b), structure_weight)``.
     Identical streams score exactly 0.0.
     """
-    if not 0.0 <= structure_weight <= 1.0:
-        raise ValueError("structure_weight must be in [0, 1]")
-    a = list(a)
-    b = list(b)
-    d_feat = feature_distance(access_features(a), access_features(b))
-    d_struct = feature_distance(structure_signature(a), structure_signature(b))
-    return (1.0 - structure_weight) * d_feat + structure_weight * d_struct
+    return shape_distance(trace_shape(a), trace_shape(b), structure_weight)

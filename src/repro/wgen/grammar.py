@@ -43,6 +43,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.des.rng import RandomStreams
@@ -152,7 +154,13 @@ class Rule:
 
 @dataclass(frozen=True)
 class GrammarSpec:
-    """A frozen, digest-identified workload grammar."""
+    """A frozen, digest-identified workload grammar.
+
+    The grammar never changes after construction, so its derived tables
+    (validity, rule map, minimum costs, digest) are computed once per
+    instance and kept outside the dataclass fields: equality, hashing and
+    serialization see only ``name``, ``rules`` and ``start``.
+    """
 
     name: str
     rules: Tuple[Rule, ...]
@@ -164,6 +172,13 @@ class GrammarSpec:
 
     # -- validation ----------------------------------------------------------
     def validate(self) -> "GrammarSpec":
+        """Check the grammar; raises :class:`GrammarError` on every call
+        while it is invalid (a failed check is never cached)."""
+        self._valid  # noqa: B018  (the cached check raises when invalid)
+        return self
+
+    @cached_property
+    def _valid(self) -> bool:
         if not self.name:
             raise GrammarError("grammar needs a name")
         seen = set()
@@ -207,18 +222,30 @@ class GrammarSpec:
                 f"nonterminal(s) cannot terminate: "
                 f"{', '.join('<' + d + '>' for d in dead)}"
             )
-        return self
+        return True
 
     # -- lookups -------------------------------------------------------------
-    def rule_map(self) -> Dict[str, Rule]:
+    # The cached tables are plain dicts (a mappingproxy does not pickle);
+    # callers get read-only views of them.
+    def rule_map(self) -> Mapping[str, Rule]:
+        """Read-only ``lhs -> Rule`` map (computed once)."""
+        return MappingProxyType(self._rule_map)
+
+    @cached_property
+    def _rule_map(self) -> Dict[str, Rule]:
         return {r.lhs: r for r in self.rules}
 
-    def min_costs(self) -> Dict[str, int]:
+    def min_costs(self) -> Mapping[str, int]:
         """Minimum expansion steps to fully terminate each nonterminal.
 
-        Computed by value iteration; used to depth-bound sampling and to
-        complete partial derivations greedily during synthesis.
+        Computed once by value iteration and returned read-only; used to
+        depth-bound sampling and to complete partial derivations greedily
+        during synthesis.
         """
+        return MappingProxyType(self._min_costs)
+
+    @cached_property
+    def _min_costs(self) -> Dict[str, int]:
         INF = float("inf")
         cost: Dict[str, float] = {r.lhs: INF for r in self.rules}
         changed = True
@@ -290,6 +317,10 @@ class GrammarSpec:
 
     def digest(self) -> str:
         """SHA-256 content identity of the grammar."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def describe(self) -> str:
@@ -394,8 +425,8 @@ class _Expansion:
     """Mutable state of one leftmost expansion (shared by sample/expand)."""
 
     grammar: GrammarSpec
-    rules: Dict[str, Rule] = field(init=False)
-    costs: Dict[str, int] = field(init=False)
+    rules: Mapping[str, Rule] = field(init=False)
+    costs: Mapping[str, int] = field(init=False)
     stack: List[str] = field(init=False)
     fragments: List[str] = field(init=False)
     choices: List[int] = field(init=False)
@@ -497,6 +528,26 @@ def sample(
     )
 
 
+def _replay(state: _Expansion, choices: Sequence[int]) -> Optional[Rule]:
+    """Apply ``choices`` leftmost-first; return the rule still pending.
+
+    ``None`` means the derivation is complete.  Choices left over once the
+    derivation is complete raise :class:`GrammarError`.
+    """
+    for used, index in enumerate(choices):
+        rule = state.next_nonterminal()
+        if rule is None:
+            raise GrammarError(
+                f"derivation complete after {used} choice(s) but "
+                f"{len(choices) - used} left over"
+            )
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise GrammarError(f"choice #{used} must be an integer, "
+                               f"got {index!r}")
+        state.apply(rule, index)
+    return state.next_nonterminal()
+
+
 def expand(
     grammar: GrammarSpec,
     choices: Sequence[int],
@@ -516,34 +567,16 @@ def expand(
     if name is None:
         name = f"g_{grammar.name}_d".replace("-", "_")
     state = _Expansion(grammar)
-    it = iter(choices)
-    pending = list(choices)
-    used = 0
-    while True:
-        rule = state.next_nonterminal()
-        if rule is None:
-            break
-        if used < len(pending):
-            index = pending[used]
-            if not isinstance(index, int) or isinstance(index, bool):
-                raise GrammarError(f"choice #{used} must be an integer, "
-                                   f"got {index!r}")
-            used += 1
-        elif complete:
-            index = _min_choice(rule, state.costs, grammar)
-        else:
-            raise GrammarError(
-                f"derivation incomplete: {len(pending)} choice(s) consumed "
-                f"but <{rule.lhs}> still pending (pass complete=True to "
-                f"finish greedily)"
-            )
-        state.apply(rule, index)
-    if used < len(pending):
+    rule = _replay(state, choices)
+    if rule is not None and not complete:
         raise GrammarError(
-            f"derivation complete after {used} choice(s) but "
-            f"{len(pending) - used} left over"
+            f"derivation incomplete: {state.steps} choice(s) consumed "
+            f"but <{rule.lhs}> still pending (pass complete=True to "
+            f"finish greedily)"
         )
-    del it
+    while rule is not None:
+        state.apply(rule, _min_choice(rule, state.costs, grammar))
+        rule = state.next_nonterminal()
     return Derivation(
         grammar_digest=grammar.digest(),
         choices=tuple(state.choices),
@@ -559,22 +592,7 @@ def pending_rule(grammar: GrammarSpec, choices: Sequence[int]) -> Optional[Rule]
     The synthesis beam search uses this to enumerate a prefix's children
     (one per production of the pending rule).
     """
-    state = _Expansion(grammar)
-    used = 0
-    pending = list(choices)
-    while True:
-        rule = state.next_nonterminal()
-        if rule is None:
-            if used < len(pending):
-                raise GrammarError(
-                    f"derivation complete after {used} choice(s) but "
-                    f"{len(pending) - used} left over"
-                )
-            return None
-        if used >= len(pending):
-            return rule
-        state.apply(rule, pending[used])
-        used += 1
+    return _replay(_Expansion(grammar), choices)
 
 
 # -- the default grammar ------------------------------------------------------

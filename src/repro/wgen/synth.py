@@ -13,7 +13,9 @@ resulting DSL program, and measuring
 :func:`repro.modeling.trace_distance.trace_distance` against the target,
 plus a small per-choice penalty so the search prefers the *smallest*
 derivation that reproduces the access pattern.  The search is fully
-deterministic: no RNG, ties broken by choice order.
+deterministic: no RNG, ties broken by choice order.  The target is
+reduced to its :func:`~repro.modeling.trace_distance.trace_shape` once,
+and each distinct completion is compiled and measured once per search.
 
 :func:`store_synthesis` persists the result into the content-addressed
 store as a ``synthesis`` artifact (with the grammar as a ``grammar``
@@ -33,7 +35,11 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.ioutil import canonical_json_bytes, sha256_hex
-from repro.modeling.trace_distance import DISTANCE_THRESHOLD, trace_distance
+from repro.modeling.trace_distance import (
+    DISTANCE_THRESHOLD,
+    shape_distance,
+    trace_shape,
+)
 from repro.ops import IOOp, IORecord, OpKind
 from repro.wgen.dsl import DSLError, parse_workload
 from repro.wgen.grammar import (
@@ -204,21 +210,37 @@ def synthesize(
             "target trace has no file-system operations to reproduce"
         )
 
+    target_shape = trace_shape(normalized_target)
+    # Distance of each greedy completion scored so far (None: it does not
+    # compile).  Many prefixes complete to the same derivation; each
+    # distinct one is compiled and measured once per search.
+    distances: Dict[Tuple[int, ...], Optional[float]] = {}
+
     def score(choices: Tuple[int, ...]) -> Optional[_Candidate]:
         """Greedily complete, compile and measure a prefix; None if the
         completion is not a valid program (kept out of the beam)."""
         try:
             completed = expand(grammar, choices, n_ranks=n_ranks,
                                complete=True)
-            ops = normalize_ops(derivation_ops(completed))
-        except (GrammarError, DSLError):
+        except GrammarError:
             return None
-        dist = trace_distance(normalized_target, ops)
+        key = completed.choices
+        if key not in distances:
+            try:
+                ops = normalize_ops(derivation_ops(completed))
+            except (GrammarError, DSLError):
+                distances[key] = None
+            else:
+                distances[key] = shape_distance(target_shape,
+                                                trace_shape(ops))
+        dist = distances[key]
+        if dist is None:
+            return None
         return _Candidate(
-            score=dist + SIZE_PENALTY * len(completed.choices),
+            score=dist + SIZE_PENALTY * len(key),
             n_choices=len(choices),
             choices=choices,
-            complete=len(completed.choices) == len(choices),
+            complete=len(key) == len(choices),
         )
 
     # Every scored prefix stands for a full derivation (its greedy
@@ -257,12 +279,9 @@ def synthesize(
             "parseable program"
         )
     final = expand(grammar, best.choices, n_ranks=n_ranks, complete=True)
-    best_distance = trace_distance(
-        normalized_target, normalize_ops(derivation_ops(final))
-    )
     return SynthesisResult(
         derivation=final,
-        distance=best_distance,
+        distance=distances[final.choices],
         source_digest=ops_digest(target),
         n_candidates=n_candidates,
         threshold=threshold,

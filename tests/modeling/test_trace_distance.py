@@ -12,10 +12,13 @@ from repro.modeling.trace_distance import (
     DISTANCE_THRESHOLD,
     STRUCTURE_NAMES,
     feature_distance,
+    shape_distance,
     structure_signature,
     trace_distance,
+    trace_shape,
 )
-from repro.ops import IOOp, OpKind
+from repro.monitoring.features import access_features
+from repro.ops import IOOp, IORecord, OpKind
 from repro.wgen.grammar import default_grammar, sample
 from repro.wgen.synth import derivation_ops, normalize_ops
 
@@ -101,8 +104,52 @@ def test_cross_seed_distances_clear_the_threshold():
 
 
 def test_structure_weight_validated():
-    with pytest.raises(ValueError, match="structure_weight"):
-        trace_distance([], [], structure_weight=1.5)
+    shape = trace_shape([])
+    for weight in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="structure_weight"):
+            trace_distance([], [], structure_weight=weight)
+        with pytest.raises(ValueError, match="structure_weight"):
+            shape_distance(shape, shape, structure_weight=weight)
+
+
+# -- the shape/compare split --------------------------------------------------
+
+
+def _as_records(ops):
+    return [
+        IORecord("posix", op.kind, op.path, op.offset, op.nbytes, op.rank,
+                 start=float(i), end=i + 0.5)
+        for i, op in enumerate(ops)
+    ]
+
+
+def _reference_distance(a, b, weight):
+    """The unsplit arithmetic trace_distance had before the shape split."""
+    d_feat = feature_distance(access_features(a), access_features(b))
+    d_struct = feature_distance(structure_signature(a),
+                                structure_signature(b))
+    return (1.0 - weight) * d_feat + weight * d_struct
+
+
+@pytest.mark.parametrize("sa,sb", [(0, 1), (2, 3), (4, 4), (5, 0)])
+@pytest.mark.parametrize("weight", [0.0, 0.3, 0.5, 1.0])
+def test_trace_distance_is_shape_distance_of_shapes(sa, sb, weight):
+    g = default_grammar()
+    a = normalize_ops(derivation_ops(sample(g, seed=sa, n_ranks=2)))
+    b = derivation_ops(sample(g, seed=sb, n_ranks=3))
+    # bit-for-bit, not approximately: synthesis scores with the split form
+    for left in (a, _as_records(a)):
+        want = _reference_distance(left, b, weight)
+        assert trace_distance(left, b, structure_weight=weight) == want
+        assert shape_distance(trace_shape(left), trace_shape(b),
+                              structure_weight=weight) == want
+
+
+def test_trace_shape_is_features_and_signature():
+    ops = derivation_ops(sample(default_grammar(), seed=0))
+    features, signature = trace_shape(iter(ops))  # any iterable, read once
+    assert features == access_features(ops)
+    assert signature == structure_signature(ops)
 
 
 def test_feature_distance_over_key_union():

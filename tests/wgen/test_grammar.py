@@ -1,5 +1,8 @@
 """Unit tests for the workload grammar (repro.wgen.grammar)."""
 
+import hashlib
+import pickle
+
 import pytest
 
 from repro.wgen import DSLError, parse_workload
@@ -80,6 +83,64 @@ def test_digest_is_content_sensitive():
     toy = _toy_grammar()
     assert g.digest() != toy.digest()
     assert len(g.digest()) == 64
+
+
+# -- per-instance derived tables ---------------------------------------------
+
+
+def test_derived_tables_are_read_only():
+    g = default_grammar()
+    with pytest.raises(TypeError):
+        g.min_costs()["workload"] = 0
+    with pytest.raises(TypeError):
+        g.rule_map()["workload"] = None
+    with pytest.raises(TypeError):
+        del g.rule_map()["phase"]
+    assert g.min_costs()["workload"] >= 1
+    assert set(g.rule_map()) == {r.lhs for r in g.rules}
+
+
+def test_invalid_grammar_raises_on_every_validate():
+    g = GrammarSpec(
+        name="forever",
+        rules=(Rule("workload", (Production(("<workload>",)),)),),
+    )
+    for _ in range(2):
+        with pytest.raises(GrammarError, match="terminat"):
+            g.validate()
+    with pytest.raises(GrammarError, match="terminat"):
+        expand(g, (0,))
+
+
+def test_cached_state_leaves_identity_untouched():
+    cold = GrammarSpec.from_dict(default_grammar().to_dict())  # nothing cached
+    warm = GrammarSpec.from_dict(default_grammar().to_dict())
+    warm.validate()
+    warm.min_costs()
+    warm.rule_map()
+    expand(warm, (), complete=True)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert warm.to_dict() == cold.to_dict()
+    assert warm.canonical_json() == cold.canonical_json()
+    expected = hashlib.sha256(cold.canonical_json().encode("utf-8")).hexdigest()
+    assert warm.digest() == expected == cold.digest()
+
+
+def test_warm_grammar_pickles():
+    g = default_grammar()
+    g.rule_map(), g.min_costs(), g.digest()
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy.digest() == g.digest()
+    assert copy.min_costs() == g.min_costs()
+
+
+def test_from_dict_round_trip_has_same_digest():
+    g = default_grammar()
+    g.digest()
+    copy = GrammarSpec.from_dict(g.to_dict())
+    assert copy.digest() == g.digest()
+    assert copy.min_costs() == g.min_costs()
 
 
 def test_describe_mentions_counts_and_digest():

@@ -1,8 +1,13 @@
 """Unit tests for trace-to-spec synthesis (repro.wgen.synth)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.monitoring import RecorderTracer
 from repro.ops import IOOp, OpKind
+from repro.scenario import run_scenario
 from repro.store import RunArtifact, RunStore
 from repro.wgen.grammar import GrammarError, default_grammar, expand, sample
 from repro.wgen.synth import (
@@ -119,6 +124,35 @@ def test_synthesize_is_deterministic():
     b = synthesize(ops)
     assert a.derivation.choices == b.derivation.choices
     assert a.distance == b.distance
+
+
+#: ``synthesize(...).to_dict()`` of the grammar-synth benchmark corpus
+#: (derivation seeds 0-5 of the default grammar at 2 ranks, simulated at
+#: seed 0 and traced at the posix layer).  A speed-up of the search must
+#: leave its choices, candidate count and exact distances unchanged.
+SYNTH_GOLDEN = json.loads(
+    (Path(__file__).parent / "synth_golden_seed0.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "golden", SYNTH_GOLDEN["targets"],
+    ids=lambda t: f"derivation-seed-{t['derivation_seed']}",
+)
+def test_synthesize_matches_golden_corpus(golden):
+    g = default_grammar()
+    source = sample(g, seed=golden["derivation_seed"],
+                    n_ranks=SYNTH_GOLDEN["ranks"])
+    tracer = RecorderTracer()
+    run_scenario(source.scenario_spec(seed=SYNTH_GOLDEN["sim_seed"]),
+                 observers=[tracer])
+    ops = target_ops(tracer.archive.at_layer("posix"))
+    doc = synthesize(ops, grammar=g,
+                     n_ranks=max(op.rank for op in ops) + 1).to_dict()
+    want = golden["result"]
+    assert doc["choices"] == want["choices"]
+    assert doc["n_candidates"] == want["n_candidates"]
+    assert doc["distance"] == want["distance"]  # exact, not approximate
 
 
 def test_result_to_dict_carries_provenance():
