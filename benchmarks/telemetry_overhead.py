@@ -2,8 +2,8 @@
 """Telemetry-off overhead gate for the DES event loop.
 
 PR 2 added self-telemetry hooks to the engine's hot path
-(``Environment.run`` routes through an instrumented loop when
-``repro.telemetry`` is enabled).  The disabled cost must stay one boolean
+(``Environment.run`` wraps its one event loop in a span and event counters
+when ``repro.telemetry`` is enabled).  The disabled cost must stay one boolean
 check: this gate times the same ``event_loop_throughput`` workload as
 ``benchmarks/check_regression.py`` with telemetry **disabled** and fails
 when it falls outside ``--tolerance`` of the committed reference timing

@@ -14,10 +14,11 @@ workhorse for large-scale I/O evaluation when no testbed is available):
   model shared network links and storage devices with fair bandwidth
   allocation among concurrent transfers.
 * :mod:`repro.des.ross` -- a ROSS-style logical-process kernel (events are
-  dispatched to LP handlers) with both a sequential executor and a
-  conservative, YAWNS-style windowed parallel executor.  The CODES storage
-  simulation framework surveyed by the paper is built on ROSS; this module is
-  our equivalent substrate and is validated for determinism against the
+  dispatched to LP handlers) with a sequential reference executor;
+  :mod:`repro.des.partition` runs the same kernel under conservative,
+  YAWNS-style windows on one or many partitions.  The CODES storage
+  simulation framework surveyed by the paper is built on ROSS; these modules
+  are our equivalent substrate, validated for determinism against the
   sequential executor (ablation A1).
 * :mod:`repro.des.rng` -- reproducible named random streams.
 
@@ -43,7 +44,6 @@ from repro.des.resources import Container, PriorityResource, Resource, Store
 from repro.des.sharing import FairShareLink
 from repro.des.rng import RandomStreams
 from repro.des.ross import (
-    ConservativeExecutor,
     LogicalProcess,
     RossEvent,
     RossKernel,
@@ -60,7 +60,6 @@ from repro.des.partition import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "ConservativeExecutor",
     "Container",
     "Environment",
     "Event",

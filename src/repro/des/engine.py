@@ -7,12 +7,13 @@ runs of the same simulation program produce identical event orderings.
 
 Performance notes
 -----------------
-:meth:`Environment.run` is the engine's hot loop.  The ``until`` dispatch
-(none / time / event) is resolved *once*, before the loop, and each variant
-gets its own branch-lean drain loop with the body of :meth:`step` inlined
-(local aliases for the queue and ``heappop``, no ``peek()`` call and no
-``isinstance`` stop checks per iteration).  :meth:`step` remains the
-single-event reference implementation; the inlined loops must match it.
+:meth:`Environment._loop` is the engine's only event loop and its hot path.
+:meth:`Environment.step` and every ``until`` mode of
+:meth:`Environment.run` (none / time / event, telemetry on or off) go
+through it.  ``run`` resolves ``until`` *once*, before the loop, into a
+stop time and a stop event, so each iteration pays one time comparison and
+one ``callbacks is None`` check (local aliases for the queue and
+``heappop``, no ``peek()`` call and no ``isinstance`` checks).
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ class SimulationError(Exception):
 
 class EmptySchedule(Exception):
     """Internal: raised by :meth:`Environment.step` when no events remain."""
+
+
+#: Stop event of the runs bounded only by time: never scheduled, so never
+#: processed (its ``callbacks`` never becomes ``None``).
+_NEVER = Event(None)
 
 
 class Environment:
@@ -233,21 +239,10 @@ class Environment:
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
-        try:
-            self._now, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-        callbacks = event.callbacks
-        event.callbacks = None
-        if type(callbacks) is list:
-            for cb in callbacks:
-                cb(event)
-        elif callbacks is not _NO_CALLBACKS:  # single registered waiter
-            callbacks(event)
-        self.events_processed += 1
-        if not event._ok and not event.defused:
-            exc = event._value
-            raise exc if isinstance(exc, Exception) else SimulationError(repr(exc))
+        queue = self._queue
+        if not queue:
+            raise EmptySchedule()
+        self._loop(_INF, queue[0][2])
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -260,111 +255,63 @@ class Environment:
             * an :class:`Event` -- run until that event is processed and
               return its value (raising if it failed).
 
-        When self-telemetry is enabled (:mod:`repro.telemetry`) the run is
-        routed through :meth:`_run_instrumented` instead: a wall-clock span
-        plus event/heap counters.  The disabled cost is this single
-        attribute check, which is what ``benchmarks/telemetry_overhead.py``
-        guards.
+        When self-telemetry is enabled (:mod:`repro.telemetry`) the same
+        run is wrapped in an ``Environment.run`` span and ``des.*`` event
+        counters.  The disabled cost is this single attribute check, which
+        is what ``benchmarks/telemetry_overhead.py`` guards.
         """
-        if TELEMETRY.active:
-            return self._run_instrumented(until)
-        if until is None:
-            return self._drain(_INF)
-        if isinstance(until, Event):
-            return self._run_until_event(until)
-        stop_time = float(until)
-        if stop_time < self._now:
-            raise ValueError(f"until={stop_time} is in the past (now={self._now})")
-        return self._drain(stop_time)
-
-    def _run_instrumented(self, until: Union[None, float, Event]) -> Any:
-        """Telemetry variant of :meth:`run`: same semantics, plus a span and
-        ``des.*`` metrics (events executed/scheduled, heap high-water).
-
-        Uses the :meth:`step` reference loop -- slower than the inlined
-        drains, but only ever taken when telemetry is enabled.
-        """
-        metrics = TELEMETRY.metrics
+        if not TELEMETRY.active:
+            return self._run(until)
         queue = self._queue
         start_processed = self.events_processed
         start_pending = len(queue)
-        high = start_pending
-        step = self.step
         with TELEMETRY.tracer.span(
             "Environment.run", cat="des", pending_at_start=start_pending
         ):
             try:
-                if until is None:
-                    while queue:
-                        step()
-                        if len(queue) > high:
-                            high = len(queue)
-                    result = None
-                elif isinstance(until, Event):
-                    if until.callbacks is None:  # already processed
-                        result = until.value
-                    else:
-                        while queue:
-                            step()
-                            if len(queue) > high:
-                                high = len(queue)
-                            if until.callbacks is None:
-                                break
-                        else:
-                            raise SimulationError(
-                                "simulation ran out of events before the "
-                                "'until' event fired"
-                            )
-                        if not until._ok:
-                            raise until._value
-                        result = until._value
-                else:
-                    stop_time = float(until)
-                    if stop_time < self._now:
-                        raise ValueError(
-                            f"until={stop_time} is in the past (now={self._now})"
-                        )
-                    while queue and queue[0][0] <= stop_time:
-                        step()
-                        if len(queue) > high:
-                            high = len(queue)
-                    self._now = stop_time
-                    result = None
+                return self._run(until)
             finally:
                 executed = self.events_processed - start_processed
+                metrics = TELEMETRY.metrics
                 metrics.counter("des.runs").inc()
                 metrics.counter("des.events.executed").inc(executed)
                 metrics.counter("des.events.scheduled").inc(
                     executed + len(queue) - start_pending
                 )
-                metrics.gauge("des.heap.high_water").update_max(high)
-        return result
 
-    # -- drain loops (step() inlined; keep in sync with step) ----------------
-    def _drain(self, stop_time: float) -> None:
+    def _run(self, until: Union[None, float, Event]) -> Any:
+        """Resolve ``until`` once, then hand the work to :meth:`_loop`."""
+        if isinstance(until, Event):
+            if until.callbacks is None:  # already processed
+                return until.value
+            if not self._loop(_INF, until):
+                raise SimulationError(
+                    "simulation ran out of events before the 'until' event fired"
+                )
+            if not until._ok:
+                raise until._value
+            return until._value
+        stop_time = _INF if until is None else float(until)
+        if stop_time < self._now:
+            raise ValueError(f"until={stop_time} is in the past (now={self._now})")
+        self._loop(stop_time, _NEVER)
+        if stop_time != _INF:
+            self._now = stop_time
+        return None
+
+    def _loop(self, stop_time: float, stop_event: Event) -> bool:
+        """The event loop: pop, dispatch callbacks, count, and raise on an
+        unhandled failure, until the queue is empty, the next event lies
+        beyond ``stop_time``, or ``stop_event`` has been processed.
+
+        Returns True if it stopped because ``stop_event`` was processed.
+        """
         queue = self._queue
         pop = heappop
         no_cbs = _NO_CALLBACKS
         lst = list
         processed = 0
         try:
-            if stop_time == _INF:
-                while queue:
-                    self._now, _, event = pop(queue)
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if callbacks.__class__ is lst:
-                        for cb in callbacks:
-                            cb(event)
-                    elif callbacks is not no_cbs:
-                        callbacks(event)
-                    processed += 1
-                    if not event._ok and not event.defused:
-                        exc = event._value
-                        raise exc if isinstance(exc, Exception) else SimulationError(
-                            repr(exc)
-                        )
-                return None
             while queue and queue[0][0] <= stop_time:
                 self._now, _, event = pop(queue)
                 callbacks = event.callbacks
@@ -372,36 +319,7 @@ class Environment:
                 if callbacks.__class__ is lst:
                     for cb in callbacks:
                         cb(event)
-                elif callbacks is not no_cbs:
-                    callbacks(event)
-                processed += 1
-                if not event._ok and not event.defused:
-                    exc = event._value
-                    raise exc if isinstance(exc, Exception) else SimulationError(
-                        repr(exc)
-                    )
-            self._now = stop_time
-            return None
-        finally:
-            self.events_processed += processed
-
-    def _run_until_event(self, stop_event: Event) -> Any:
-        if stop_event.callbacks is None:  # already processed
-            return stop_event.value
-        queue = self._queue
-        pop = heappop
-        no_cbs = _NO_CALLBACKS
-        lst = list
-        processed = 0
-        try:
-            while queue:
-                self._now, _, event = pop(queue)
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks.__class__ is lst:
-                    for cb in callbacks:
-                        cb(event)
-                elif callbacks is not no_cbs:
+                elif callbacks is not no_cbs:  # single registered waiter
                     callbacks(event)
                 processed += 1
                 if not event._ok and not event.defused:
@@ -410,11 +328,7 @@ class Environment:
                         repr(exc)
                     )
                 if stop_event.callbacks is None:
-                    if not stop_event._ok:
-                        raise stop_event._value
-                    return stop_event._value
+                    return True
+            return False
         finally:
             self.events_processed += processed
-        raise SimulationError(
-            "simulation ran out of events before the 'until' event fired"
-        )

@@ -4,12 +4,12 @@ ROSS [60] is "a high-performance, low-memory, modular Time Warp system":
 its signature synchronisation protocol is *optimistic* -- logical processes
 execute speculatively past each other and recover from causality
 violations by rolling back.  The conservative executor in
-:mod:`repro.des.ross` is the safe baseline; this module adds the Time Warp
-side so the kernel implements both of the PDES families the paper's
+:mod:`repro.des.partition` is the safe baseline; this module adds the Time
+Warp side so the kernel implements both of the PDES families the paper's
 simulation taxonomy (Sec. IV-C-1) rests on.
 
 Mechanics implemented (sequentially emulated, as with the conservative
-executor -- the *protocol* is what is reproduced):
+executor's serial backend -- the *protocol* is what is reproduced):
 
 * **speculative execution**: each scheduling round lets every LP process a
   batch of its pending events regardless of global timestamp order;

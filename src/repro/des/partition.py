@@ -1,15 +1,20 @@
-"""Topology-partitioned parallel execution of the ROSS-style LP kernel.
+"""Conservative (YAWNS) windowed execution of the ROSS-style LP kernel.
 
-:class:`repro.des.ross.ConservativeExecutor` exposes YAWNS windows but
-still executes them on one core.  This module realizes the parallelism:
-the LP population is split into *partitions* (ideally along fabric
-islands -- racks / OSS groups -- so that most traffic stays inside a
-partition), every partition owns its LPs' event queues, and each
-conservative window is processed by all partitions concurrently.  Only
-cross-partition messages are synchronization traffic: they are gathered
-at the window barrier, sorted into their canonical content-based order
-(so thread/process completion order cannot leak into results) and routed
-to the destination partition before the next LBTS reduction.
+Each round computes the lower bound on timestamps (LBTS) of all pending
+events, and every LP processes its pending events below ``LBTS +
+lookahead``; messages carry at least ``lookahead`` of delay, so none can
+land inside the window that generated it.  The LP population is split
+into *partitions* (ideally along fabric islands -- racks / OSS groups --
+so that most traffic stays inside a partition), every partition owns its
+LPs' event queues, and each window is processed by all partitions
+concurrently.  Only cross-partition messages are synchronization traffic:
+they are gathered at the window barrier, sorted into their canonical
+content-based order (so thread/process completion order cannot leak into
+results) and routed to the destination partition before the next LBTS
+reduction.  One partition on the serial backend is the plain single-core
+conservative executor (ablation A1, the ``"conservative"`` scale engine);
+windows, window sizes and the critical path do not depend on the
+partition count.
 
 Determinism: an LP processes exactly the same events in exactly the same
 local order as under the sequential executor -- the partition an LP lives
@@ -50,7 +55,6 @@ from repro.des.ross import (
     LogicalProcess,
     RossEvent,
     RossKernel,
-    _degenerate_window_error,
 )
 from repro.telemetry import TELEMETRY
 from repro.telemetry.collect import (
@@ -63,6 +67,22 @@ from repro.telemetry.collect import (
 _INF = float("inf")
 
 BACKENDS = ("serial", "thread", "process")
+
+
+def _degenerate_window_error(lbts: float, lookahead: float) -> SimulationError:
+    """A window that admits no events would loop forever; fail loudly.
+
+    This happens when the lookahead vanishes against the magnitude of the
+    clock (``lbts + lookahead == lbts`` in float64) -- an effectively
+    zero-lookahead configuration.  Raising is the difference between a
+    clear diagnostic and a silent spin.
+    """
+    return SimulationError(
+        f"degenerate conservative window at t={lbts!r}: lookahead "
+        f"{lookahead!r} vanishes against the clock (lbts + lookahead == "
+        f"lbts in float64), so the window can never admit an event. "
+        f"Increase the lookahead or rescale the model's time units."
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,30 @@
-"""ROSS-style logical-process kernel with sequential and conservative executors.
+"""ROSS-style logical-process kernel and its sequential reference executor.
 
 The CODES storage-simulation framework surveyed by the paper (Snyder et al.
 [20], Liu et al. [59]) is built atop ROSS, a parallel discrete-event
 simulation (PDES) system in which the model is decomposed into *logical
 processes* (LPs) that interact exclusively by exchanging timestamped events.
 
-This module implements that programming model with two executors:
+This module implements that programming model: the :class:`RossKernel`
+that holds the LPs and mediates their sends, and
+:class:`SequentialExecutor`, a single global event queue in full timestamp
+order -- the reference implementation.  The two other executors live in
+their own modules:
 
-* :class:`SequentialExecutor` -- a single global event queue, the reference
-  implementation.
-* :class:`ConservativeExecutor` -- a YAWNS-style conservative windowed
-  executor: in each round it computes the lower bound on timestamps (LBTS)
-  of all pending events and processes, per LP, every event with timestamp
-  below ``LBTS + lookahead``.  Because every message carries a minimum delay
-  of ``lookahead``, no event generated during a window can land inside it,
-  which guarantees causal correctness without rollback.
+* :class:`~repro.des.partition.PartitionedExecutor` -- the YAWNS-style
+  conservative windowed executor.  In each round it computes the lower
+  bound on timestamps (LBTS) of all pending events and processes, per LP,
+  every event with timestamp below ``LBTS + lookahead``.  Because every
+  message carries a minimum delay of ``lookahead``, no event generated
+  during a window can land inside it, which guarantees causal correctness
+  without rollback.  With one partition on the serial backend it is the
+  plain single-core conservative executor.
+* :class:`~repro.des.optimistic.OptimisticExecutor` -- Time Warp.
 
 Determinism across executors: events are ordered by
 ``(time, source_lp, per-source sequence number)``.  Each LP numbers the
-messages it sends, and an LP's processing order is identical under both
-executors (proved inductively: each LP receives the same multiset of events
+messages it sends, and an LP's processing order is identical under every
+executor (proved inductively: each LP receives the same multiset of events
 and sorts them by the same content-based key), so simulations are
 bit-reproducible and executor-independent.  Ablation A1 validates this and
 reports the parallelism the conservative windows expose.
@@ -29,25 +34,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
-
-from repro.des.engine import SimulationError
-
-
-def _degenerate_window_error(lbts: float, lookahead: float) -> SimulationError:
-    """A window that admits no events would loop forever; fail loudly.
-
-    This happens when the lookahead vanishes against the magnitude of the
-    clock (``lbts + lookahead == lbts`` in float64) -- an effectively
-    zero-lookahead configuration.  Raising is the difference between a
-    clear diagnostic and a silent spin.
-    """
-    return SimulationError(
-        f"degenerate conservative window at t={lbts!r}: lookahead "
-        f"{lookahead!r} vanishes against the clock (lbts + lookahead == "
-        f"lbts in float64), so the window can never admit an event. "
-        f"Increase the lookahead or rescale the model's time units."
-    )
+from typing import Any, Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -127,8 +114,9 @@ class RossKernel:
     ----------
     lookahead:
         Minimum virtual-time delay of any message.  The conservative
-        executor's window width; the sequential executor also enforces it so
-        the two are interchangeable.
+        window width of :class:`~repro.des.partition.PartitionedExecutor`;
+        the sequential executor also enforces it so the executors are
+        interchangeable.
     """
 
     def __init__(self, lookahead: float = 0.0):
@@ -210,7 +198,7 @@ class ExecutionStats:
 
     events: int = 0
     windows: int = 0
-    #: Events processed in each window (conservative executor only).
+    #: Events processed in each window (windowed executors only).
     window_sizes: List[int] = field(default_factory=list)
     #: Critical-path bound: sum over windows of the max events any single LP
     #: handled in that window.  total events / critical_path is the speedup
@@ -242,67 +230,4 @@ class SequentialExecutor:
             self.stats.events += 1
         self.stats.windows = self.stats.events  # degenerate: 1 event per "window"
         self.stats.critical_path = self.stats.events
-        return self.stats
-
-
-class ConservativeExecutor:
-    """YAWNS-style conservative windowed executor.
-
-    Requires ``kernel.lookahead > 0``.  Each round:
-
-    1. LBTS = min timestamp over all pending events (global reduction).
-    2. Window = ``[LBTS, LBTS + lookahead)``.
-    3. Every LP processes its pending events inside the window in local
-       key order.  Messages generated carry timestamps >= LBTS + lookahead,
-       i.e. beyond the window, so no causality violation is possible.
-    4. Barrier; repeat.
-    """
-
-    def __init__(self, kernel: RossKernel):
-        if kernel.lookahead <= 0:
-            raise ValueError("conservative execution requires positive lookahead")
-        self.kernel = kernel
-        self.stats = ExecutionStats()
-
-    def run(self, until: float = float("inf")) -> ExecutionStats:
-        queues: Dict[int, List[RossEvent]] = {lp_id: [] for lp_id in self.kernel.lps}
-        for ev in self.kernel._drain_outbox():
-            heapq.heappush(queues[ev.dest], ev)
-
-        while True:
-            pending_heads = [q[0].time for q in queues.values() if q]
-            if not pending_heads:
-                break
-            lbts = min(pending_heads)
-            if lbts > until:
-                break
-            horizon = lbts + self.kernel.lookahead
-            if not horizon > lbts:
-                raise _degenerate_window_error(lbts, self.kernel.lookahead)
-            window_events = 0
-            window_max_per_lp = 0
-            generated: List[RossEvent] = []
-            # Deterministic LP visit order (the executor's order is
-            # irrelevant for correctness; fixed order aids reproducibility
-            # of stats).
-            for lp_id in sorted(queues):
-                q = queues[lp_id]
-                handled_here = 0
-                while q and q[0].time < horizon and q[0].time <= until:
-                    ev = heapq.heappop(q)
-                    generated.extend(self.kernel._execute_one(ev))
-                    handled_here += 1
-                window_events += handled_here
-                window_max_per_lp = max(window_max_per_lp, handled_here)
-            for ev in generated:
-                if ev.time < horizon:
-                    raise RuntimeError(
-                        "causality violation: generated event inside the "
-                        "current window (lookahead contract broken)"
-                    )
-                heapq.heappush(queues[ev.dest], ev)
-            self.stats.events += window_events
-            self.stats.windows += 1
-            self.stats.window_sizes.append(window_events)
-            self.stats.critical_path += window_max_per_lp
         return self.stats

@@ -50,12 +50,7 @@ from repro.des.cohort import (
 from repro.des.engine import Environment
 from repro.des.events import Event
 from repro.des.partition import PartitionPlan, PartitionedExecutor
-from repro.des.ross import (
-    ConservativeExecutor,
-    LogicalProcess,
-    RossKernel,
-    SequentialExecutor,
-)
+from repro.des.ross import LogicalProcess, RossKernel, SequentialExecutor
 from repro.des.sharing import FairShareLink
 
 ENGINES = ("sequential", "conservative", "partitioned")
@@ -395,20 +390,16 @@ def run_cohort(
     backend: str = "thread",
     workers: Optional[int] = None,
 ) -> ScaleResult:
-    """Run the island-LP model under the chosen parallel engine."""
+    """Run the island-LP model under the chosen parallel engine.
+
+    Both engines are the conservative windowed executor:
+    ``"conservative"`` on one partition with the serial backend,
+    ``"partitioned"`` on ``workers`` contiguous partitions with ``backend``.
+    """
     if engine not in ("conservative", "partitioned"):
         raise ValueError(f"run_cohort: unknown engine {engine!r}")
     if engine == "conservative":
-        kernel = build_kernel(config)
-        ex = ConservativeExecutor(kernel)
-        stats = ex.run()
-        collected = [
-            kernel.lps[k].collect_result() for k in range(config.islands)
-        ]
-        extra = {"windows": stats.windows, "critical_path": stats.critical_path}
-        return _finalize(
-            engine, None, config, collected, stats.events, extra
-        )
+        backend, workers = "serial", 1
     import multiprocessing
 
     n_workers = workers or multiprocessing.cpu_count()
@@ -429,6 +420,7 @@ def run_cohort(
     collected = [results[k] for k in range(config.islands)]
     extra = {
         "windows": stats.windows,
+        "critical_path": stats.critical_path,
         "partitions": stats.partitions,
         "mean_occupancy": stats.mean_occupancy,
         "exchanged": stats.exchanged,

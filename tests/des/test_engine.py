@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import telemetry
 from repro.des import Environment, Event, Interrupt, SimulationError, Timeout
+from repro.des.engine import EmptySchedule
+from repro.telemetry import TELEMETRY
 
 
 def test_clock_starts_at_initial_time():
@@ -76,6 +79,38 @@ def test_run_until_event_returns_value():
 
     p = env.process(proc(env))
     assert env.run(until=p) == 17
+    # Already processed: returns its value and processes nothing.
+    env.timeout(1.0)
+    processed = env.events_processed
+    assert env.run(until=p) == 17
+    assert env.events_processed == processed
+    assert env.now == 4.0
+
+
+def test_run_until_event_counts_one_run_under_telemetry():
+    telemetry.enable()
+    telemetry.reset()
+    try:
+        env = Environment()
+        t = env.timeout(2.0, value="x")
+        env.timeout(5.0)
+        assert env.run(until=t) == "x"
+        assert TELEMETRY.metrics.counter("des.runs").value == 1
+        assert TELEMETRY.metrics.counter("des.events.executed").value == 1
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+
+
+@pytest.mark.parametrize("defused", [False, True])
+def test_run_until_failed_event_raises_its_exception(defused):
+    env = Environment()
+    ev = env.event()
+    ev.defused = defused
+    ev.fail(KeyError("stop"))
+    with pytest.raises(KeyError, match="stop"):
+        env.run(until=ev)
+    assert env.events_processed == 1
 
 
 def test_run_until_past_time_rejected():
@@ -282,6 +317,20 @@ def test_events_processed_counter():
     env.process(proc(env))
     env.run()
     assert env.events_processed > 0
+
+
+def test_step_processes_exactly_one_event():
+    env = Environment()
+    with pytest.raises(EmptySchedule):
+        env.step()
+    fired = []
+    for name in "abc":
+        env.timeout(1.0).add_callback(lambda ev, name=name: fired.append(name))
+    env.step()
+    assert fired == ["a"]
+    assert env.now == 1.0
+    assert env.events_processed == 1
+    assert env.peek() == 1.0  # the two co-timed events are still queued
 
 
 def test_peek_reports_next_event_time():

@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.des import (
-    ConservativeExecutor,
     LogicalProcess,
     PartitionPlan,
     PartitionedExecutor,
@@ -156,18 +155,19 @@ def test_partitioned_traces_match_sequential():
     assert ex.traces() == ref_traces
 
 
-def test_partitioned_window_stats_match_conservative():
-    # Same windows as ConservativeExecutor: LBTS and horizon computations
-    # are partition-count independent.
-    kc = build_relay_kernel()
-    cons = ConservativeExecutor(kc)
-    cons.run()
+def test_partitioned_window_stats_independent_of_partition_count():
+    # LBTS and horizon computations do not depend on the partition count:
+    # three partitions see the windows of the single-partition executor.
+    one = PartitionedExecutor(
+        build_relay_kernel(), PartitionPlan.round_robin(range(12), 1)
+    ).run()
     kp = build_relay_kernel()
     ex = PartitionedExecutor(kp, PartitionPlan.round_robin(range(12), 3))
     stats = ex.run()
-    assert stats.windows == cons.stats.windows
-    assert stats.window_sizes == cons.stats.window_sizes
-    assert stats.critical_path == cons.stats.critical_path
+    assert stats.partitions == 3
+    assert stats.windows == one.windows
+    assert stats.window_sizes == one.window_sizes
+    assert stats.critical_path == one.critical_path
     assert len(stats.occupied_partitions) == stats.windows
     assert 0.0 < stats.mean_occupancy <= stats.partitions
     assert 0.0 <= stats.exchange_fraction <= 1.0
@@ -244,12 +244,6 @@ def _late_clock_kernel(lookahead=1e-6, start=1e18):
     return k
 
 
-def test_conservative_degenerate_window_raises():
-    k = _late_clock_kernel()
-    with pytest.raises(SimulationError, match="degenerate conservative window"):
-        ConservativeExecutor(k).run()
-
-
 @pytest.mark.parametrize("backend", ["serial", "thread"])
 def test_partitioned_degenerate_window_raises(backend):
     k = _late_clock_kernel()
@@ -313,18 +307,14 @@ def test_random_models_identical_across_executors(seed):
     SequentialExecutor(k).run()
     ref = k.state_digests()
 
-    k = _random_kernel(seed)
-    ConservativeExecutor(k).run()
-    assert k.state_digests() == ref, "conservative diverged"
-
     rng = random.Random(seed ^ 0xABCDEF)
     n_parts = rng.randrange(1, len(ref) + 1)
-    for backend in ("serial", "thread"):
+    for parts, backend in ((1, "serial"), (n_parts, "serial"), (n_parts, "thread")):
         k = _random_kernel(seed)
-        plan = PartitionPlan.round_robin(sorted(k.lps), n_parts)
+        plan = PartitionPlan.round_robin(sorted(k.lps), parts)
         ex = PartitionedExecutor(k, plan, backend=backend)
         ex.run()
-        assert ex.state_digests() == ref, f"{backend} diverged"
+        assert ex.state_digests() == ref, f"{parts} x {backend} diverged"
 
 
 def test_random_model_process_backend_identical():

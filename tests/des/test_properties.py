@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.des import Environment, FairShareLink, Resource
+from repro.telemetry import TELEMETRY
 
 
 @settings(max_examples=100, deadline=None)
@@ -30,6 +32,92 @@ def test_clock_never_goes_backwards(delays):
         env.step()
     assert trace == sorted(trace)
     assert env.now == max(observed)
+
+
+# Few distinct delays (zero included) so timestamps collide often.
+_DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0])
+
+
+def _build_graph(env, workers, failer, log):
+    """Workers log each wake-up; ``failer`` also triggers a defused failed
+    event; a joiner waits on all workers through an ``AllOf``.  Returns the
+    joiner, the last process to finish."""
+
+    def worker(i, delays):
+        for j, d in enumerate(delays):
+            yield env.timeout(d)
+            log.append((env.now, i, j))
+        if i == failer:
+            bad = env.event()
+            bad.defused = True
+            bad.fail(ValueError("defused"))
+            yield env.timeout(0.0)
+            log.append((env.now, i, "after-fail"))
+        return i
+
+    def joiner(procs):
+        done = yield env.all_of(procs)
+        log.append((env.now, "join", sorted(done.values())))
+
+    procs = [env.process(worker(i, d)) for i, d in enumerate(workers)]
+    return env.process(joiner(procs))
+
+
+def _drive(workers, failer, mode, cuts):
+    """Run one graph in ``mode``.  Also returns, for ``step``, each event's
+    time and, for ``chunks``, the events processed after each cut."""
+    env = Environment()
+    log = []
+    last = _build_graph(env, workers, failer, log)
+    seen = []
+    if mode == "step":
+        while env.peek() < float("inf"):
+            seen.append(env.peek())
+            env.step()
+    elif mode == "run":
+        env.run()
+    elif mode == "chunks":
+        for t in cuts:
+            env.run(until=t)
+            seen.append(env.events_processed)
+        env.run()
+    else:
+        assert env.run(until=last) is None
+    return (log, env.now, env.events_processed, env.peek()), seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    workers=st.lists(st.lists(_DELAYS, max_size=5), min_size=1, max_size=6),
+    failer_pick=st.integers(0, 5),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_every_run_mode_dispatches_identically(workers, failer_pick, fractions):
+    """Stepping, draining, time-bounded chunks and ``run(until=<process>)``
+    -- each with telemetry off and on -- dispatch the same events in the
+    same order and end with the same clock and event count."""
+    failer = failer_pick % len(workers)
+    ref, times = _drive(workers, failer, "step", ())
+    assert ref[3] == float("inf")
+    cuts = sorted(f * ref[1] for f in fractions)
+    # A time-bounded run processes exactly the events at or before its cut.
+    at_cuts = [sum(t <= cut for t in times) for cut in cuts]
+    try:
+        for active in (False, True):
+            if active:
+                telemetry.enable()
+            for mode in ("step", "run", "chunks", "until-event"):
+                telemetry.reset()
+                got, seen = _drive(workers, failer, mode, cuts)
+                assert got == ref, (mode, active)
+                if mode == "chunks":
+                    assert seen == at_cuts, active
+                if active and mode != "step":
+                    executed = TELEMETRY.metrics.counter("des.events.executed")
+                    assert executed.value == got[2]
+    finally:
+        telemetry.disable()
+        telemetry.reset()
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,11 +179,12 @@ def test_resource_never_oversubscribed(capacity, holds):
     lookahead=st.floats(0.1, 5.0),
 )
 def test_executors_agree_for_random_pingpong(hops, lookahead):
-    """Sequential and conservative ROSS executors agree for any bounce
-    count and lookahead."""
+    """Sequential and conservative (one-partition) ROSS executors agree
+    for any bounce count and lookahead."""
     from repro.des import (
-        ConservativeExecutor,
         LogicalProcess,
+        PartitionPlan,
+        PartitionedExecutor,
         RossKernel,
         SequentialExecutor,
     )
@@ -122,5 +211,5 @@ def test_executors_agree_for_random_pingpong(hops, lookahead):
 
     k1, k2 = build(), build()
     SequentialExecutor(k1).run()
-    ConservativeExecutor(k2).run()
+    PartitionedExecutor(k2, PartitionPlan.round_robin(sorted(k2.lps), 1)).run()
     assert k1.state_digests() == k2.state_digests()

@@ -3,11 +3,19 @@
 import pytest
 
 from repro.des import (
-    ConservativeExecutor,
     LogicalProcess,
+    PartitionPlan,
+    PartitionedExecutor,
     RossKernel,
     SequentialExecutor,
 )
+
+
+def conservative(kernel):
+    """The conservative windowed executor: one partition, serial backend."""
+    return PartitionedExecutor(
+        kernel, PartitionPlan.round_robin(sorted(kernel.lps), 1)
+    )
 
 
 class PingPong(LogicalProcess):
@@ -48,7 +56,7 @@ def test_conservative_matches_sequential():
     k1 = build_pingpong(hops=20)
     SequentialExecutor(k1).run()
     k2 = build_pingpong(hops=20)
-    ConservativeExecutor(k2).run()
+    conservative(k2).run()
     assert k1.state_digests() == k2.state_digests()
     assert k1.lps[0].trace == k2.lps[0].trace
     assert k1.lps[1].trace == k2.lps[1].trace
@@ -56,8 +64,9 @@ def test_conservative_matches_sequential():
 
 def test_conservative_requires_positive_lookahead():
     k = RossKernel(lookahead=0.0)
-    with pytest.raises(ValueError):
-        ConservativeExecutor(k)
+    k.add_lp(PingPong(0, peer=0, hops=1))
+    with pytest.raises(ValueError, match="lookahead"):
+        conservative(k)
 
 
 def test_send_below_lookahead_rejected():
@@ -144,7 +153,7 @@ def build_fanout(n_workers=8, ticks=5):
 
 def test_fanout_parallelism_bound_exceeds_one():
     k = build_fanout(n_workers=8, ticks=5)
-    stats = ConservativeExecutor(k).run()
+    stats = conservative(k).run()
     # Each window contains 8 independent worker events + root bookkeeping,
     # so the conservative engine exposes real parallelism.
     assert stats.parallelism_bound > 2.0
@@ -156,6 +165,6 @@ def test_fanout_executors_agree():
     k1 = build_fanout()
     s1 = SequentialExecutor(k1).run()
     k2 = build_fanout()
-    s2 = ConservativeExecutor(k2).run()
+    s2 = conservative(k2).run()
     assert s1.events == s2.events
     assert k1.state_digests() == k2.state_digests()

@@ -42,7 +42,6 @@ class TestEngineInstrumentation:
         # The queue drained to empty, so everything executed was scheduled --
         # except the process-init event, which predates run().
         assert m.counter("des.events.scheduled").value == env.events_processed - 1
-        assert m.gauge("des.heap.high_water").value >= 1
         # The run span was recorded with its category.
         spans = TELEMETRY.tracer.spans
         assert [sp.name for sp in spans] == ["Environment.run"]
