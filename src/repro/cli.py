@@ -42,14 +42,13 @@ Subcommands::
     repro-io loadgen                   hammer a service with simulated
                                        tenants; reports p50/p99 latency,
                                        throughput, store-hit ratio
-    repro-io store ls|show|diff|gc|verify|export|migrate|table
+    repro-io store ls|show|diff|gc|verify|scrub|export|table
                                        inspect the content-addressed run
                                        store (results/store): list runs
                                        and refs, show artifacts, diff two
                                        runs by content, collect garbage,
                                        check integrity, bundle for
-                                       sharing, migrate a legacy
-                                       results/ layout, or regenerate
+                                       sharing, or regenerate
                                        the EXPERIMENTS table from stored
                                        records without re-running
     repro-io run-dsl <file>            run a DSL workload on a simulated
@@ -1317,15 +1316,6 @@ def _store_action(store, args) -> int:
         else:
             print(text)
         return 0
-    if args.action == "migrate":
-        from pathlib import Path
-
-        from repro.store import migrate_results
-
-        summary = migrate_results(Path(args.results_dir), store=store)
-        for key in sorted(summary):
-            print(f"{key:<24} {summary[key]}")
-        return 0
     # table
     return _store_table(store, args)
 
@@ -2068,15 +2058,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("tokens", nargs="*",
                     help="limit to these runs/artifacts (default: whole store)")
     sp.add_argument("-o", "--output", help="write the bundle here")
-    sp.set_defaults(fn=_cmd_store)
-
-    sp = store_sub.add_parser(
-        "migrate",
-        help="one-shot ingest of a legacy results/ layout "
-        "(cache/, manifest.json, experiments.json) into the store",
-    )
-    sp.add_argument("results_dir", nargs="?", default="results",
-                    help="legacy results directory (default results)")
     sp.set_defaults(fn=_cmd_store)
 
     sp = store_sub.add_parser(

@@ -5,13 +5,14 @@
   implement it and the surveyed articles that populate it.
 * :mod:`repro.core.cycle` -- the executable closed loop: measure ->
   model/generate -> simulate -> compare, iterated (Fig. 4's dashed
-  feedback arrows).
+  feedback arrows).  It pulls in the simulator, so it loads on first use
+  of :class:`EvaluationCycle` or :class:`CycleReport`; importing
+  :mod:`repro.core` for the records alone stays light.
 * :mod:`repro.core.experiment` -- experiment records used by the
   benchmark harness to report paper-claim vs. measured outcomes.
 """
 
 from repro.core.taxonomy import TAXONOMY, TaxonomyNode, find_node, render_tree
-from repro.core.cycle import CycleReport, EvaluationCycle
 from repro.core.experiment import (
     ExperimentRecord,
     ResultsCollector,
@@ -31,3 +32,11 @@ __all__ = [
     "find_node",
     "render_tree",
 ]
+
+
+def __getattr__(name):
+    if name in ("CycleReport", "EvaluationCycle"):
+        from repro.core import cycle
+
+        return getattr(cycle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

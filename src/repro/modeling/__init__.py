@@ -5,7 +5,9 @@ The four sub-categories of the paper's taxonomy:
 1. *Statistics and analysis* -- :mod:`repro.modeling.statistics` (descriptive
    statistics, CDFs, variability), :mod:`repro.modeling.regression` (linear
    models with diagnostics), :mod:`repro.modeling.markov` (Markov-chain
-   models of request streams), :mod:`repro.modeling.hypothesis_testing`.
+   models of request streams), :mod:`repro.modeling.hypothesis_testing`
+   (Welch t and two-sample KS; scipy is imported on their first call, so
+   importing this package does not load it).
 2. *Predictive analytics* -- :mod:`repro.modeling.mlp` (a NumPy multi-layer
    perceptron, after Schmid & Kunkel [56]), :mod:`repro.modeling.forest`
    (decision trees and random forests from scratch, after Sun et al. [57]),

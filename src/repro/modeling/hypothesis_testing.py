@@ -4,6 +4,10 @@ Sec. IV-B-1 lists hypothesis testing among the statistics techniques.  The
 two tests I/O studies actually use are wrapped with a uniform result type:
 Welch's t-test ("is configuration A faster than B?") and the two-sample
 Kolmogorov-Smirnov test ("do these latency distributions differ?").
+
+Samples must be finite: a NaN would make the p-value NaN, which would
+silently read as "fail to reject H0".  scipy is imported inside the two
+tests, so the rest of the toolkit starts without loading it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,14 @@ def _check(sample: Sequence[float], name: str, min_n: int = 2) -> np.ndarray:
     arr = np.asarray(list(sample), dtype=float)
     if arr.size < min_n:
         raise ValueError(f"{name} needs at least {min_n} observations")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite observations")
     return arr
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def t_test(
@@ -51,6 +61,9 @@ def t_test(
 
     Null hypothesis: the two samples have equal means.
     """
+    from scipy import stats as sps
+
+    _check_alpha(alpha)
     arr_a = _check(a, "sample a")
     arr_b = _check(b, "sample b")
     stat, p = sps.ttest_ind(arr_a, arr_b, equal_var=False)
@@ -64,6 +77,9 @@ def ks_test(
 
     Null hypothesis: both samples are drawn from the same distribution.
     """
+    from scipy import stats as sps
+
+    _check_alpha(alpha)
     arr_a = _check(a, "sample a")
     arr_b = _check(b, "sample b")
     stat, p = sps.ks_2samp(arr_a, arr_b)

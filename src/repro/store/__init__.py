@@ -12,8 +12,15 @@ result the toolkit produces a single on-disk home and a single identity:
 * :mod:`repro.store.store` -- :class:`RunStore`, the ``put/get/query/
   diff/gc/export`` API over an ``objects/`` + ``refs/`` + ``runs/`` tree
   with atomic, concurrent-writer-safe writes;
-* :mod:`repro.store.migrate` -- the one-shot ingest of the legacy
-  ``results/`` layout.
+* :mod:`repro.store.scrub` -- the patrol read that digest-verifies every
+  object, heals non-canonical bytes and quarantines the rest.
+
+The package imports only the standard library, :mod:`repro.ioutil`,
+:mod:`repro.telemetry` and the records module :mod:`repro.core.experiment`
+(whose package loads the evaluation cycle lazily): no simulator package,
+numpy or scipy (``tests/core/test_import_layering.py`` pins this), so
+every CLI call, service boot and pool worker that touches the store
+starts fast.
 
 Producers refactored onto it: the experiment runner's record cache
 (:mod:`repro.experiments.runner`), the sweep runner's point cache
@@ -21,7 +28,7 @@ Producers refactored onto it: the experiment runner's record cache
 (:mod:`repro.telemetry.provenance` -- host metadata referenced by
 digest), and the benchmark gate's baselines
 (``benchmarks/check_regression.py``).  The ``repro-io store`` CLI serves
-``ls/show/diff/gc/export/migrate/table``.
+``ls/show/diff/gc/verify/scrub/export/table``.
 """
 
 from repro.store.artifact import (
@@ -40,7 +47,6 @@ from repro.store.store import (
     StoreIntegrityError,
     payload_diff,
 )
-from repro.store.migrate import migrate_results
 from repro.store.scrub import SCRUB_SCHEMA, scrub_store
 
 __all__ = [
@@ -57,6 +63,5 @@ __all__ = [
     "STORE_SCHEMA",
     "StoreError",
     "StoreIntegrityError",
-    "migrate_results",
     "payload_diff",
 ]

@@ -1,0 +1,104 @@
+"""Import budget of the entry points.
+
+The store and the job layer are imported by every CLI call, service boot
+and pool worker, so they must not load the simulator or its numeric
+stack.  scipy is used only by the hypothesis tests in
+:mod:`repro.modeling.hypothesis_testing` and must load only when one of
+them runs.  Each check runs in a fresh interpreter, since this test
+process has long since imported everything.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+HEAVY = (
+    "numpy",
+    "scipy",
+    "networkx",
+    "repro.core.cycle",
+    "repro.wgen",
+    "repro.cluster",
+    "repro.des",
+    "repro.simulate",
+    "repro.modeling",
+    "repro.scenario",
+)
+
+
+def _loaded_after(code: str, cwd: Path, watch=HEAVY) -> list:
+    """Run ``code`` in a fresh interpreter; return which of ``watch`` it loaded."""
+    probe = textwrap.dedent(code) + textwrap.dedent(
+        f"""
+        import json, sys
+        print(json.dumps([m for m in {list(watch)!r} if m in sys.modules]))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["repro.store", "repro.jobs"])
+def test_store_and_jobs_load_no_simulator(module, tmp_path):
+    assert _loaded_after(f"import {module}", tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro.service",
+        "import repro.experiments",
+        "import repro.wgen",
+        """
+        from repro.scenario import get_scenario, run_scenario
+        run_scenario(get_scenario("tiny"))
+        """,
+        """
+        from repro.experiments.runner import run_experiments
+        results = run_experiments(["E3", "C1", "C8"], seeds=[0], jobs=1, use_cache=False)
+        assert all(r.record is not None for r in results)
+        """,
+    ],
+    ids=["service", "experiments", "wgen", "run-scenario", "run-experiments"],
+)
+def test_runtime_paths_load_no_scipy(code, tmp_path):
+    assert _loaded_after(code, tmp_path, watch=("scipy",)) == []
+
+
+def test_public_names_still_resolve(tmp_path):
+    code = """
+        from repro.core import CycleReport, EvaluationCycle
+        from repro.core.cycle import EvaluationCycle as direct
+        assert EvaluationCycle is direct and CycleReport.__name__ == "CycleReport"
+        from repro.core import ExperimentRecord
+        assert ExperimentRecord.__module__ == "repro.core.experiment"
+        import repro.core
+        try:
+            repro.core.NoSuchName
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("missing name resolved")
+        from repro.modeling import ks_test
+        assert "scipy" not in __import__("sys").modules
+        ks_test([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
+    """
+    assert _loaded_after(code, tmp_path, watch=("scipy",)) == ["scipy"]

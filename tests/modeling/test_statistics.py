@@ -182,3 +182,30 @@ class TestHypothesisTests:
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):
             t_test([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("test", [t_test, ks_test])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_samples_rejected(self, test, bad):
+        # A NaN p-value would otherwise read as "fail to reject H0".
+        with pytest.raises(ValueError, match="non-finite"):
+            test([1.0, 2.0, bad], [2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            test([2.0, 3.0, 4.0], [1.0, 2.0, bad])
+
+    @pytest.mark.parametrize("test", [t_test, ks_test])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, test, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            test([1.0, 2.0, 3.0], [2.0, 3.0, 4.0], alpha=alpha)
+
+    def test_results_match_scipy_exactly(self):
+        from scipy import stats as sps
+
+        a = [1.2, 3.4, 2.2, 5.1, 4.4, 2.9, 3.3]
+        b = [2.5, 4.1, 6.0, 5.5, 3.9, 4.8]
+        t = t_test(a, b, alpha=0.1)
+        stat, p = sps.ttest_ind(a, b, equal_var=False)
+        assert (t.statistic, t.p_value, t.alpha) == (float(stat), float(p), 0.1)
+        ks = ks_test(a, b)
+        stat, p = sps.ks_2samp(a, b)
+        assert (ks.statistic, ks.p_value) == (float(stat), float(p))

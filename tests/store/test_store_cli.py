@@ -135,28 +135,6 @@ class TestStoreSubcommand:
         assert code == 2 and "store error" in err
 
 
-class TestStoreMigrateCommand:
-    def test_migrate_legacy_layout(self, tmp_path, capsys):
-        from repro.experiments import ALL_EXPERIMENTS
-
-        results = tmp_path / "results"
-        cache = results / "cache"
-        cache.mkdir(parents=True)
-        record = ALL_EXPERIMENTS["E3"](seed=0).to_dict()
-        src = "a" * 64
-        with open(cache / f"E3-s0-{src[:16]}.json", "w",
-                  encoding="utf-8") as fh:
-            json.dump({"experiment_id": "E3", "seed": 0, "digest": src,
-                       "record": record}, fh)
-        code, out, _ = run_cli(
-            capsys, "store", "--store-dir", str(results / "store"),
-            "migrate", str(results),
-        )
-        assert code == 0
-        assert "records" in out
-        assert RunStore(results / "store").refs("records/*")
-
-
 class TestTelemetryStoreTokens:
     def test_latest_summarizes_manifest(self, populated, capsys):
         code, out, _ = run_cli(
