@@ -28,12 +28,33 @@ __all__ = [
     "SeriesRegistry",
     "attach_probe",
     "install_standard_probes",
+    "value_stats",
 ]
 
 TIMESERIES_SCHEMA = "repro.telemetry.timeseries/1"
 
 #: Default per-series point cap before decimation kicks in.
 DEFAULT_MAX_POINTS = 4096
+
+
+def value_stats(values: Sequence[float]) -> Dict[str, float]:
+    """Summary statistics: count/min/mean/max/p99/last.
+
+    p99 is nearest-rank over the samples.
+    """
+    n = len(values)
+    if n == 0:
+        return {"count": 0}
+    ordered = sorted(values)
+    rank = max(0, min(n - 1, -(-99 * n // 100) - 1))  # ceil(0.99 n) - 1
+    return {
+        "count": n,
+        "min": ordered[0],
+        "mean": sum(values) / n,
+        "max": ordered[-1],
+        "p99": ordered[rank],
+        "last": values[-1],
+    }
 
 
 class TimeSeries:
@@ -79,23 +100,8 @@ class TimeSeries:
         return len(self.times)
 
     def stats(self) -> Dict[str, float]:
-        """Summary statistics: count/min/mean/max/p99/last.
-
-        p99 is nearest-rank over the recorded samples.
-        """
-        n = len(self.values)
-        if n == 0:
-            return {"count": 0}
-        ordered = sorted(self.values)
-        rank = max(0, min(n - 1, -(-99 * n // 100) - 1))  # ceil(0.99 n) - 1
-        return {
-            "count": n,
-            "min": ordered[0],
-            "mean": sum(self.values) / n,
-            "max": ordered[-1],
-            "p99": ordered[rank],
-            "last": self.values[-1],
-        }
+        """:func:`value_stats` of the recorded samples."""
+        return value_stats(self.values)
 
     def to_dict(self) -> dict:
         return {

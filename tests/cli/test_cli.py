@@ -129,3 +129,59 @@ def test_scenario_run_sequential_no_telemetry(capsys):
     assert code == 0
     assert "scale engine sequential" in out
     assert "des.cohort" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["submit", "tiny"],
+        ["jobs", "--address", "127.0.0.1:1", "stats"],
+        ["loadgen", "--tenants", "1"],
+    ],
+    ids=["submit", "jobs-stats", "loadgen"],
+)
+def test_unreachable_service_exits_2(argv, capsys, monkeypatch):
+    from repro.service.client import ServiceClient
+
+    async def refuse(cls, host, port, **kwargs):
+        raise ConnectionRefusedError(111, "Connection refused")
+
+    monkeypatch.setattr(ServiceClient, "connect", classmethod(refuse))
+    if argv[0] != "jobs":
+        argv = argv + ["--address", "127.0.0.1:1"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "cannot reach service at 127.0.0.1:1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "E3", "--jobs", "0"],
+        ["scenario", "sweep", "tiny", "n_oss=2", "--jobs", "0"],
+        ["scenario", "run", "tiny", "--engine-workers", "0"],
+        ["grammar", "sample", "--ranks", "0"],
+        ["grammar", "sample", "--count", "-1"],
+        ["grammar", "expand", "0", "--ranks", "0"],
+        ["run-workload", "ior", "--ranks", "0"],
+        ["watch", "--interval", "-1"],
+        ["watch", "--interval", "0"],
+        ["serve", "--workers", "0"],
+        ["loadgen", "--tenants", "0"],
+        ["loadgen", "--connections", "0"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_zero_stays_valid_where_it_means_something():
+    args = build_parser().parse_args(
+        ["serve", "--port", "0", "--scrub-interval", "0"])
+    assert (args.port, args.scrub_interval) == (0, 0.0)
+    assert build_parser().parse_args(["watch", "--timeout", "0"]).timeout == 0
+    assert build_parser().parse_args(["experiment", "E3", "--seed", "0"]).seed == 0

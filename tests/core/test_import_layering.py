@@ -1,11 +1,11 @@
 """Import budget of the entry points.
 
-The store and the job layer are imported by every CLI call, service boot
-and pool worker, so they must not load the simulator or its numeric
-stack.  scipy is used only by the hypothesis tests in
-:mod:`repro.modeling.hypothesis_testing` and must load only when one of
-them runs.  Each check runs in a fresh interpreter, since this test
-process has long since imported everything.
+Every CLI call and service boot builds the CLI parser, and those and
+every pool worker import the store and the job layer, so none of them may
+load the simulator or its numeric stack.  scipy is used only by the
+hypothesis tests in :mod:`repro.modeling.hypothesis_testing` and must
+load only when one of them runs.  Each check runs in a fresh
+interpreter, since this test process has long since imported everything.
 """
 
 from __future__ import annotations
@@ -59,6 +59,13 @@ def _loaded_after(code: str, cwd: Path, watch=HEAVY) -> list:
 @pytest.mark.parametrize("module", ["repro.store", "repro.jobs"])
 def test_store_and_jobs_load_no_simulator(module, tmp_path):
     assert _loaded_after(f"import {module}", tmp_path) == []
+
+
+def test_cli_parser_loads_no_simulator(tmp_path):
+    # The run service boots through repro.cli.main, so building the parser
+    # must leave every heavy import to the command that needs it.
+    code = "import repro.cli; repro.cli.build_parser()"
+    assert _loaded_after(code, tmp_path) == []
 
 
 @pytest.mark.parametrize(

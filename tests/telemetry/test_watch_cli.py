@@ -246,3 +246,14 @@ class TestTelemetrySummarizers:
         assert "busiest OST" in out
         assert "busiest link" in out
         assert "mean" in out and "p99" in out
+
+    def test_telemetry_timeseries_without_samples(self, tmp_path, capsys):
+        from repro.telemetry.timeseries import SeriesRegistry
+
+        reg = SeriesRegistry()
+        reg.series("pfs.ost.0.queue", "reqs")  # declared, never sampled
+        p = tmp_path / "series.json"
+        p.write_text(json.dumps(reg.to_dict()))
+        code, out, _ = run_cli(capsys, "telemetry", str(p))
+        assert code == 0
+        assert "time series: 1 series, 0 point(s)" in out
