@@ -24,7 +24,7 @@ def register(sub) -> None:
 
 
 def _seed_list(text: str) -> list:
-    """argparse type: a non-empty comma-separated list of integer seeds."""
+    """argparse type: a non-empty comma-separated list of distinct seeds."""
     try:
         seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
@@ -32,6 +32,9 @@ def _seed_list(text: str) -> list:
             f"bad value {text!r} (want e.g. 0,1,2)") from None
     if not seeds:
         raise argparse.ArgumentTypeError("parsed to an empty list")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(
+            f"bad value {text!r} (a seed is repeated)")
     return seeds
 
 

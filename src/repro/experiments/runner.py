@@ -48,22 +48,19 @@ parallel and perfectly cacheable:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
-import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.experiment import (
     ExperimentRecord,
-    record_from_dict,  # noqa: F401  (re-export: canonical home is repro.core)
-    record_payload,
+    record_from_dict,
+    record_payload,  # noqa: F401  (re-export: canonical home is repro.core)
 )
-from repro.jobs import execute_tasks, load_ref_artifact, store_ref_artifact
-from repro.telemetry.collect import worker_snapshot
+from repro.jobs import CachedResult, run_cached, source_digest  # re-exported
+from repro.jobs.execution import key_seed, seed_globals, timed
 from repro.store import RunArtifact, RunStore
 from repro.store.store import DEFAULT_STORE_DIR
 from repro.telemetry import TELEMETRY, build_manifest, write_manifest
@@ -78,27 +75,9 @@ DEFAULT_CACHE_DIR = DEFAULT_STORE_DIR
 
 # -- cache keying ------------------------------------------------------------
 
-def source_digest() -> str:
-    """SHA-256 over every ``.py`` file of the installed ``repro`` package.
-
-    Path-relative names are mixed into the hash so renames invalidate too.
-    """
-    import repro
-
-    root = Path(repro.__file__).resolve().parent
-    h = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        h.update(str(path.relative_to(root)).encode("utf-8"))
-        h.update(b"\0")
-        h.update(path.read_bytes())
-        h.update(b"\0")
-    return h.hexdigest()
-
-
 def task_seed(experiment_id: str, seed: int) -> int:
     """Deterministic 64-bit seed for one (experiment, seed) task."""
-    digest = hashlib.sha256(f"{experiment_id}:{seed}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return key_seed(f"{experiment_id}:{seed}")
 
 
 def record_ref_name(experiment_id: str, seed: int, digest: str) -> str:
@@ -108,37 +87,22 @@ def record_ref_name(experiment_id: str, seed: int, digest: str) -> str:
 
 # -- task execution ----------------------------------------------------------
 
-def _execute(task: Tuple[str, int]) -> Dict:
+def _execute(task: Tuple[str, int]) -> dict:
     """Run one (experiment id, seed) task; must be module-level (picklable)."""
     from repro.experiments import ALL_EXPERIMENTS
 
     experiment_id, seed = task
-    ts = task_seed(experiment_id, seed)
-    random.seed(ts)
-    try:  # numpy is a hard dependency, but stay importable without it
-        import numpy as np
-
-        np.random.seed(ts % 2**32)
-    except ImportError:  # pragma: no cover
-        pass
+    seed_globals(f"{experiment_id}:{seed}")
     return ALL_EXPERIMENTS[experiment_id](seed=seed).to_dict()
 
 
-def _execute_timed(task: Tuple[str, int]) -> Tuple[Dict, float, Optional[Dict]]:
-    """Worker-side wrapper: run one task and time it in the worker, so the
-    manifest's per-task durations are real even under the process pool.
-
-    The third element is this worker's telemetry snapshot (``None`` when
-    telemetry is off or the wrapper runs in-process), cleared per task so
-    a pooled worker running many tasks reports each one exactly once."""
-    start = time.perf_counter()
-    payload = _execute(task)
-    seconds = time.perf_counter() - start
-    return payload, seconds, worker_snapshot()
+def _execute_timed(task: Tuple[str, int]):
+    """Pool task: :func:`_execute` run through :func:`timed`."""
+    return timed(_execute, task)
 
 
 @dataclass
-class RunResult:
+class RunResult(CachedResult):
     """Outcome of one (experiment, seed) task.
 
     ``record`` is ``None`` exactly when the task failed (worker crash or
@@ -146,6 +110,9 @@ class RunResult:
     the failure is recorded in the run manifest instead of aborting the
     whole invocation (unless ``fail_fast``).
     """
+
+    kind = "experiment_record"
+    sha_key = "record_sha256"
 
     experiment_id: str
     seed: int
@@ -155,24 +122,8 @@ class RunResult:
     error: Optional[str] = None
 
     @property
-    def failed(self) -> bool:
-        return self.record is None
-
-    @property
-    def payload(self) -> bytes:
-        if self.record is None:
-            return json.dumps(
-                {"error": self.error}, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        return record_payload(self.record)
-
-    @property
-    def artifact_digest(self) -> Optional[str]:
-        """Content address of this record's store artifact (pure function
-        of the outcome -- identical whether or not the store was written)."""
-        if self.record is None:
-            return None
-        return RunArtifact.from_record(self.record).digest()
+    def value(self) -> Optional[dict]:
+        return None if self.record is None else self.record.to_dict()
 
 
 def run_experiments(
@@ -192,9 +143,9 @@ def run_experiments(
     ----------
     ids:
         Experiment ids in the order results should be returned
-        (default: every registered experiment).
+        (default: every registered experiment).  No id may repeat.
     seeds:
-        Seeds to run each experiment with.
+        Seeds to run each experiment with.  No seed may repeat.
     jobs:
         Worker process count; ``1`` runs everything in this process.
     use_cache:
@@ -234,13 +185,15 @@ def run_experiments(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = list(seeds)
+    for what, values in (("experiment id", list(ids)), ("seed", seeds)):
+        repeated = sorted({v for i, v in enumerate(values) if v in values[:i]})
+        if repeated:
+            raise ValueError(f"repeated {what}(s): {repeated}")
     store = RunStore(cache_dir)
     wall_start = time.perf_counter()
     tracer = TELEMETRY.tracer if TELEMETRY.active else None
 
     tasks: List[Tuple[str, int]] = [(eid, seed) for eid in ids for seed in seeds]
-    results: Dict[Tuple[str, int], RunResult] = {}
-    cache_counts = {"hits": 0, "fresh": 0, "stale": 0, "corrupt": 0}
     metrics = TELEMETRY.metrics
 
     if (use_cache or manifest) and digest is None:
@@ -250,75 +203,48 @@ def run_experiments(
         else:
             digest = source_digest()
 
-    # Serve cache hits; stale/corrupt entries are counted and recomputed.
-    misses: List[Tuple[str, int]] = []
-    for task in tasks:
-        hit, status = (
-            _cache_load(store, task, digest) if use_cache else (None, "miss")
+    span_factory = pool_span = None
+    if tracer is not None:
+        span_factory = lambda task: tracer.span(  # noqa: E731
+            "experiment_task", cat="runner",
+            experiment=task[0], seed=task[1],
         )
-        if status == "hit":
-            cache_counts["hits"] += 1
-        else:
-            if status in ("stale", "corrupt"):
-                cache_counts[status] += 1
-            cache_counts["fresh"] += 1  # will be freshly executed
-            misses.append(task)
-        metrics.counter(f"runner.cache.{status}").inc()
-        if hit is not None:
-            results[task] = hit
-    if use_cache:
-        log.debug(
-            "store %s: %d hit(s), %d miss(es) of %d task(s)",
-            store.root, cache_counts["hits"], len(misses), len(tasks),
+        pool_span = lambda workers, n: tracer.span(  # noqa: E731
+            "pool.map", cat="runner", workers=workers, tasks=n,
         )
-
-    # Compute misses through the shared job-execution core -- in-process
-    # for jobs=1, fanned out over resilient worker pools otherwise.
-    if misses:
-        span_factory = pool_span = None
-        if tracer is not None:
-            span_factory = lambda k: tracer.span(  # noqa: E731
-                "experiment_task", cat="runner",
-                experiment=misses[k][0], seed=misses[k][1],
-            )
-            pool_span = lambda workers, n: tracer.span(  # noqa: E731
-                "pool.map", cat="runner", workers=workers, tasks=n,
-            )
-        outcomes = execute_tasks(
-            _execute_timed, misses, jobs,
-            fail_fast=fail_fast,
-            fail_label=lambda k: (
-                f"experiment task {misses[k][0]}#s{misses[k][1]}"
-            ),
-            span_factory=span_factory,
-            pool_span=pool_span,
-        )
-        for task, outcome in zip(misses, outcomes):
-            if outcome.failed:
-                log.error(
-                    "task %s#s%d failed: %s", task[0], task[1], outcome.error
-                )
-                results[task] = RunResult(
-                    task[0], task[1], None, cached=False,
-                    seconds=outcome.seconds, error=outcome.error,
-                )
-            else:
-                results[task] = RunResult(
-                    task[0], task[1],
-                    record_from_dict(outcome.value),
-                    cached=False,
-                    seconds=outcome.seconds,
-                )
-        log.info(
-            "executed %d task(s) with jobs=%d in %.2fs",
-            len(misses), jobs, time.perf_counter() - wall_start,
-        )
-        if use_cache:
-            for task in misses:
-                if not results[task].failed:  # never cache a failure
-                    _cache_store(store, task, digest, results[task].record)
-
-    ordered = [results[task] for task in tasks]
+    outcomes = run_cached(
+        tasks, _execute_timed, jobs,
+        store=store if use_cache else None,
+        source_digest=digest,
+        ref=lambda task: (
+            record_ref_name(task[0], task[1], digest),
+            {"experiment_id": task[0], "seed": task[1],
+             "source_digest": digest},
+        ),
+        kind=RunResult.kind,
+        decode=record_from_dict,
+        fail_fast=fail_fast,
+        fail_label=lambda task: f"experiment task {task[0]}#s{task[1]}",
+        span_factory=span_factory,
+        pool_span=pool_span,
+    )
+    cache_counts = {"hits": 0, "fresh": 0, "stale": 0, "corrupt": 0}
+    for task, outcome in zip(tasks, outcomes):
+        metrics.counter(f"runner.cache.{outcome.status}").inc()
+        cache_counts["hits" if outcome.cached else "fresh"] += 1
+        if outcome.status in ("stale", "corrupt"):
+            cache_counts[outcome.status] += 1
+        if use_cache and not outcome.cached and not outcome.failed:
+            # Prune refs for the same task keyed on older source digests
+            # (their objects stay until ``store gc`` finds them unreachable).
+            current = record_ref_name(task[0], task[1], digest)
+            for name, _ in store.refs(f"records/{task[0]}-s{task[1]}-*"):
+                if name != current:
+                    store.delete_ref(name)
+    ordered = [
+        RunResult(eid, seed, o.value, o.cached, o.seconds, o.error)
+        for (eid, seed), o in zip(tasks, outcomes)
+    ]
     metrics.counter("runner.tasks.total").inc(len(tasks))
     n_failed = sum(1 for r in ordered if r.failed)
     if n_failed:
@@ -339,17 +265,7 @@ def run_experiments(
             cache_dir=cache_dir,
             use_cache=use_cache,
             tasks=[
-                {
-                    "id": r.experiment_id,
-                    "seed": r.seed,
-                    "cached": r.cached,
-                    "seconds": r.seconds,
-                    "record_sha256": hashlib.sha256(r.payload).hexdigest(),
-                    **(
-                        {"error": r.error} if r.failed
-                        else {"artifact": r.artifact_digest}
-                    ),
-                }
+                r.manifest_entry(id=r.experiment_id, seed=r.seed)
                 for r in ordered
             ],
             cache_counts=cache_counts,
@@ -387,54 +303,3 @@ def run_experiments(
                 )
 
     return ordered
-
-
-# -- store-backed cache I/O --------------------------------------------------
-
-def _cache_load(
-    store: RunStore, task: Tuple[str, int], digest: Optional[str]
-) -> Tuple[Optional[RunResult], str]:
-    """Try to serve ``task`` from the run store.
-
-    Returns ``(result, status)`` where status is one of ``"hit"``,
-    ``"miss"`` (no ref / no object), ``"stale"`` (ref keyed on another
-    source digest) or ``"corrupt"`` (unreadable ref, or an artifact whose
-    bytes no longer hash to its address).  Stale and corrupt entries are
-    logged and *never* served; the caller falls back to re-execution, and
-    the re-put heals a corrupt object in place.
-    """
-    name = record_ref_name(task[0], task[1], digest) if digest else None
-    artifact, status = load_ref_artifact(store, name, digest) if name else (None, "miss")
-    if artifact is None:
-        return None, status
-    try:
-        record = artifact.to_record()
-    except ValueError as exc:
-        log.warning("corrupt cache entry %s (%s); re-executing", name, exc)
-        return None, "corrupt"
-    return (
-        RunResult(task[0], task[1], record, cached=True, seconds=0.0),
-        "hit",
-    )
-
-
-def _cache_store(
-    store: RunStore, task: Tuple[str, int], digest: str, record: ExperimentRecord
-) -> None:
-    # Prune refs for the same task keyed on older source digests (their
-    # objects stay until ``store gc`` decides they are unreachable).
-    stale_prefix = f"records/{task[0]}-s{task[1]}-"
-    current = record_ref_name(task[0], task[1], digest)
-    for name, _ in store.refs(f"{stale_prefix}*"):
-        if name != current:
-            store.delete_ref(name)
-    store_ref_artifact(
-        store,
-        current,
-        RunArtifact.from_record(record),
-        meta={
-            "experiment_id": task[0],
-            "seed": task[1],
-            "source_digest": digest,
-        },
-    )

@@ -28,12 +28,7 @@ import json
 import logging
 import os
 import tempfile
-import threading
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -132,59 +127,6 @@ def atomic_write_bytes(data: bytes, path: PathLike) -> Path:
 #: failure, where ``error`` is a human-readable string for the manifest.
 PoolOutcome = Tuple[Optional[Any], Optional[str]]
 
-#: Error string recorded for tasks cancelled before they started.
-CANCELLED_ERROR = "cancelled before start"
-
-
-class CancelToken:
-    """Cooperative cancellation handle for :func:`resilient_pool_map`.
-
-    The service layer queues long fan-outs and needs to abort the tasks
-    that have not started yet without waiting for the whole pool to
-    drain.  A token is shared between the submitter and the canceller:
-    calling :meth:`cancel` (from any thread) marks the token and fires
-    every registered :meth:`on_cancel` callback exactly once;
-    ``resilient_pool_map`` polls :attr:`cancelled` between submissions
-    and stops feeding the pool.  Tasks already handed over run to
-    completion -- process pools cannot safely interrupt a running
-    worker -- and report their real outcome.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._cancelled = False
-        self._callbacks: List[Callable[[], None]] = []
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Mark the token cancelled and fire pending callbacks once."""
-        with self._lock:
-            if self._cancelled:
-                return
-            self._cancelled = True
-            callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            try:
-                cb()
-            except Exception:  # pragma: no cover - defensive
-                log.exception("cancel callback failed")
-
-    def on_cancel(self, callback: Callable[[], None]) -> None:
-        """Register ``callback`` to run on :meth:`cancel`.
-
-        Fires immediately (in the calling thread) when the token is
-        already cancelled, so registration is race-free.
-        """
-        with self._lock:
-            if not self._cancelled:
-                self._callbacks.append(callback)
-                return
-        callback()
-
-
 def _describe_exception(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -198,7 +140,6 @@ def resilient_pool_map(
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple[Any, ...] = (),
     on_result: Optional[Callable[[int, PoolOutcome], None]] = None,
-    cancel: Optional[CancelToken] = None,
 ) -> List[PoolOutcome]:
     """Map ``fn`` over ``items`` on a process pool, surviving worker death.
 
@@ -217,18 +158,9 @@ def resilient_pool_map(
     once per item, in pool-completion order -- retried tasks report only
     their final outcome.  Hook exceptions are logged, never raised.
 
-    ``cancel`` takes a :class:`CancelToken`: cancelling it keeps every
-    not-yet-submitted task off the pool (recorded as
-    ``(None, CANCELLED_ERROR)``) and skips crash retries, while tasks
-    already handed to the pool finish and report their real outcome.
     Tasks are fed to the pool in a small submission window (the workers
-    plus one prefetch) rather than all upfront, both to bound how much
-    work a cancellation lets through and because revoking submitted
-    futures with ``Future.cancel`` is unsafe here: Python 3.11's
-    broken-pool teardown calls ``set_exception`` on every pending future
-    unguarded, and hitting an already-cancelled one kills the executor's
-    management thread and hangs the map.  The token may be cancelled
-    from another thread at any time, including before the call.
+    plus one prefetch) rather than all upfront.  There is no cancellation:
+    every task runs, and every task reports an outcome.
     """
     results: List[Optional[PoolOutcome]] = [None] * len(items)
     crashed: List[int] = []
@@ -254,8 +186,6 @@ def resilient_pool_map(
         def top_up() -> None:
             nonlocal next_i
             while next_i < len(items) and len(by_future) < window:
-                if cancel is not None and cancel.cancelled:
-                    return
                 try:
                     future = pool.submit(fn, items[next_i])
                 except BrokenProcessPool as exc:
@@ -280,8 +210,6 @@ def resilient_pool_map(
                 i = by_future.pop(future)
                 try:
                     report(i, (future.result(), None))
-                except CancelledError:  # pragma: no cover - defensive
-                    report(i, (None, CANCELLED_ERROR))
                 except BrokenProcessPool as exc:
                     crashed.append(i)
                     results[i] = (
@@ -292,18 +220,12 @@ def resilient_pool_map(
                     log.debug("pool task %d failed", i, exc_info=exc)
                     report(i, (None, _describe_exception(exc)))
             top_up()
-    # Tasks never handed to the pool (token fired first) are cancelled.
-    for i in range(len(items)):
-        if results[i] is None and i >= next_i:
-            report(i, (None, CANCELLED_ERROR))
 
     # Retry the tasks that were in flight when the pool broke, each in its
     # own single-worker pool: one task that deterministically kills its
     # worker must not poison the innocent bystanders a second time.
-    # A cancelled token stops the retries too -- the caller asked for the
-    # fan-out to wind down, not for fresh pools.
     for round_ in range(crash_retries):
-        if not crashed or (cancel is not None and cancel.cancelled):
+        if not crashed:
             break
         log.warning(
             "process pool broke with %d task(s) in flight; retrying each "

@@ -24,22 +24,57 @@ The contract both historical callers relied on is preserved exactly:
 
 from __future__ import annotations
 
+import hashlib
 import logging
+import random
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, ContextManager, List, Optional, Sequence
 
-from repro.ioutil import CancelToken, resilient_pool_map
+from repro.ioutil import resilient_pool_map
 from repro.telemetry.collect import (
     init_worker,
     merge_snapshot,
     worker_init_args,
+    worker_snapshot,
 )
 
 log = logging.getLogger(__name__)
 
-__all__ = ["TaskOutcome", "execute_tasks"]
+__all__ = ["TaskOutcome", "execute_tasks", "key_seed", "seed_globals", "timed"]
+
+
+def key_seed(key: str) -> int:
+    """Deterministic 64-bit seed derived from ``key`` (SHA-256 prefix)."""
+    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
+
+
+def seed_globals(key: str) -> None:
+    """Re-seed the global ``random``/``numpy`` generators from ``key``.
+
+    Tasks seed their own RNGs from their inputs; this guard additionally
+    makes any accidental use of global RNG state independent of which
+    worker ran what before, so sequential and pooled runs agree.
+    """
+    import numpy as np
+
+    seed = key_seed(key)
+    random.seed(seed)
+    np.random.seed(seed % 2**32)
+
+
+def timed(fn: Callable[[Any], Any], payload: Any):
+    """Run ``fn(payload)`` and return ``(value, seconds, worker_snapshot)``.
+
+    The time is taken where the task runs, so per-task durations are real
+    under a process pool too.  The snapshot is this worker's telemetry,
+    cleared per task so a pooled worker reports each task exactly once
+    (``None`` in-process, where telemetry lands in the parent registries).
+    """
+    start = time.perf_counter()
+    value = fn(payload)
+    return value, time.perf_counter() - start, worker_snapshot()
 
 
 @dataclass
@@ -72,7 +107,6 @@ def execute_tasks(
     on_outcome: Optional[Callable[[int, TaskOutcome], None]] = None,
     span_factory: Optional[Callable[[int], ContextManager]] = None,
     pool_span: Optional[Callable[[int, int], ContextManager]] = None,
-    cancel: Optional[CancelToken] = None,
 ) -> List[TaskOutcome]:
     """Run ``timed_fn`` over ``payloads``, pooled when ``jobs > 1``.
 
@@ -105,9 +139,6 @@ def execute_tasks(
     pool_span:
         Optional tracer span wrapping the whole pool fan-out
         (``pool_span(workers, n_tasks)`` -> context manager).
-    cancel:
-        :class:`repro.ioutil.CancelToken` forwarded to the pool --
-        cancelling it revokes not-yet-started tasks.
     """
     if fail_label is None:
         fail_label = lambda i: f"task {i}"  # noqa: E731
@@ -163,7 +194,6 @@ def execute_tasks(
             initializer=init_worker,
             initargs=worker_init_args(),
             on_result=hook,
-            cancel=cancel,
         )
     for i, (value, error) in enumerate(raw):
         if error is not None:

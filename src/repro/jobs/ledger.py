@@ -52,7 +52,6 @@ class ProgressLedger:
         names: Iterable[str],
         *,
         statuses: Sequence[str] = DEFAULT_STATUSES,
-        initial_status: Optional[str] = None,
         extra: Union[None, Dict[str, Any], Callable[[], Dict[str, Any]]] = None,
         item_key: str = "points",
     ):
@@ -62,9 +61,8 @@ class ProgressLedger:
         self.extra = extra
         self.item_key = item_key
         self.started = time.time()
-        first = initial_status if initial_status is not None else self.statuses[0]
         self.items: Dict[str, Dict[str, Any]] = {
-            name: {"status": first} for name in names
+            name: {"status": self.statuses[0]} for name in names
         }
 
     # -- item transitions ---------------------------------------------------

@@ -17,8 +17,9 @@ Parameters address any layer of the spec:
   applied to every workload), else a workload *parameter* applied to every
   workload (so ``stripe_count=4`` reaches each job's config).
 
-:func:`run_sweep` executes the expanded points through the same machinery
-as the experiment runner: process-pool fan-out, the content-addressed
+:func:`run_sweep` executes the expanded points through
+:func:`repro.jobs.run_cached`, the cached-task path the experiment runner
+uses too: process-pool fan-out, the content-addressed
 :class:`repro.store.RunStore` as the point cache (``sweep_point``
 artifacts behind ``sweep/<scenario digest16>-<source digest16>`` refs),
 and a sweep manifest recording per-point provenance (overrides, digests,
@@ -28,24 +29,17 @@ cache status, wall-clock, artifact address).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 import logging
-import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.cluster.platform import PlatformSpec
-from repro.jobs import (
-    ProgressLedger,
-    execute_tasks,
-    load_ref_artifact,
-    store_ref_artifact,
-)
-from repro.telemetry.collect import worker_snapshot
+from repro.jobs import CachedResult, ProgressLedger, run_cached, source_digest
+from repro.jobs.execution import seed_globals, timed
 from repro.scenario.spec import (
     ScenarioError,
     ScenarioSpec,
@@ -186,7 +180,9 @@ def expand_grid(
     Iteration order is :func:`itertools.product` over the grid's key
     order: the first key is the outermost loop.  Every point is validated;
     an invalid combination fails the whole expansion (before anything
-    runs).
+    runs).  An axis that repeats a value (as its point label shows it,
+    so ``2`` and ``2.0`` are one value) would run one point twice under
+    one name, and is rejected.
     """
     if not grid:
         return [SweepPoint(base.name, {}, base.validate())]
@@ -194,6 +190,13 @@ def expand_grid(
     empty = [k for k in keys if not list(grid[k])]
     if empty:
         raise ScenarioError(f"empty value list for sweep parameter(s): {empty}")
+    for key in keys:
+        labels = [_fmt_value(v) for v in grid[key]]
+        repeated = sorted({v for i, v in enumerate(labels) if v in labels[:i]})
+        if repeated:
+            raise ScenarioError(
+                f"sweep parameter {key!r} repeats value(s): {repeated}"
+            )
     points: List[SweepPoint] = []
     for combo in itertools.product(*(list(grid[k]) for k in keys)):
         overrides = dict(zip(keys, combo))
@@ -206,13 +209,16 @@ def expand_grid(
 # -- execution ---------------------------------------------------------------
 
 @dataclass
-class SweepResult:
+class SweepResult(CachedResult):
     """Outcome of one sweep point.
 
     ``outcome`` is ``None`` exactly when the point failed (worker crash or
     in-point exception); ``error`` then carries the reason and the failure
     is recorded in the sweep manifest.
     """
+
+    kind = "sweep_point"
+    sha_key = "result_sha256"
 
     point: SweepPoint
     #: :meth:`repro.scenario.build.ScenarioRun.to_dict` payload.
@@ -222,23 +228,8 @@ class SweepResult:
     error: Optional[str] = None
 
     @property
-    def failed(self) -> bool:
-        return self.outcome is None
-
-    @property
-    def payload(self) -> bytes:
-        doc = {"error": self.error} if self.outcome is None else self.outcome
-        return json.dumps(
-            doc, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-
-    @property
-    def artifact_digest(self) -> Optional[str]:
-        """Content address of this point's store artifact (pure function
-        of the outcome)."""
-        if self.outcome is None:
-            return None
-        return RunArtifact.from_sweep_point(self.outcome).digest()
+    def value(self) -> Optional[Dict[str, Any]]:
+        return self.outcome
 
 
 def _execute_point(scenario_json: str) -> Dict[str, Any]:
@@ -246,30 +237,13 @@ def _execute_point(scenario_json: str) -> Dict[str, Any]:
     from repro.scenario.build import run_scenario
 
     spec = ScenarioSpec.from_json(scenario_json)
-    # Isolate accidental global-RNG use from pool scheduling order, exactly
-    # like the experiment runner's per-task seeding guard.
-    ts = int.from_bytes(
-        hashlib.sha256(spec.digest().encode("utf-8")).digest()[:8], "big"
-    )
-    random.seed(ts)
-    try:
-        import numpy as np
-
-        np.random.seed(ts % 2**32)
-    except ImportError:  # pragma: no cover
-        pass
+    seed_globals(spec.digest())
     return run_scenario(spec).to_dict()
 
 
 def _execute_point_timed(scenario_json: str):
-    """Task wrapper: time the point and, in a pool worker, snapshot the
-    worker's telemetry (cleared per point, so a pooled worker serving
-    many points reports each exactly once; ``None`` in-process, where
-    telemetry already lands in the parent registries)."""
-    start = time.perf_counter()
-    outcome = _execute_point(scenario_json)
-    seconds = time.perf_counter() - start
-    return outcome, seconds, worker_snapshot()
+    """Pool task: :func:`_execute_point` run through :func:`timed`."""
+    return timed(_execute_point, scenario_json)
 
 
 def point_ref_name(scenario_digest: str, source_digest: str) -> str:
@@ -277,63 +251,13 @@ def point_ref_name(scenario_digest: str, source_digest: str) -> str:
     return f"sweep/{scenario_digest[:16]}-{source_digest[:16]}"
 
 
-class _SweepProgress(ProgressLedger):
-    """Live progress ledger for one running sweep.
-
-    A :class:`repro.jobs.ProgressLedger` instantiated with the
-    historical ``sweep-progress.json`` schema: atomically rewritten next
-    to the sweep manifest at start, after every point completion, and at
-    finish, so ``repro-io watch`` can tail a consistent document while
-    the pool is still working.
-    """
-
-    def __init__(self, path: Path, base_name: str, points, jobs: int):
-        super().__init__(
-            path,
-            SWEEP_PROGRESS_SCHEMA,
-            (p.name for p in points),
-            extra={"sweep": base_name, "jobs": jobs},
-        )
-
-
-def _cache_load(
-    store: RunStore, scenario_digest: str, source_digest: str
-) -> Optional[Dict[str, Any]]:
-    """Serve one point from the store, or ``None`` to re-execute.
-
-    A ref keyed on another source digest, an unreadable ref, an artifact
-    whose bytes no longer hash to its address, or one of the wrong kind
-    are all logged and never served (the re-put after recomputation
-    heals corrupt objects) -- the shared
-    :func:`repro.jobs.load_ref_artifact` discipline.
-    """
-    artifact, _status = load_ref_artifact(
-        store,
-        point_ref_name(scenario_digest, source_digest),
-        source_digest,
-        kind="sweep_point",
-    )
-    if artifact is None:
-        return None
-    outcome = dict(artifact.payload)
-    return outcome if outcome else None
-
-
-def _cache_store(
-    store: RunStore,
-    scenario_digest: str,
-    source_digest: str,
-    outcome: Dict[str, Any],
-) -> str:
-    return store_ref_artifact(
-        store,
-        point_ref_name(scenario_digest, source_digest),
-        RunArtifact.from_sweep_point(outcome),
-        meta={
-            "scenario_digest": scenario_digest,
-            "source_digest": source_digest,
-        },
-    )
+def point_ref(scenario_digest: str, source_digest: str):
+    """``(ref name, ref meta)`` of one cached point: :func:`point_ref_name`
+    and the keying fields stamped on the ref."""
+    return point_ref_name(scenario_digest, source_digest), {
+        "scenario_digest": scenario_digest,
+        "source_digest": source_digest,
+    }
 
 
 def run_sweep(
@@ -368,7 +292,6 @@ def run_sweep(
     sweeps (``use_cache``) additionally land the manifest and a run
     document in the store (``repro-io store ls/diff``).
     """
-    from repro.experiments.runner import source_digest as compute_source_digest
     from repro.telemetry.provenance import host_metadata, host_reference, \
         write_manifest
 
@@ -380,80 +303,43 @@ def run_sweep(
     cache_dir = Path(cache_dir)
     store = RunStore(cache_dir)
     wall_start = time.perf_counter()
-    src_digest = compute_source_digest()
+    src_digest = source_digest()
 
     manifest_out = (
         Path(manifest_path) if manifest_path is not None
         else cache_dir.parent / SWEEP_MANIFEST_NAME
     )
+    # Live progress next to the manifest: flushed after the cache scan,
+    # on every point completion and at finish, for ``repro-io watch``.
+    progress = ProgressLedger(
+        manifest_out.with_name(SWEEP_PROGRESS_NAME), SWEEP_PROGRESS_SCHEMA,
+        (p.name for p in points), extra={"sweep": base.name, "jobs": jobs},
+    ) if manifest else None
 
-    results: Dict[int, SweepResult] = {}
-    misses: List[int] = []
-    progress = (
-        _SweepProgress(
-            manifest_out.with_name(SWEEP_PROGRESS_NAME), base.name, points, jobs
-        )
-        if manifest
-        else None
-    )
-    for i, point in enumerate(points):
-        outcome = (
-            _cache_load(store, point.scenario.digest(), src_digest)
-            if use_cache
-            else None
-        )
-        if outcome is not None:
-            results[i] = SweepResult(point, outcome, cached=True, seconds=0.0)
-            if progress is not None:
+    def scanned(outcomes) -> None:
+        for point, outcome in zip(points, outcomes):
+            if outcome.cached:
                 progress.mark_cached(point.name)
-        else:
-            misses.append(i)
-    if progress is not None:
         progress.write()
-    log.info(
-        "sweep %s: %d point(s), %d cached, %d to run (jobs=%d)",
-        base.name, len(points), len(points) - len(misses), len(misses), jobs,
+
+    outcomes = run_cached(
+        points, _execute_point_timed, jobs,
+        store=store if use_cache else None,
+        source_digest=src_digest,
+        ref=lambda point: point_ref(point.scenario.digest(), src_digest),
+        kind=SweepResult.kind,
+        payload=lambda point: point.scenario.canonical_json(),
+        fail_fast=fail_fast,
+        fail_label=lambda point: f"sweep point {point.name!r}",
+        on_scanned=None if progress is None else scanned,
+        on_outcome=None if progress is None else (
+            lambda point, o: progress.mark_done(point.name, o.seconds, o.error)
+        ),
     )
-
-    if misses:
-        payloads = [points[i].scenario.canonical_json() for i in misses]
-
-        def on_point_done(k: int, task_outcome) -> None:
-            if progress is None:
-                return
-            progress.mark_done(
-                points[misses[k]].name, task_outcome.seconds,
-                task_outcome.error,
-            )
-
-        outcomes = execute_tasks(
-            _execute_point_timed,
-            payloads,
-            jobs,
-            fail_fast=fail_fast,
-            fail_label=lambda k: f"sweep point {points[misses[k]].name!r}",
-            on_outcome=on_point_done,
-        )
-        for i, outcome in zip(misses, outcomes):
-            if outcome.failed:
-                log.error(
-                    "sweep point %r failed: %s", points[i].name, outcome.error
-                )
-                results[i] = SweepResult(
-                    points[i], None, cached=False, seconds=outcome.seconds,
-                    error=outcome.error,
-                )
-                continue  # never cache a failure
-            results[i] = SweepResult(
-                points[i], outcome.value, cached=False, seconds=outcome.seconds
-            )
-            if use_cache:
-                _cache_store(
-                    store, points[i].scenario.digest(), src_digest,
-                    outcome.value,
-                )
-
-    ordered = [results[i] for i in range(len(points))]
+    ordered = [
+        SweepResult(point, o.value, o.cached, o.seconds, o.error)
+        for point, o in zip(points, outcomes)
+    ]
 
     if manifest:
         out_path = manifest_out
@@ -469,18 +355,11 @@ def run_sweep(
             "use_cache": use_cache,
             "cache_dir": str(cache_dir),
             "points": [
-                {
-                    "name": r.point.name,
-                    "overrides": dict(r.point.overrides),
-                    "scenario_digest": r.point.scenario.digest(),
-                    "cached": r.cached,
-                    "seconds": r.seconds,
-                    "result_sha256": hashlib.sha256(r.payload).hexdigest(),
-                    **(
-                        {"error": r.error} if r.failed
-                        else {"artifact": r.artifact_digest}
-                    ),
-                }
+                r.manifest_entry(
+                    name=r.point.name,
+                    overrides=dict(r.point.overrides),
+                    scenario_digest=r.point.scenario.digest(),
+                )
                 for r in ordered
             ],
             "wall_seconds": time.perf_counter() - wall_start,

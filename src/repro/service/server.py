@@ -62,9 +62,10 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.ioutil import atomic_write_json
-from repro.jobs import ProgressLedger, load_ref_artifact, store_ref_artifact
+from repro.jobs import ProgressLedger, load_ref_artifact, source_digest, \
+    store_ref_artifact
 from repro.scenario import ScenarioError, ScenarioSpec, expand_grid, get_scenario
-from repro.scenario.sweep import _execute_point_timed, point_ref_name
+from repro.scenario.sweep import _execute_point_timed, point_ref, point_ref_name
 from repro.service.jobs import (
     JOB_STATES,
     SERVICE_LEDGER_NAME,
@@ -91,6 +92,9 @@ DISCOVERY_SCHEMA = "repro.service.discovery/1"
 #: Most recent jobs retained in the ledger document (counters in the
 #: ledger's ``stats`` block stay cumulative beyond this window).
 LEDGER_MAX_JOBS = 500
+
+#: Seconds between debounced ledger flushes.
+LEDGER_INTERVAL = 0.5
 
 #: Maximum protocol line length (sweep submissions carry full specs).
 _STREAM_LIMIT = 16 * 1024 * 1024
@@ -152,8 +156,6 @@ class ServiceConfig:
     use_cache: bool = True
     #: Job ledger + discovery file directory (default: store parent).
     state_dir: Optional[Path] = None
-    #: Seconds between debounced ledger flushes.
-    ledger_interval: float = 0.5
     #: Allow the ``chaos-kill`` op (tests, CI smoke).
     enable_chaos: bool = False
     #: Precomputed source digest (recomputed at start when ``None``).
@@ -165,10 +167,6 @@ class ServiceConfig:
     #: Group-commit window: max seconds an appended record waits for
     #: its fsync batch.
     fsync_interval: float = 0.05
-    #: Records per segment before rotation.
-    journal_segment_records: int = 4096
-    #: Records since the last compaction that trigger the next one.
-    journal_compact_threshold: int = 4096
     #: Seconds between background store-scrub passes (0 disables).
     scrub_interval: float = 0.0
 
@@ -211,6 +209,8 @@ class RunService:
         #: discovery file that names a dead (or replaced) server.
         self.nonce = secrets.token_hex(8)
         self._journal: Optional[JobJournal] = None
+        #: The journal's counters as they stood when :meth:`stop` closed it.
+        self._journal_final_stats: Optional[Dict[str, int]] = None
         self.scrub_stats: Dict[str, int] = {
             "runs": 0, "scanned": 0, "healed": 0, "quarantined": 0,
         }
@@ -262,18 +262,13 @@ class RunService:
         connecting right after boot already sees the recovered state.
         """
         if self._source_digest is None:
-            from repro.experiments.runner import source_digest
-
             self._source_digest = await asyncio.get_running_loop()\
                 .run_in_executor(None, source_digest)
         if self.config.journal:
             journal_dir = self.config.resolved_journal_dir()
             state = JobJournal.replay(journal_dir)
             self._journal = JobJournal(
-                journal_dir,
-                fsync_interval=self.config.fsync_interval,
-                segment_max_records=self.config.journal_segment_records,
-                compact_threshold=self.config.journal_compact_threshold,
+                journal_dir, fsync_interval=self.config.fsync_interval
             )
             self._journal.open()
             self._restore_from_journal(state)
@@ -503,15 +498,8 @@ class RunService:
             merge_snapshot(snap)
             artifact = RunArtifact.from_sweep_point(outcome)
             if self.config.use_cache:
-                digest = store_ref_artifact(
-                    self.store,
-                    point_ref_name(comp.digest, self._source_digest),
-                    artifact,
-                    meta={
-                        "scenario_digest": comp.digest,
-                        "source_digest": self._source_digest,
-                    },
-                )
+                name, meta = point_ref(comp.digest, self._source_digest)
+                digest = store_ref_artifact(self.store, name, artifact, meta)
             else:
                 digest = artifact.digest()
             self.stats["computed"] += 1
@@ -1107,12 +1095,9 @@ class RunService:
     async def _op_stats(self, req: Dict[str, Any]) -> Dict[str, Any]:
         return {
             "ok": True,
-            "stats": dict(self.stats),
-            "queue": len(self._queue),
-            "running": self._running_count,
+            **self._counters(),
             "inflight": len(self._inflight),
             "jobs": len(self._jobs),
-            "tenants": self._queue.queued_by_tenant(),
             "uptime": time.time() - self.started,
             "workers": self.config.workers,
             "pool_generation": self._pool_generation,
@@ -1120,12 +1105,6 @@ class RunService:
             "source_digest": self._source_digest,
             "nonce": self.nonce,
             "draining": self._draining,
-            "journal": (
-                dict(self._journal.stats)
-                if self._journal is not None
-                else getattr(self, "_journal_final_stats", None)
-            ),
-            "scrub": dict(self.scrub_stats),
         }
 
     async def _op_chaos_kill(self, req: Dict[str, Any]) -> Dict[str, Any]:
@@ -1158,6 +1137,22 @@ class RunService:
 
     # -- ledger --------------------------------------------------------------
 
+    def _counters(self) -> Dict[str, Any]:
+        """Queue state and the stats/journal/scrub counters, as both the
+        ``stats`` op and the job ledger report them."""
+        return {
+            "queue": len(self._queue),
+            "running": self._running_count,
+            "tenants": self._queue.queued_by_tenant(),
+            "stats": dict(self.stats),
+            "journal": (
+                dict(self._journal.stats)
+                if self._journal is not None
+                else self._journal_final_stats
+            ),
+            "scrub": dict(self.scrub_stats),
+        }
+
     def _ledger_extra(self) -> Dict[str, Any]:
         return {
             "service": {
@@ -1167,16 +1162,7 @@ class RunService:
                 "workers": self.config.workers,
                 "store": str(self.store.root),
             },
-            "queue": len(self._queue),
-            "running": self._running_count,
-            "tenants": self._queue.queued_by_tenant(),
-            "stats": dict(self.stats),
-            "journal": (
-                dict(self._journal.stats)
-                if self._journal is not None
-                else getattr(self, "_journal_final_stats", None)
-            ),
-            "scrub": dict(self.scrub_stats),
+            **self._counters(),
         }
 
     def _write_ledger(self, finished: bool = False) -> None:
@@ -1187,6 +1173,6 @@ class RunService:
 
     async def _ledger_loop(self) -> None:
         while not self._stopping:
-            await asyncio.sleep(self.config.ledger_interval)
+            await asyncio.sleep(LEDGER_INTERVAL)
             if self._ledger_dirty:
                 self._write_ledger()

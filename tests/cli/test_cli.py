@@ -185,3 +185,19 @@ def test_zero_stays_valid_where_it_means_something():
     assert (args.port, args.scrub_interval) == (0, 0.0)
     assert build_parser().parse_args(["watch", "--timeout", "0"]).timeout == 0
     assert build_parser().parse_args(["experiment", "E3", "--seed", "0"]).seed == 0
+
+
+def test_repeated_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["experiment", "E3", "--seeds", "0,0"])
+    assert exc.value.code == 2
+    assert "repeated" in capsys.readouterr().err
+
+
+def test_sweep_with_a_repeated_value_is_a_scenario_error(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "scenario", "sweep", "tiny", "n_oss=2,2")
+    assert code == 2
+    assert "scenario error" in err and "repeats value" in err

@@ -2,7 +2,9 @@
 
 Every CLI call and service boot builds the CLI parser, and those and
 every pool worker import the store and the job layer, so none of them may
-load the simulator or its numeric stack.  scipy is used only by the
+load the simulator or its numeric stack.  The job layer, the store, the
+scenario layer and the service sit below :mod:`repro.experiments` and
+never import it, so a sweep does not load the experiment suite.  scipy is used only by the
 hypothesis tests in :mod:`repro.modeling.hypothesis_testing` and must
 load only when one of them runs.  Each check runs in a fresh
 interpreter, since this test process has long since imported everything.
@@ -10,6 +12,7 @@ interpreter, since this test process has long since imported everything.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -59,6 +62,36 @@ def _loaded_after(code: str, cwd: Path, watch=HEAVY) -> list:
 @pytest.mark.parametrize("module", ["repro.store", "repro.jobs"])
 def test_store_and_jobs_load_no_simulator(module, tmp_path):
     assert _loaded_after(f"import {module}", tmp_path) == []
+
+
+def test_sweep_loads_no_experiments(tmp_path):
+    code = f"""
+        from repro.scenario import get_scenario, run_sweep
+        run_sweep(get_scenario("tiny"), {{"n_oss": [2]}},
+                  cache_dir={str(tmp_path / "store")!r})
+    """
+    assert _loaded_after(code, tmp_path, watch=("repro.experiments",)) == []
+
+
+@pytest.mark.parametrize("package", ["jobs", "store", "scenario", "service"])
+def test_lower_layers_never_import_experiments(package):
+    # repro.experiments sits above these packages; importing it from one
+    # of them, even inside a function, would make the package graph cyclic.
+    offenders = []
+    for path in sorted((SRC / "repro" / package).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if any(n == "repro.experiments" or n.startswith("repro.experiments.")
+                   for n in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
 
 
 def test_cli_parser_loads_no_simulator(tmp_path):

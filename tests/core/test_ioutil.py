@@ -2,16 +2,10 @@
 
 import json
 import os
-import time
 
 import pytest
 
-from repro.ioutil import (
-    CANCELLED_ERROR,
-    CancelToken,
-    atomic_write_json,
-    resilient_pool_map,
-)
+from repro.ioutil import atomic_write_json, resilient_pool_map
 
 
 # -- atomic_write_json --------------------------------------------------------
@@ -94,119 +88,3 @@ def test_pool_map_survives_worker_crash():
     value, error = by_item[2]
     assert value is None
     assert "crash" in error
-
-
-# -- CancelToken --------------------------------------------------------------
-
-def test_cancel_token_fires_callbacks_exactly_once():
-    token = CancelToken()
-    fired = []
-    token.on_cancel(lambda: fired.append("a"))
-    assert not token.cancelled
-    token.cancel()
-    token.cancel()  # idempotent
-    assert token.cancelled
-    assert fired == ["a"]
-
-
-def test_cancel_token_late_registration_fires_immediately():
-    token = CancelToken()
-    token.cancel()
-    fired = []
-    token.on_cancel(lambda: fired.append("late"))
-    assert fired == ["late"]
-
-
-def _gate_task(payload):
-    """First task signals it started, then blocks until released; the
-    rest would run instantly if ever started."""
-    gate_dir, idx = payload
-    if idx == 0:
-        open(os.path.join(gate_dir, "started"), "w").close()
-        while not os.path.exists(os.path.join(gate_dir, "go")):
-            time.sleep(0.01)
-    return idx
-
-
-def test_pool_map_cancel_revokes_unstarted_tasks(tmp_path):
-    """Cancelling mid-flight: the running task finishes and reports its
-    real outcome, tasks never started are recorded as cancelled."""
-    import threading
-
-    token = CancelToken()
-    gate_dir = str(tmp_path)
-
-    def release_after_start():
-        while not os.path.exists(os.path.join(gate_dir, "started")):
-            time.sleep(0.01)
-        token.cancel()  # task 0 is running; 1 and 2 are still queued
-        open(os.path.join(gate_dir, "go"), "w").close()
-
-    canceller = threading.Thread(target=release_after_start)
-    canceller.start()
-    try:
-        outcomes = resilient_pool_map(
-            _gate_task,
-            [(gate_dir, i) for i in range(4)],
-            workers=1,
-            cancel=token,
-        )
-    finally:
-        canceller.join()
-    assert outcomes[0] == (0, None)  # already running: real result
-    # The submission window is workers+1, so task 1 was already handed
-    # to the pool and runs; tasks beyond the window are never submitted.
-    assert outcomes[1] == (1, None)
-    assert outcomes[2] == (None, CANCELLED_ERROR)
-    assert outcomes[3] == (None, CANCELLED_ERROR)
-
-
-def _gate_crash_task(payload):
-    """Like ``_gate_task`` but the released first task kills its worker,
-    leaving one attempt-marker file per execution."""
-    gate_dir, idx = payload
-    if idx == 0:
-        attempt = len([n for n in os.listdir(gate_dir) if n.startswith("att")])
-        open(os.path.join(gate_dir, f"att{attempt}"), "w").close()
-        open(os.path.join(gate_dir, "started"), "w").close()
-        while not os.path.exists(os.path.join(gate_dir, "go")):
-            time.sleep(0.01)
-        os._exit(3)
-    return idx
-
-
-def test_pool_map_cancelled_token_skips_crash_retries(tmp_path):
-    """A cancelled token stops the isolated-pool crash retries: the
-    crashing task runs exactly once despite a generous retry budget."""
-    import threading
-
-    token = CancelToken()
-    gate_dir = str(tmp_path)
-
-    def cancel_then_release():
-        while not os.path.exists(os.path.join(gate_dir, "started")):
-            time.sleep(0.01)
-        token.cancel()
-        open(os.path.join(gate_dir, "go"), "w").close()
-
-    canceller = threading.Thread(target=cancel_then_release)
-    canceller.start()
-    try:
-        outcomes = resilient_pool_map(
-            _gate_crash_task,
-            [(gate_dir, 0), (gate_dir, 1), (gate_dir, 2)],
-            workers=1,
-            cancel=token,
-            crash_retries=5,
-        )
-    finally:
-        canceller.join()
-    value, error = outcomes[0]
-    assert value is None
-    assert "crash" in error
-    # Task 1 was inside the submission window when the worker died
-    # (crash-recorded, retries skipped); task 2 was never submitted.
-    assert outcomes[1] == (None, CANCELLED_ERROR) or "crash" in outcomes[1][1]
-    assert outcomes[2] == (None, CANCELLED_ERROR)
-    attempts = [n for n in os.listdir(gate_dir) if n.startswith("att")]
-    assert len(attempts) == 1  # no isolated-pool retry rounds ran

@@ -148,3 +148,15 @@ def test_source_digest_tracks_source(tmp_path, monkeypatch):
     d1 = source_digest()
     assert d1 == source_digest()  # stable within one tree
     assert len(d1) == 64
+
+
+@pytest.mark.parametrize(
+    "kwargs, repeated",
+    [({"ids": ["E3"], "seeds": [0, 0]}, "seed"),
+     ({"ids": ["E3", "C1", "E3"], "seeds": [0]}, "experiment id")],
+)
+def test_repeated_ids_or_seeds_are_rejected(tmp_path, kwargs, repeated):
+    # A repeated entry would run the same task twice under one name.
+    with pytest.raises(ValueError, match=f"repeated {repeated}"):
+        run_experiments(**kwargs, cache_dir=tmp_path, manifest=False)
+    assert not (tmp_path / "refs").exists()

@@ -224,3 +224,13 @@ def test_sweep_reproduces_striping_speedup(tmp_path):
         cache_dir=tmp_path / "cache", manifest=False,
     )
     assert results[0].outcome["duration"] > results[1].outcome["duration"]
+
+
+@pytest.mark.parametrize("values", [(2, 2), (2, 4, 2.0)])
+def test_repeated_axis_value_rejected(values, tmp_path):
+    # Each repeat would run the same point again under the same name.
+    with pytest.raises(ScenarioError, match="repeats value"):
+        expand_grid(_base(), {"n_oss": values})
+    with pytest.raises(ScenarioError, match="repeats value"):
+        run_sweep(_base(), {"n_oss": values}, cache_dir=tmp_path / "store")
+    assert not (tmp_path / "sweep-progress.json").exists()

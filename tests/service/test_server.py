@@ -425,3 +425,14 @@ def test_chaos_kill_is_gated_by_config(tmp_path):
             assert "chaos ops disabled" in response["error"]
 
     asyncio.run(main())
+
+
+def test_grid_with_a_repeated_value_is_a_bad_request(tmp_path):
+    service = RunService(ServiceConfig(
+        store_dir=tmp_path / "store", source_digest=SRC,
+    ))
+    response = _admitted(service, grid={"n_oss": [2, 2]})
+    assert response["ok"] is False
+    assert response["reason"] == "bad-request"
+    assert "repeats value" in response["error"]
+    assert service.stats["tasks_submitted"] == 0
