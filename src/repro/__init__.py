@@ -8,9 +8,10 @@ implements that ecosystem as one coherent library:
 * :mod:`repro.des` -- discrete-event simulation kernel (sequential +
   conservative parallel executors).
 * :mod:`repro.cluster` -- simulated HPC platform: topologies, fabrics,
-  compute/I/O nodes, burst buffers (paper Fig. 1).
+  compute/I/O nodes, burst buffers, a batch scheduler and its Slurm-like
+  job logs (paper Fig. 1).
 * :mod:`repro.pfs` -- Lustre-like parallel file system: striping, MDS,
-  OSS/OST, client caches, interference.
+  OSS/OST, client caches, interference, byte-extent arithmetic.
 * :mod:`repro.iostack` -- the layered I/O path (paper Fig. 2): HDF5-like
   library over MPI-IO-like middleware over a POSIX-like layer.
 * :mod:`repro.mpi` -- simulated MPI runtime for execution-driven simulation.
@@ -19,10 +20,11 @@ implements that ecosystem as one coherent library:
   analytics, scientific workflows, facility ingest; paper Sec. V).
 * :mod:`repro.monitoring` -- Darshan-like profiling, DXT segments,
   Recorder-like multi-level tracing, server-side statistics, metadata event
-  monitoring, scheduler logs, end-to-end correlation (paper Sec. IV-A).
+  monitoring, end-to-end correlation (paper Sec. IV-A).
 * :mod:`repro.modeling` -- statistics, regression, Markov models, an MLP and
   a random forest built from scratch, replay-based modeling, suffix-array
-  trace compression, trace extrapolation (paper Sec. IV-B).
+  trace compression, trace extrapolation, prediction-driven prefetching
+  (paper Sec. IV-B).
 * :mod:`repro.wgen` -- workload generation: a CODES-like I/O DSL, an
   IOWA-like source/consumer abstraction, profile- and trace-driven
   synthesis (paper Sec. IV-B-4).
@@ -31,7 +33,12 @@ implements that ecosystem as one coherent library:
   drivers (paper Sec. IV-C).
 * :mod:`repro.survey` -- the paper's own 51-article corpus and taxonomy,
   regenerating its figures.
-* :mod:`repro.core` -- the closed-loop evaluation cycle of paper Fig. 4.
+* :mod:`repro.core` -- the taxonomy and experiment records;
+  :mod:`repro.core.cycle` is the closed-loop evaluation cycle of paper
+  Fig. 4.
+
+Imports flow one way through a fixed layer order (DESIGN.md, "Import
+layering"; ``tests/core/test_import_layering.py`` enforces it).
 """
 
 __version__ = "1.0.0"

@@ -14,6 +14,8 @@ storage cluster, and the storage servers with their block devices.
 * :mod:`repro.cluster.node` -- node records (compute, I/O, storage).
 * :mod:`repro.cluster.burst_buffer` -- SSD staging tier with background
   drain to the parallel file system.
+* :mod:`repro.cluster.scheduler` -- batch scheduler that records every
+  job in a Slurm-like :mod:`repro.cluster.scheduler_log`.
 * :mod:`repro.cluster.platform` -- assembled platform presets and the
   historical platform-generation table used by claim C1 (the growing
   compute-to-storage performance gap).

@@ -4,7 +4,7 @@ Paper Sec. IV-A-2 lists workload-manager logs among the collectable data;
 Azevedo et al. [37] simulate an HTC system's scheduler to improve fairness.
 This module provides the active side of that substrate: a node-allocating
 batch scheduler with FCFS and EASY-backfill policies, writing a
-:class:`~repro.monitoring.scheduler_log.SchedulerLog` as it runs -- so
+:class:`~repro.cluster.scheduler_log.SchedulerLog` as it runs -- so
 queueing delay, utilisation and scheduling-policy questions can be studied
 on the same simulated center the I/O experiments use.
 
@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator, List, Optional
 
+from repro.cluster.scheduler_log import JobRecord, SchedulerLog
 from repro.des.engine import Environment
-from repro.monitoring.scheduler_log import JobRecord, SchedulerLog
 
 
 @dataclass

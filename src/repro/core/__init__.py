@@ -5,9 +5,9 @@
   implement it and the surveyed articles that populate it.
 * :mod:`repro.core.cycle` -- the executable closed loop: measure ->
   model/generate -> simulate -> compare, iterated (Fig. 4's dashed
-  feedback arrows).  It pulls in the simulator, so it loads on first use
-  of :class:`EvaluationCycle` or :class:`CycleReport`; importing
-  :mod:`repro.core` for the records alone stays light.
+  feedback arrows).  It pulls in the simulator and sits above the
+  scenario layer, so this package does not import it: import
+  :mod:`repro.core.cycle` itself.
 * :mod:`repro.core.experiment` -- experiment records used by the
   benchmark harness to report paper-claim vs. measured outcomes.
 """
@@ -21,8 +21,6 @@ from repro.core.experiment import (
 )
 
 __all__ = [
-    "CycleReport",
-    "EvaluationCycle",
     "ExperimentRecord",
     "ResultsCollector",
     "record_from_dict",
@@ -32,11 +30,3 @@ __all__ = [
     "find_node",
     "render_tree",
 ]
-
-
-def __getattr__(name):
-    if name in ("CycleReport", "EvaluationCycle"):
-        from repro.core import cycle
-
-        return getattr(cycle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

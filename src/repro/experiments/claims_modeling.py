@@ -28,6 +28,7 @@ from repro.replay import verify_fidelity
 from repro.scenario.build import build, instantiate_workloads, run_scenario
 from repro.scenario.presets import get_scenario
 from repro.scenario.sweep import expand_grid
+from repro.scenario.workloads import build_workload
 from repro.workloads import OpStreamWorkload
 
 MiB = 1024 * 1024
@@ -147,7 +148,7 @@ def run_c8(seed: int = 0) -> ExperimentRecord:
     wspec = spec.workloads[0]
 
     def data_ops(n):
-        _, w = dataclasses.replace(wspec, n_ranks=n).build()
+        _, w = build_workload(dataclasses.replace(wspec, n_ranks=n))
         return [[op for op in w.ops(r) if op.kind.is_data] for r in range(n)]
 
     ex = TraceExtrapolator().fit({n: data_ops(n) for n in (2, 4, 8)})

@@ -61,10 +61,10 @@ from repro.core.experiment import (
 )
 from repro.jobs import CachedResult, run_cached, source_digest  # re-exported
 from repro.jobs.execution import key_seed, seed_globals, timed
-from repro.store import RunArtifact, RunStore
+from repro.store import RunArtifact, RunStore, host_reference
 from repro.store.store import DEFAULT_STORE_DIR
 from repro.telemetry import TELEMETRY, build_manifest, write_manifest
-from repro.telemetry.provenance import MANIFEST_NAME, host_reference
+from repro.telemetry.provenance import MANIFEST_NAME
 
 log = logging.getLogger(__name__)
 

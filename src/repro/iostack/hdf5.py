@@ -26,9 +26,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.iostack.extents import Extent, coalesce
 from repro.iostack.mpiio import MPIIOFile, MPIIOLayer
 from repro.ops import IORecord, OpKind
+from repro.pfs.extents import Extent, coalesce
 
 #: Bytes of file-level metadata (superblock) at offset 0.
 SUPERBLOCK_BYTES = 2048

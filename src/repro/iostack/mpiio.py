@@ -23,7 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.iostack.extents import (
+from repro.iostack.posix import PosixLayer
+from repro.mpi.runtime import Communicator
+from repro.ops import IORecord, OpKind
+from repro.pfs.extents import (
     Extent,
     coalesce,
     fill_ratio,
@@ -31,9 +34,6 @@ from repro.iostack.extents import (
     span,
     total_bytes,
 )
-from repro.iostack.posix import PosixLayer
-from repro.mpi.runtime import Communicator
-from repro.ops import IORecord, OpKind
 
 
 class _CollectiveRound:

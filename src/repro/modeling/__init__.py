@@ -19,7 +19,9 @@ The four sub-categories of the paper's taxonomy:
 4. (*Workload generation* lives in :mod:`repro.wgen`.)
 
 Plus :mod:`repro.modeling.extrapolate`: ScalaIOExtrap-style [16], [17]
-trace extrapolation across rank counts (claim C8).
+trace extrapolation across rank counts (claim C8), and
+:mod:`repro.modeling.prefetch`, which acts on the next-op predictions of
+:mod:`repro.modeling.patterns` by prefetching reads into a PFS client.
 """
 
 from repro.modeling.statistics import (

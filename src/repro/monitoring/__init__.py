@@ -16,10 +16,10 @@ Beyond job-level monitoring:
   (load, queue lengths) like GUIDE [39] / LMT;
 * :mod:`repro.monitoring.fsmonitor` captures metadata events like
   FSMonitor [27], [28];
-* :mod:`repro.monitoring.scheduler_log` models workload-manager (Slurm)
-  job logs;
-* :mod:`repro.monitoring.endtoend` correlates all of the above into a
-  UMAMI/TOKIO-like [42], [44] end-to-end view;
+* :mod:`repro.monitoring.endtoend` correlates all of the above and the
+  workload-manager (Slurm) job logs of
+  :mod:`repro.cluster.scheduler_log` into a UMAMI/TOKIO-like [42], [44]
+  end-to-end view;
 * :mod:`repro.monitoring.formats` persists traces and profiles.
 """
 
@@ -29,7 +29,6 @@ from repro.monitoring.dxt import DXTSegment, DXTTracer
 from repro.monitoring.tracer import RecorderTracer, TraceArchive
 from repro.monitoring.server_stats import ServerSample, ServerStatsCollector
 from repro.monitoring.fsmonitor import FSMonitor, MetadataEvent
-from repro.monitoring.scheduler_log import JobRecord, SchedulerLog
 from repro.monitoring.endtoend import EndToEndMonitor, EndToEndReport
 from repro.monitoring.mlprofiler import EpochStats, MLIOProfiler
 from repro.monitoring.iominer import ProfileMiner
@@ -57,10 +56,8 @@ __all__ = [
     "MLIOProfiler",
     "ProfileMiner",
     "JobProfile",
-    "JobRecord",
     "MetadataEvent",
     "RecorderTracer",
-    "SchedulerLog",
     "ServerSample",
     "ServerStatsCollector",
     "TraceArchive",

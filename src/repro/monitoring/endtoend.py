@@ -19,9 +19,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.cluster.scheduler_log import JobRecord, SchedulerLog
 from repro.monitoring.fsmonitor import FSMonitor
 from repro.monitoring.profiler import DarshanProfiler, JobProfile
-from repro.monitoring.scheduler_log import JobRecord, SchedulerLog
 from repro.monitoring.server_stats import ServerStatsCollector
 from repro.pfs.filesystem import ParallelFileSystem
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.ops import IORecord, OpKind, StorageUnavailable
+from repro.pfs.extents import clip, coalesce, total_bytes
 from repro.pfs.layout import StripeLayout
 from repro.telemetry import TELEMETRY
 
@@ -325,8 +326,6 @@ class PFSClient:
         extents = self._dirty.pop(path, [])
         if not extents:
             return
-        from repro.iostack.extents import coalesce
-
         merged = coalesce(extents)
         self._dirty_bytes -= sum(n for _, n in extents)
         self.stats.flushes += 1
@@ -355,8 +354,6 @@ class PFSClient:
         start = self.env.now
         layout = yield from self._layout(path)
         if nbytes > 0 and self._dirty.get(path):
-            from repro.iostack.extents import clip, coalesce, total_bytes
-
             covered = total_bytes(
                 clip(coalesce(self._dirty[path]), offset, offset + nbytes)
             )

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.burst_buffer import BurstBuffer
-from repro.iostack.extents import clip, coalesce, total_bytes
 from repro.pfs.client import PFSClient
+from repro.pfs.extents import clip, coalesce, total_bytes
 
 
 @dataclass

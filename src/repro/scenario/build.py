@@ -23,6 +23,7 @@ from repro.cluster.platform import Platform, platform_from_spec
 from repro.ops import IORecord
 from repro.pfs.filesystem import ParallelFileSystem
 from repro.scenario.spec import STACK_ENGINES, ScenarioError, ScenarioSpec
+from repro.scenario.workloads import build_workload
 from repro.simulate.execsim import ExperimentHarness
 from repro.telemetry import TELEMETRY, install_standard_probes
 from repro.workloads.base import Workload, WorkloadResult
@@ -71,7 +72,7 @@ def build(spec: ScenarioSpec) -> ExperimentHarness:
 
 def instantiate_workloads(spec: ScenarioSpec):
     """Build every declared workload: ``[(setup_list, main), ...]``."""
-    return [w.build() for w in spec.workloads]
+    return [build_workload(w) for w in spec.workloads]
 
 
 @dataclass

@@ -17,7 +17,7 @@ Layers (mirroring Fig. 1 / Fig. 2 of the paper):
 * :class:`StackSpec` -- the per-rank I/O stack: collective buffering,
   client caches;
 * :class:`WorkloadSpec` -- one workload from the zoo, by kind + parameters
-  (see :data:`repro.scenario.workloads.WORKLOAD_KINDS`);
+  (see :data:`WORKLOAD_KIND_NAMES`);
 * :class:`ScenarioSpec` -- the whole evaluation: one platform, one file
   system, one stack configuration, an ordered list of workloads, and how
   to run them (sequentially or concurrently).
@@ -48,6 +48,14 @@ STORAGE_DEVICES = ("disk", "ssd")
 ALLOC_POLICIES = ("round_robin", "load_aware")
 
 MiB = 1024 * 1024
+
+#: Every declarable workload kind; :data:`repro.scenario.workloads.WORKLOAD_KINDS`
+#: maps each to its builder.
+WORKLOAD_KIND_NAMES = (
+    "ior", "mdtest", "checkpoint", "btio", "h5bench", "facility",
+    "dlio", "dlio_gen", "analytics", "analytics_gen",
+    "workflow", "workflow_boot", "scale_write", "dsl", "grammar",
+)
 
 #: DES engines a scenario may request (see
 #: :mod:`repro.simulate.scalemodel` and :mod:`repro.des.partition`).
@@ -192,21 +200,13 @@ class WorkloadSpec:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def validate(self) -> None:
-        from repro.scenario.workloads import WORKLOAD_KINDS
-
-        if self.kind not in WORKLOAD_KINDS:
+        if self.kind not in WORKLOAD_KIND_NAMES:
             raise ScenarioError(
                 f"unknown workload kind {self.kind!r}; "
-                f"available: {', '.join(sorted(WORKLOAD_KINDS))}"
+                f"available: {', '.join(sorted(WORKLOAD_KIND_NAMES))}"
             )
         if self.n_ranks < 1:
             raise ScenarioError("n_ranks must be >= 1")
-
-    def build(self):
-        """Instantiate ``(setup_workloads, main_workload)`` for this spec."""
-        from repro.scenario.workloads import build_workload
-
-        return build_workload(self)
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "n_ranks": self.n_ranks,

@@ -47,7 +47,7 @@ from repro.scenario.spec import (
     StorageSpec,
     WorkloadSpec,
 )
-from repro.store import RunArtifact, RunStore
+from repro.store import RunArtifact, RunStore, host_reference
 from repro.store.store import DEFAULT_STORE_DIR
 
 log = logging.getLogger(__name__)
@@ -292,8 +292,7 @@ def run_sweep(
     sweeps (``use_cache``) additionally land the manifest and a run
     document in the store (``repro-io store ls/diff``).
     """
-    from repro.telemetry.provenance import host_metadata, host_reference, \
-        write_manifest
+    from repro.telemetry.provenance import host_metadata, write_manifest
 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")

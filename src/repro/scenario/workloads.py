@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
+from repro.scenario.spec import ScenarioError, WorkloadSpec
 from repro.workloads import (
     AnalyticsConfig,
     AnalyticsWorkload,
@@ -45,7 +46,7 @@ from repro.workloads import (
 from repro.workloads.workflow import workflow_bootstrap_ops
 
 BuiltWorkload = Tuple[List[Workload], Workload]
-WorkloadBuilder = Callable[["WorkloadSpec"], BuiltWorkload]  # noqa: F821
+WorkloadBuilder = Callable[[WorkloadSpec], BuiltWorkload]
 
 
 def _config_workload(config_cls, workload_cls):
@@ -167,8 +168,6 @@ class ScaleWriteWorkload(Workload):
             )
             config.validate()
         except (TypeError, ValueError) as exc:
-            from repro.scenario.spec import ScenarioError
-
             raise ScenarioError(f"scale_write: {exc}") from exc
         return config
 
@@ -190,7 +189,6 @@ def _build_dsl(spec) -> BuiltWorkload:
     declaration must match ``spec.n_ranks`` so the spec stays the single
     source of truth sweeps override.
     """
-    from repro.scenario.spec import ScenarioError
     from repro.wgen.dsl import DSLError, parse_workload
 
     params = dict(spec.params)
@@ -223,7 +221,6 @@ def _build_grammar(spec) -> BuiltWorkload:
     optionally bounds derivation depth.  Sampling is deterministic, so the
     spec digest still identifies the realized op stream exactly.
     """
-    from repro.scenario.spec import ScenarioError
     from repro.wgen.dsl import DSLError, parse_workload
     from repro.wgen.grammar import GrammarError, GrammarSpec, default_grammar, sample
 
@@ -257,7 +254,7 @@ def _build_grammar(spec) -> BuiltWorkload:
     return [], workload
 
 
-#: Every declarable workload kind.
+#: The builder of every kind in :data:`repro.scenario.spec.WORKLOAD_KIND_NAMES`.
 WORKLOAD_KINDS: Dict[str, WorkloadBuilder] = {
     "ior": _config_workload(IORConfig, IORWorkload),
     "mdtest": _config_workload(MdtestConfig, MdtestWorkload),
@@ -277,19 +274,13 @@ WORKLOAD_KINDS: Dict[str, WorkloadBuilder] = {
 }
 
 
-def build_workload(spec) -> BuiltWorkload:
+def build_workload(spec: WorkloadSpec) -> BuiltWorkload:
     """Instantiate one :class:`~repro.scenario.spec.WorkloadSpec`.
 
-    Raises :class:`~repro.scenario.spec.ScenarioError` for unknown kinds
+    Raises :class:`~repro.scenario.spec.ScenarioError` for specs that fail
+    :meth:`~repro.scenario.spec.WorkloadSpec.validate` (unknown kinds)
     and ``TypeError``/``ValueError`` for parameters the kind's config
     rejects (configs validate themselves).
     """
-    from repro.scenario.spec import ScenarioError
-
-    builder = WORKLOAD_KINDS.get(spec.kind)
-    if builder is None:
-        raise ScenarioError(
-            f"unknown workload kind {spec.kind!r}; "
-            f"available: {', '.join(sorted(WORKLOAD_KINDS))}"
-        )
-    return builder(spec)
+    spec.validate()
+    return WORKLOAD_KINDS[spec.kind](spec)

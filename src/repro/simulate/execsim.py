@@ -9,9 +9,8 @@ runs the workload program inside the simulator, and returns a
 several workloads (sequentially or concurrently) against the same storage
 state -- the building block for interference and mixed-workload
 experiments.  Harnesses are usually assembled from a declarative
-:class:`~repro.scenario.spec.ScenarioSpec` via
-:meth:`ExperimentHarness.from_scenario` (or
-:func:`repro.scenario.build.build`), which threads the scenario's stack
+:class:`~repro.scenario.spec.ScenarioSpec` by
+:func:`repro.scenario.build.build`, which threads the scenario's stack
 configuration into every ``run`` call as defaults.
 """
 
@@ -132,14 +131,6 @@ class ExperimentHarness:
     def fresh(cls, platform_factory: Callable[[], Platform], **pfs_kwargs) -> "ExperimentHarness":
         platform = platform_factory()
         return cls(platform=platform, pfs=build_pfs(platform, **pfs_kwargs))
-
-    @classmethod
-    def from_scenario(cls, spec) -> "ExperimentHarness":
-        """Assemble a harness from a :class:`ScenarioSpec` (see
-        :func:`repro.scenario.build.build`)."""
-        from repro.scenario.build import build
-
-        return build(spec)
 
     def _with_stack_defaults(self, kwargs: Dict[str, Any]) -> Dict[str, Any]:
         if not self.stack_defaults:

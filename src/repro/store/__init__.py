@@ -26,7 +26,7 @@ Producers refactored onto it: the experiment runner's record cache
 (:mod:`repro.experiments.runner`), the sweep runner's point cache
 (:mod:`repro.scenario.sweep`), provenance manifests
 (:mod:`repro.telemetry.provenance` -- host metadata referenced by
-digest), and the benchmark gate's baselines
+digest through :func:`host_reference`), and the benchmark gate's baselines
 (``benchmarks/check_regression.py``).  The ``repro-io store`` CLI serves
 ``ls/show/diff/gc/verify/scrub/export/table``.
 """
@@ -36,6 +36,7 @@ from repro.store.artifact import (
     ArtifactError,
     KINDS,
     RunArtifact,
+    host_reference,
 )
 from repro.store.store import (
     DEFAULT_STORE_DIR,
@@ -63,5 +64,6 @@ __all__ = [
     "STORE_SCHEMA",
     "StoreError",
     "StoreIntegrityError",
+    "host_reference",
     "payload_diff",
 ]

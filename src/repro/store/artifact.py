@@ -22,6 +22,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.core.experiment import ExperimentRecord, record_from_dict
 from repro.ioutil import canonical_json_bytes, sha256_hex
+from repro.telemetry.provenance import host_metadata
 
 ARTIFACT_SCHEMA = "repro.store.artifact/1"
 
@@ -211,3 +212,19 @@ class RunArtifact:
                 f"({len(p.get('choices', ()))} choice(s))"
             )
         return self.kind  # pragma: no cover - KINDS is exhaustive
+
+
+def host_reference(store) -> Dict[str, str]:
+    """Store host metadata as an artifact; return a by-digest reference.
+
+    The experiment runner and the sweep runner both call this: the
+    metadata is collected once (see
+    :func:`repro.telemetry.provenance.host_metadata`) and stored once
+    (content addressing deduplicates it across every run on the same
+    host), and manifests carry ``{"artifact": <digest>, "host": <node>,
+    "python": <version>}`` -- enough to display, with the rest one
+    ``store.get`` away.
+    """
+    meta = host_metadata()
+    digest = store.put(RunArtifact.from_host(meta))
+    return {"artifact": digest, "host": meta["host"], "python": meta["python"]}

@@ -37,7 +37,6 @@ from repro.telemetry.provenance import (
     build_manifest,
     cache_hit_ratio,
     host_metadata,
-    host_reference,
     load_manifest,
     write_manifest,
 )
@@ -157,7 +156,6 @@ __all__ = [
     "build_manifest",
     "cache_hit_ratio",
     "host_metadata",
-    "host_reference",
     "load_manifest",
     "write_manifest",
 ]

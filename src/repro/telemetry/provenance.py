@@ -53,24 +53,6 @@ def host_metadata() -> Dict[str, str]:
     return dict(_gather_host_metadata())
 
 
-def host_reference(store) -> Dict[str, str]:
-    """Store host metadata as an artifact; return a by-digest reference.
-
-    The experiment runner and the sweep runner used to each embed the
-    full host dict in their manifests; now both call this, the metadata
-    is collected once (see :func:`host_metadata`) and stored once
-    (content addressing deduplicates it across every run on the same
-    host), and manifests carry ``{"artifact": <digest>, "host": <node>,
-    "python": <version>}`` -- enough to display, with the rest one
-    ``store.get`` away.
-    """
-    from repro.store import RunArtifact
-
-    meta = host_metadata()
-    digest = store.put(RunArtifact.from_host(meta))
-    return {"artifact": digest, "host": meta["host"], "python": meta["python"]}
-
-
 def build_manifest(
     *,
     source_digest: Optional[str],
@@ -92,8 +74,8 @@ def build_manifest(
     content address); ``cache_counts`` carries ``hits`` / ``fresh`` /
     ``stale`` / ``corrupt``.  ``host`` defaults to the full inline
     :func:`host_metadata`; store-backed callers pass the compact
-    :func:`host_reference` instead so the manifest references the host
-    artifact by digest rather than duplicating it.
+    :func:`repro.store.host_reference` instead so the manifest references
+    the host artifact by digest rather than duplicating it.
     """
     return {
         "schema": MANIFEST_SCHEMA,

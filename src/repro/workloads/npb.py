@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.iostack.extents import Extent, coalesce
 from repro.mpi.runtime import RankContext
 from repro.ops import IOOp, OpKind
+from repro.pfs.extents import Extent, coalesce
 from repro.workloads.base import Workload
 
 

@@ -4,13 +4,13 @@ import pytest
 
 from repro.cluster import tiny_cluster
 from repro.core import (
-    EvaluationCycle,
     ExperimentRecord,
     ResultsCollector,
     TAXONOMY,
     find_node,
     render_tree,
 )
+from repro.core.cycle import EvaluationCycle
 from repro.core.taxonomy import CYCLE_PHASES, all_leaf_ids
 from repro.workloads import IORConfig, IORWorkload
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Platform, PlatformSpec, tiny_cluster
-from repro.core import EvaluationCycle
+from repro.core.cycle import EvaluationCycle
 from repro.monitoring import DXTTracer
 from repro.ops import OpKind
 from repro.pfs import build_pfs

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.iostack.extents import (
+from repro.pfs.extents import (
     clip,
     coalesce,
     fill_ratio,

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.cluster import tiny_cluster
+from repro.cluster.scheduler_log import SchedulerLog
 from repro.monitoring import (
     EndToEndMonitor,
     FSMonitor,
-    SchedulerLog,
     ServerStatsCollector,
 )
 from repro.ops import OpKind

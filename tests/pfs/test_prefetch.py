@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import tiny_cluster
 from repro.pfs import build_pfs
-from repro.pfs.prefetch import PrefetchingReader
+from repro.modeling.prefetch import PrefetchingReader
 
 MiB = 1024 * 1024
 KiB = 1024

@@ -10,7 +10,8 @@ from repro.scenario import (
     expand_grid,
     run_scenario,
 )
-from repro.scenario.workloads import WORKLOAD_KINDS
+from repro.scenario.spec import WORKLOAD_KIND_NAMES
+from repro.scenario.workloads import WORKLOAD_KINDS, build_workload
 from repro.wgen.grammar import default_grammar, sample
 
 PROGRAM = """
@@ -33,6 +34,8 @@ def _scenario(workload, **changes):
 
 def test_kinds_registered():
     assert "dsl" in WORKLOAD_KINDS and "grammar" in WORKLOAD_KINDS
+    # Specs validate kinds against the names; the builders cover them all.
+    assert tuple(WORKLOAD_KINDS) == WORKLOAD_KIND_NAMES
 
 
 # -- kind: dsl ----------------------------------------------------------------
@@ -40,7 +43,7 @@ def test_kinds_registered():
 
 def test_dsl_kind_builds_and_runs():
     spec = _scenario(WorkloadSpec("dsl", 2, {"program": PROGRAM}))
-    setup, main = spec.workloads[0].build()
+    setup, main = build_workload(spec.workloads[0])
     assert setup == [] and main.n_ranks == 2
     run = run_scenario(spec)
     assert run.results
@@ -49,22 +52,22 @@ def test_dsl_kind_builds_and_runs():
 def test_dsl_rejects_unknown_params():
     spec = WorkloadSpec("dsl", 2, {"program": PROGRAM, "bogus": 1})
     with pytest.raises(ScenarioError, match="unknown param"):
-        spec.build()
+        build_workload(spec)
 
 
 def test_dsl_rejects_non_string_program():
     with pytest.raises(ScenarioError, match="program must be"):
-        WorkloadSpec("dsl", 2, {"program": 42}).build()
+        build_workload(WorkloadSpec("dsl", 2, {"program": 42}))
 
 
 def test_dsl_rejects_parse_errors():
     with pytest.raises(ScenarioError, match="dsl:"):
-        WorkloadSpec("dsl", 2, {"program": "workload broken {"}).build()
+        build_workload(WorkloadSpec("dsl", 2, {"program": "workload broken {"}))
 
 
 def test_dsl_rank_declaration_must_match_spec():
     with pytest.raises(ScenarioError, match="ranks"):
-        WorkloadSpec("dsl", 8, {"program": PROGRAM}).build()
+        build_workload(WorkloadSpec("dsl", 8, {"program": PROGRAM}))
 
 
 # -- kind: grammar ------------------------------------------------------------
@@ -73,7 +76,7 @@ def test_dsl_rank_declaration_must_match_spec():
 def test_grammar_kind_samples_at_build_time():
     spec = WorkloadSpec("grammar", 4, {"grammar": "default",
                                        "sample_seed": 3})
-    _, main = spec.build()
+    _, main = build_workload(spec)
     expected = sample(default_grammar(), seed=3, n_ranks=4)
     built_ops = [list(main.ops(r)) for r in range(4)]
     from repro.wgen.dsl import parse_workload
@@ -83,18 +86,18 @@ def test_grammar_kind_samples_at_build_time():
 
 def test_grammar_kind_accepts_inline_grammar_document():
     doc = default_grammar().to_dict()
-    _, main = WorkloadSpec("grammar", 2, {"grammar": doc,
-                                          "sample_seed": 0}).build()
+    _, main = build_workload(WorkloadSpec("grammar", 2, {"grammar": doc,
+                                                         "sample_seed": 0}))
     assert main.n_ranks == 2
 
 
 def test_grammar_kind_rejects_bad_params():
     with pytest.raises(ScenarioError, match="sample_seed"):
-        WorkloadSpec("grammar", 2, {"sample_seed": -1}).build()
+        build_workload(WorkloadSpec("grammar", 2, {"sample_seed": -1}))
     with pytest.raises(ScenarioError, match="unknown param"):
-        WorkloadSpec("grammar", 2, {"seed": 1}).build()
+        build_workload(WorkloadSpec("grammar", 2, {"seed": 1}))
     with pytest.raises(ScenarioError, match="grammar"):
-        WorkloadSpec("grammar", 2, {"grammar": 7}).build()
+        build_workload(WorkloadSpec("grammar", 2, {"grammar": 7}))
 
 
 def test_grammar_scenario_runs():

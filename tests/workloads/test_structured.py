@@ -3,9 +3,9 @@
 import pytest
 
 from repro.cluster import tiny_cluster
-from repro.iostack.extents import total_bytes as ext_bytes
 from repro.ops import OpKind
 from repro.pfs import build_pfs
+from repro.pfs.extents import total_bytes as ext_bytes
 from repro.simulate import run_workload
 from repro.workloads import (
     AppModel,
