@@ -21,12 +21,12 @@ The kernel baseline file has three timing sets:
 :mod:`repro.simulate.scalemodel` -- the 100k-rank bulk-synchronous write
 workload under the sequential fast path (one coroutine per rank, millions
 of events) and the vectorized cohort model on every executor (sequential,
-conservative, partitioned serial/thread/process) -- verifies all arms
-produce bit-identical result digests, sweeps rank counts for the
-parallel-vs-sequential crossover, writes ``BENCH_PR6.json``, and gates
-against ``benchmarks/BENCH_SCALE_BASELINE.json``.  At full scale the gate
-additionally requires the partitioned-thread arm to beat the sequential
-fast path by at least ``SCALE_MIN_SPEEDUP``x.
+conservative, partitioned) -- verifies all arms produce bit-identical
+result digests, sweeps rank counts for the partitioned-vs-sequential
+crossover, writes ``BENCH_PR6.json``, and gates against
+``benchmarks/BENCH_SCALE_BASELINE.json``.  At full scale the gate
+additionally requires the partitioned arm to beat the sequential fast
+path by at least ``SCALE_MIN_SPEEDUP``x.
 
 ``--tier service`` boots an in-process run service (:mod:`repro.service`)
 on an ephemeral port, populates the store with one cold submission, then
@@ -157,22 +157,19 @@ BENCHMARKS: Dict[str, Callable[[float], None]] = {
 SCALE_RANKS = 100_000
 SCALE_ISLANDS = 64
 SCALE_ROUNDS = 10
-#: Rank counts swept for the parallel-vs-sequential crossover (each is
+#: Rank counts swept for the partitioned-vs-sequential crossover (each is
 #: multiplied by ``--scale``; the last point doubles as the headline run).
 SCALE_SWEEP = (1_000, 4_000, 16_000, 50_000, SCALE_RANKS)
-#: Gate: at full scale the partitioned-thread arm must beat the
-#: sequential fast path by at least this factor.
+#: Gate: at full scale the partitioned arm must beat the sequential fast
+#: path by at least this factor.
 SCALE_MIN_SPEEDUP = 2.0
 #: Arms longer than this (seconds) are timed once instead of ``rounds``
 #: times -- at 100k ranks the sequential fast path alone runs tens of
 #: seconds, and repeating it five times would buy noise rejection nobody
 #: needs at that magnitude.
 SCALE_SINGLE_RUN_THRESHOLD = 2.0
-#: Partition/worker count for the partitioned arms.  Pinned (not
-#: ``cpu_count()``) so the measured topology -- 8 partitions of 8 islands,
-#: halos crossing at the boundaries -- is the same on every host; on a
-#: single-core container the default would collapse to one partition and
-#: measure nothing.
+#: Partition count for the partitioned arm: the measured topology is 8
+#: partitions of 8 islands, halos crossing at the boundaries.
 SCALE_WORKERS = 8
 
 
@@ -197,19 +194,13 @@ def _scale_arms() -> Dict[str, Callable]:
         run_scale,
     )
 
-    def partitioned(backend):
-        def run(c):
-            return run_cohort(c, engine="partitioned", backend=backend,
-                              workers=min(SCALE_WORKERS, c.islands))
-        return run
-
     return {
         "sequential_fast_path": lambda c: run_scale(c, engine="sequential"),
         "cohort_sequential": run_cohort_sequential,
         "conservative": lambda c: run_cohort(c, engine="conservative"),
-        "partitioned_serial": partitioned("serial"),
-        "partitioned_thread": partitioned("thread"),
-        "partitioned_process": partitioned("process"),
+        "partitioned_serial": lambda c: run_cohort(
+            c, engine="partitioned", workers=min(SCALE_WORKERS, c.islands)
+        ),
     }
 
 
@@ -245,8 +236,7 @@ def run_scale_arms(rounds: int, scale: float) -> Dict[str, Dict]:
     """
     config = scale_config(scale)
     arms = _scale_arms()
-    # Warmup on a miniature config: imports, numpy caches, thread pools,
-    # and the process backend's first worker spawn.
+    # Warmup on a miniature config: imports and numpy caches.
     warm = scale_config(1.0, ranks=min(256, config.ranks))
     for fn in arms.values():
         fn(warm)
@@ -263,11 +253,10 @@ def run_scale_arms(rounds: int, scale: float) -> Dict[str, Dict]:
 
 
 def run_crossover_sweep(scale: float, full_arms: Dict[str, Dict]) -> Dict:
-    """Sweep rank counts; find where each parallel backend starts winning.
+    """Sweep rank counts; find where the partitioned arm starts winning.
 
     Each sweep point times the sequential fast path against the
-    partitioned thread and process backends (single run below
-    ``SCALE_SINGLE_RUN_THRESHOLD`` repeats, min-of-3 for the fast ones).
+    partitioned arm (min-of-3, single run for arms slower than 0.5 s).
     The headline point's timings are reused from ``full_arms`` rather
     than re-measured.
     """
@@ -284,13 +273,11 @@ def run_crossover_sweep(scale: float, full_arms: Dict[str, Dict]) -> Dict:
                 "ranks": config.ranks,
                 "sequential_fast_path":
                     full_arms["sequential_fast_path"]["min"],
-                "partitioned_thread": full_arms["partitioned_thread"]["min"],
-                "partitioned_process": full_arms["partitioned_process"]["min"],
+                "partitioned_serial": full_arms["partitioned_serial"]["min"],
             }
         else:
             point = {"ranks": config.ranks}
-            for name in ("sequential_fast_path", "partitioned_thread",
-                         "partitioned_process"):
+            for name in ("sequential_fast_path", "partitioned_serial"):
                 timing, _ = _time_arm(
                     lambda: arms[name](config), rounds=3, threshold=0.5
                 )
@@ -298,17 +285,12 @@ def run_crossover_sweep(scale: float, full_arms: Dict[str, Dict]) -> Dict:
         sweep.append(point)
     sweep.sort(key=lambda p: p["ranks"])
 
-    def first_win(name: str):
-        for point in sweep:
-            if point[name] < point["sequential_fast_path"]:
-                return point["ranks"]
-        return None
-
-    return {
-        "sweep": sweep,
-        "crossover_ranks_thread": first_win("partitioned_thread"),
-        "crossover_ranks_process": first_win("partitioned_process"),
-    }
+    crossover = next(
+        (p["ranks"] for p in sweep
+         if p["partitioned_serial"] < p["sequential_fast_path"]),
+        None,
+    )
+    return {"sweep": sweep, "crossover_ranks": crossover}
 
 
 # -- service tier (multi-tenant run service) ---------------------------------
@@ -674,14 +656,6 @@ def _kernel_main(args, rounds: int, scale: float) -> int:
 
 
 def _scale_main(args, rounds: int, scale: float) -> int:
-    try:
-        from repro.des.cohort import HAVE_NUMPY
-    except ImportError:  # pragma: no cover
-        HAVE_NUMPY = False
-    if not HAVE_NUMPY:  # pragma: no cover
-        print("scale tier skipped: numpy unavailable", file=sys.stderr)
-        return 0
-
     baseline = {}
     if args.scale_baseline.exists():
         with open(args.scale_baseline, "r", encoding="utf-8") as fh:
@@ -710,10 +684,10 @@ def _scale_main(args, rounds: int, scale: float) -> int:
             f"engine arms disagree: {len(digests)} distinct digests"
         )
     if gated:
-        thread_speedup = speedup_vs_sequential.get("partitioned_thread", 0.0)
-        if thread_speedup < SCALE_MIN_SPEEDUP:
+        speedup = speedup_vs_sequential.get("partitioned_serial", 0.0)
+        if speedup < SCALE_MIN_SPEEDUP:
             gate_failures.append(
-                f"partitioned_thread speedup {thread_speedup:.2f}x is below "
+                f"partitioned_serial speedup {speedup:.2f}x is below "
                 f"the required {SCALE_MIN_SPEEDUP:.1f}x"
             )
 
@@ -756,11 +730,10 @@ def _scale_main(args, rounds: int, scale: float) -> int:
         if name in regressions:
             line += f"  REGRESSED {regressions[name]['slowdown']:.2f}x"
         print(line)
-    for backend in ("thread", "process"):
-        ranks = crossover[f"crossover_ranks_{backend}"]
-        print(f"crossover ({backend} backend): "
-              + (f"parallel wins from {ranks} ranks" if ranks
-                 else "sequential fast path wins everywhere swept"))
+    ranks = crossover["crossover_ranks"]
+    print("crossover: "
+          + (f"partitioned wins from {ranks} ranks" if ranks
+             else "sequential fast path wins everywhere swept"))
     print(f"report written to {args.scale_output}")
     for failure in gate_failures:
         print(f"FAIL: {failure}", file=sys.stderr)

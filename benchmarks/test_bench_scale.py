@@ -1,4 +1,4 @@
-"""Large-scenario benchmarks: parallel DES engines vs the sequential fast path.
+"""Large-scenario benchmarks: windowed DES engines vs the sequential fast path.
 
 The scenario is the :mod:`repro.simulate.scalemodel` bulk-synchronous SPMD
 write workload -- at full scale 100k ranks over 64 islands for 10 rounds,
@@ -17,15 +17,10 @@ import time
 
 import pytest
 
-from repro.des.cohort import HAVE_NUMPY
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="scale model needs numpy")
-
 RANKS = 100_000
 ISLANDS = 64
 ROUNDS = 10
-# Pinned partition count (cpu_count() on a one-core CI box would collapse
-# the partitioned arms to a single partition with nothing to exchange).
+# Partition count of the partitioned arm.
 WORKERS = 4
 
 
@@ -72,16 +67,13 @@ def test_conservative(benchmark, config):
     assert result.stats["windows"] > 0
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_partitioned(benchmark, config, backend):
+def test_partitioned(benchmark, config):
     from repro.simulate.scalemodel import run_cohort
 
     workers = min(WORKERS, config.islands)
     result = _once(
         benchmark,
-        lambda: run_cohort(
-            config, engine="partitioned", backend=backend, workers=workers
-        ),
+        lambda: run_cohort(config, engine="partitioned", workers=workers),
     )
     if workers > 1:
         assert result.stats["exchanged"] > 0  # halos crossed partitions
@@ -99,8 +91,7 @@ def test_all_arms_bit_identical(config):
         run_cohort_sequential(config).digest,
         run_cohort(config, engine="conservative").digest,
         run_cohort(
-            config, engine="partitioned", backend="thread",
-            workers=min(WORKERS, config.islands),
+            config, engine="partitioned", workers=min(WORKERS, config.islands)
         ).digest,
     }
     assert len(digests) == 1
@@ -119,11 +110,9 @@ def test_partitioned_beats_sequential_at_scale(config, scale):
     workers = min(WORKERS, config.islands)
 
     def partitioned():
-        return run_cohort(
-            config, engine="partitioned", backend="thread", workers=workers
-        )
+        return run_cohort(config, engine="partitioned", workers=workers)
 
-    partitioned()  # warm pools
+    partitioned()  # warm imports and numpy caches
     start = time.perf_counter()
     seq = run_scale(config, engine="sequential")
     seq_elapsed = time.perf_counter() - start

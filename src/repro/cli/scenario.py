@@ -32,13 +32,8 @@ def register(sub) -> None:
         help="override the scenario's DES engine (default: as declared)",
     )
     sp.add_argument(
-        "--engine-backend", choices=["serial", "thread", "process"],
-        default="thread",
-        help="partitioned-engine backend (default: thread)",
-    )
-    sp.add_argument(
         "--engine-workers", type=common.positive_int,
-        help="partitioned-engine partition/worker count (default: CPUs)",
+        help="partitioned-engine partition count (default: one per island)",
     )
     common.add_telemetry_flags(sp)
     common.add_store_dir(sp, "run store that archives telemetry artifacts "
@@ -97,20 +92,18 @@ def _cmd_run(args) -> int:
     run = run_scenario(
         spec,
         engine=args.engine,
-        engine_backend=args.engine_backend,
         engine_workers=args.engine_workers,
     )
     print(spec.describe())
     print(f"scenario digest: {spec.digest()[:16]}")
     print(run.summary())
     for sr in run.scale_results:
-        backend = f"/{sr.backend}" if sr.backend else ""
         stats = ", ".join(
             f"{k}={v:.2f}" if isinstance(v, float) else f"{k}={v}"
             for k, v in sorted(sr.stats.items())
         )
         print(
-            f"  scale engine {sr.engine}{backend}: "
+            f"  scale engine {sr.engine}: "
             f"{sr.events} events, digest {sr.digest[:16]}"
             + (f" ({stats})" if stats else "")
         )

@@ -106,6 +106,7 @@ def _cmd_telemetry(args) -> int:
 
 def _summarize_trace(doc, top: int) -> None:
     from repro.telemetry import validate_chrome_trace
+    from repro.telemetry.tracing import span_self_times
 
     problems = validate_chrome_trace(doc)
     if problems:
@@ -114,28 +115,14 @@ def _summarize_trace(doc, top: int) -> None:
     if not spans:
         print("trace contains no complete spans")
         return
-    # Self time: a span's duration minus its direct children's durations
-    # (the exporter records parent_id in each event's args).
-    child_us: dict = {}
-    for ev in spans:
-        parent = ev.get("args", {}).get("parent_id")
-        if parent is not None:
-            child_us[parent] = child_us.get(parent, 0.0) + ev["dur"]
-    agg: dict = {}
-    for ev in spans:
-        name = ev["name"]
-        entry = agg.setdefault(name, {"count": 0, "total": 0.0, "self": 0.0})
-        entry["count"] += 1
-        entry["total"] += ev["dur"]
-        span_id = ev.get("args", {}).get("span_id")
-        entry["self"] += max(0.0, ev["dur"] - child_us.get(span_id, 0.0))
     wall = max(ev["ts"] + ev["dur"] for ev in spans) - min(ev["ts"] for ev in spans)
     print(f"trace: {len(spans)} span(s), {wall / 1e3:.1f} ms wall")
     print(f"{'span':<28} {'count':>6} {'total ms':>10} {'self ms':>10}")
-    ranked = sorted(agg.items(), key=lambda kv: kv[1]["self"], reverse=True)
+    agg = span_self_times(spans)
+    ranked = sorted(agg.items(), key=lambda kv: kv[1]["self_s"], reverse=True)
     for name, entry in ranked[:top]:
         print(f"{name:<28} {entry['count']:>6} "
-              f"{entry['total'] / 1e3:>10.2f} {entry['self'] / 1e3:>10.2f}")
+              f"{entry['total_s'] * 1e3:>10.2f} {entry['self_s'] * 1e3:>10.2f}")
 
 
 def _summarize_manifest(doc, top: int) -> None:

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from repro.des.resources import Resource
 from repro.ops import StorageUnavailable
 
@@ -154,18 +156,6 @@ class BlockDevice:
         the same operation order.  Used by the cohort scale tier to plan
         per-OST completion cohorts without a per-access event cascade.
         """
-        from repro.des.cohort import HAVE_NUMPY, np
-
-        if not HAVE_NUMPY:
-            times = []
-            head = self._head_position
-            for off, n in zip(offsets, sizes):
-                t = self.op_overhead + n / self.bandwidth
-                if head is None or off != head:
-                    t += self.seek_time
-                times.append(t * self._degradation)
-                head = off + n
-            return times
         offs = np.asarray(offsets, dtype=np.int64)
         ns = np.asarray(sizes, dtype=np.int64)
         if offs.shape != ns.shape or offs.ndim != 1:

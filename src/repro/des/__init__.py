@@ -16,7 +16,7 @@ workhorse for large-scale I/O evaluation when no testbed is available):
 * :mod:`repro.des.ross` -- a ROSS-style logical-process kernel (events are
   dispatched to LP handlers) with a sequential reference executor;
   :mod:`repro.des.partition` runs the same kernel under conservative,
-  YAWNS-style windows on one or many partitions.  The CODES storage
+  YAWNS-style windows and accounts them over one or many partitions.  The CODES storage
   simulation framework surveyed by the paper is built on ROSS; these modules
   are our equivalent substrate, validated for determinism against the
   sequential executor (ablation A1).
@@ -27,7 +27,7 @@ event queue are broken by (time, priority, insertion sequence), so two runs
 of the same program produce identical event orderings.
 """
 
-from repro.des.cohort import MIN_VECTOR_BATCH, canonical_event_sort
+from repro.des.cohort import MIN_VECTOR_BATCH
 from repro.des.engine import Environment, SimulationError
 from repro.des.events import (
     AllOf,
@@ -85,6 +85,5 @@ __all__ = [
     "Store",
     "Timeout",
     "URGENT",
-    "canonical_event_sort",
     "fabric_islands",
 ]

@@ -10,10 +10,7 @@ This module centralises the numpy gating and the shared numeric kernels so
 the engine (:meth:`repro.des.engine.Environment.schedule_batch`), the
 bandwidth model (:meth:`repro.des.sharing.FairShareLink.transfer_batch`)
 and the scale-scenario cohort model (:mod:`repro.simulate.scalemodel`)
-agree on validation semantics and float behaviour.  numpy is part of the
-baked-in toolchain, but every entry point degrades to a pure-Python loop
-when it is unavailable (``HAVE_NUMPY`` is False) so the package imports
-everywhere.
+agree on validation semantics and float behaviour.
 
 Exactness contract
 ------------------
@@ -30,15 +27,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-try:  # numpy is in the standard toolchain; tolerate minimal environments.
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-    HAVE_NUMPY = False
-
-np = _np
+import numpy as np
 
 #: Below this population size the scalar loop beats array setup overhead;
 #: measured on the engine microbenchmarks (see ``benchmarks``).
@@ -51,29 +40,18 @@ def as_delay_array(delays: Sequence[float]):
     Mirrors the scalar :meth:`Environment.schedule` checks -- negative and
     NaN delays are rejected (NaN silently breaks the heap invariant) --
     but performs both checks with two vector comparisons instead of two
-    branches per event.  Returns a numpy array when numpy is available,
-    else a validated list.
+    branches per event.
     """
-    if HAVE_NUMPY:
-        arr = _np.asarray(delays, dtype=_np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"delay cohort must be 1-D, got shape {arr.shape}")
-        # A single fused pass: NaN fails both comparisons, so ``>= 0`` is
-        # False for NaN and one reduction covers both rejection rules.
-        if not bool(_np.all(arr >= 0.0)):
-            if bool(_np.any(_np.isnan(arr))):
-                raise ValueError("NaN delay in cohort")
-            raise ValueError("negative delay in cohort")
-        return arr
-    out = []
-    for d in delays:
-        d = float(d)
-        if d < 0:
-            raise ValueError(f"negative delay {d}")
-        if d != d:
-            raise ValueError("NaN delay")
-        out.append(d)
-    return out
+    arr = np.asarray(delays, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"delay cohort must be 1-D, got shape {arr.shape}")
+    # A single fused pass: NaN fails both comparisons, so ``>= 0`` is
+    # False for NaN and one reduction covers both rejection rules.
+    if not bool(np.all(arr >= 0.0)):
+        if bool(np.any(np.isnan(arr))):
+            raise ValueError("NaN delay in cohort")
+        raise ValueError("negative delay in cohort")
+    return arr
 
 
 def fire_times(now: float, delays) -> List[float]:
@@ -83,9 +61,7 @@ def fire_times(now: float, delays) -> List[float]:
     ``self._now + delay``, so batch-scheduled events land on exactly the
     heap keys scalar scheduling would have produced.
     """
-    if HAVE_NUMPY and isinstance(delays, _np.ndarray):
-        return (now + delays).tolist()
-    return [now + d for d in delays]
+    return (now + delays).tolist()
 
 
 def observe_cohort(kind: str, size: int, now: Optional[float] = None) -> None:
@@ -126,51 +102,10 @@ def fair_share_batch_times(
     return admit_time + nbytes * population / rate
 
 
-def jitter_finish_times(completion: float, jitter):
-    """Per-member finish times ``completion + jitter_i`` (elementwise)."""
-    if HAVE_NUMPY and isinstance(jitter, _np.ndarray):
-        return completion + jitter
-    return [completion + j for j in jitter]
-
-
-def cohort_max(values) -> float:
-    """Maximum of a cohort -- an exact selection, safe for equivalence."""
-    if HAVE_NUMPY and isinstance(values, _np.ndarray):
-        return float(values.max())
-    return max(values)
-
-
-def require_numpy(feature: str) -> None:
-    """Raise a clear error for features that cannot degrade gracefully."""
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            f"{feature} requires numpy, which is not available in this "
-            f"environment"
-        )
-
-
-def canonical_event_sort(events: list) -> list:
-    """Sort cross-partition event traffic into its canonical total order.
-
-    Partitioned execution gathers generated events from workers in
-    completion order, which is nondeterministic under thread and process
-    backends.  Sorting by the content-based ``sort_key`` restores a
-    machine-independent order before the events are enqueued.
-    """
-    events.sort(key=lambda ev: ev.sort_key)
-    return events
-
-
 __all__ = [
-    "HAVE_NUMPY",
     "MIN_VECTOR_BATCH",
     "as_delay_array",
-    "canonical_event_sort",
-    "cohort_max",
     "fair_share_batch_times",
     "fire_times",
-    "jitter_finish_times",
-    "np",
     "observe_cohort",
-    "require_numpy",
 ]

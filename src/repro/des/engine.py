@@ -139,7 +139,7 @@ class Environment:
 
         arr = as_delay_array(delays)
         times = fire_times(self._now, arr)
-        plain = arr.tolist() if hasattr(arr, "tolist") else arr
+        plain = arr.tolist()
         n = len(times)
         seq = self._seq
         events: List[Timeout] = []

@@ -9,7 +9,7 @@ Warp side so the kernel implements both of the PDES families the paper's
 simulation taxonomy (Sec. IV-C-1) rests on.
 
 Mechanics implemented (sequentially emulated, as with the conservative
-executor's serial backend -- the *protocol* is what is reproduced):
+executor -- the *protocol* is what is reproduced):
 
 * **speculative execution**: each scheduling round lets every LP process a
   batch of its pending events regardless of global timestamp order;

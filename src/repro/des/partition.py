@@ -3,70 +3,36 @@
 Each round computes the lower bound on timestamps (LBTS) of all pending
 events, and every LP processes its pending events below ``LBTS +
 lookahead``; messages carry at least ``lookahead`` of delay, so none can
-land inside the window that generated it.  The LP population is split
-into *partitions* (ideally along fabric islands -- racks / OSS groups --
-so that most traffic stays inside a partition), every partition owns its
-LPs' event queues, and each window is processed by all partitions
-concurrently.  Only cross-partition messages are synchronization traffic:
-they are gathered at the window barrier, sorted into their canonical
-content-based order (so thread/process completion order cannot leak into
-results) and routed to the destination partition before the next LBTS
-reduction.  One partition on the serial backend is the plain single-core
-conservative executor (ablation A1, the ``"conservative"`` scale engine);
-windows, window sizes and the critical path do not depend on the
-partition count.
+land inside the window that generated it.  One partition is the plain
+conservative executor (ablation A1, the ``"conservative"`` scale engine).
+
+The executor runs every window on one core, directly on the kernel's own
+LPs.  A :class:`PartitionPlan` (ideally along fabric islands -- racks /
+OSS groups -- so that most traffic stays inside a partition) is used for
+accounting only: which partitions each window occupies, how many events
+each partition handles, and how many messages cross a partition boundary.
+Together with the window sizes and the critical path, that is the
+parallelism the lookahead *exposes* -- what a parallel machine could
+extract -- reported without claiming any of it.  Windows, window sizes
+and the critical path do not depend on the partition count.
 
 Determinism: an LP processes exactly the same events in exactly the same
-local order as under the sequential executor -- the partition an LP lives
-in only changes *where* that happens, never *what* -- so final LP states
-and per-LP traces are bit-identical across all executors and backends
+local order as under the sequential executor, so final LP states and
+per-LP traces are bit-identical across executors and partition plans
 (the engine-equivalence property tests pin this).
-
-Backends
---------
-``serial``
-    One partition at a time, in index order.  The reference
-    implementation; also the cheapest when windows are narrow.
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor` processes
-    partitions concurrently within each window.  Wins when LP handlers
-    release the GIL (numpy cohort handlers); loses little otherwise.
-``process``
-    Persistent worker processes, one per partition, each owning its
-    partition's LP state for the whole run.  Only window horizons and
-    cross-partition events cross the IPC boundary.  Requires a picklable
-    ``kernel_factory`` so every worker can build its shard of the model.
 """
 
 from __future__ import annotations
 
 import heapq
-import logging
-import multiprocessing
-import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.des.cohort import canonical_event_sort
 from repro.des.engine import SimulationError
-from repro.des.ross import (
-    ExecutionStats,
-    LogicalProcess,
-    RossEvent,
-    RossKernel,
-)
+from repro.des.ross import ExecutionStats, RossKernel
 from repro.telemetry import TELEMETRY
-from repro.telemetry.collect import (
-    init_worker,
-    merge_snapshot,
-    snapshot as telemetry_snapshot,
-    worker_init_args,
-)
 
 _INF = float("inf")
-
-BACKENDS = ("serial", "thread", "process")
 
 
 def _degenerate_window_error(lbts: float, lookahead: float) -> SimulationError:
@@ -188,166 +154,6 @@ def fabric_islands(spec) -> List[Dict[str, Any]]:
 
 
 # ---------------------------------------------------------------------------
-# Per-partition runtime
-# ---------------------------------------------------------------------------
-
-class _Shard:
-    """One partition's private runtime: LPs, queues, clock and outbox.
-
-    Mirrors the mediation :class:`~repro.des.ross.RossKernel` performs for
-    the whole LP population, but over a disjoint subset, so partitions can
-    execute a window concurrently without sharing any mutable state.  LP
-    handlers receive the shard as their ``kernel`` argument; the send
-    contract (per-source sequence numbers, lookahead enforcement, known
-    destinations) is identical.
-    """
-
-    __slots__ = (
-        "partition", "lookahead", "known", "lps", "queues",
-        "_now", "_current_lp", "_outbox", "_send_counters", "events_handled",
-    )
-
-    def __init__(
-        self,
-        partition: int,
-        lookahead: float,
-        known: frozenset,
-        lps: Dict[int, LogicalProcess],
-        send_counters: Optional[Dict[int, int]] = None,
-    ):
-        self.partition = partition
-        self.lookahead = lookahead
-        self.known = known
-        self.lps = lps
-        self.queues: Dict[int, List[RossEvent]] = {lp_id: [] for lp_id in lps}
-        self._now = 0.0
-        self._current_lp: Optional[int] = None
-        self._outbox: List[RossEvent] = []
-        self._send_counters = {
-            lp_id: (send_counters or {}).get(lp_id, 0) for lp_id in lps
-        }
-        self.events_handled = 0
-
-    # -- the kernel interface LP handlers see -------------------------------
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def send(self, dest: int, delay: float, kind: str, payload: Any = None) -> RossEvent:
-        if self._current_lp is None:
-            raise RuntimeError("send() may only be called from inside handle()")
-        if dest not in self.known:
-            raise KeyError(f"unknown destination LP {dest}")
-        if delay < self.lookahead:
-            raise ValueError(
-                f"message delay {delay} violates lookahead {self.lookahead}"
-            )
-        src = self._current_lp
-        seq = self._send_counters[src]
-        self._send_counters[src] = seq + 1
-        ev = RossEvent(self._now + delay, dest, kind, payload,
-                       source=src, source_seq=seq)
-        self._outbox.append(ev)
-        return ev
-
-    # -- executor side -------------------------------------------------------
-    def enqueue(self, ev: RossEvent) -> None:
-        heapq.heappush(self.queues[ev.dest], ev)
-
-    def min_pending(self) -> float:
-        heads = [q[0].time for q in self.queues.values() if q]
-        return min(heads) if heads else _INF
-
-    def run_window(
-        self, horizon: float, until: float
-    ) -> Tuple[List[RossEvent], int, int]:
-        """Process every pending event below ``horizon`` (and ``until``).
-
-        Returns ``(cross_partition_events, events_processed,
-        max_events_one_lp)``.  Intra-partition messages are enqueued
-        locally (their timestamps are beyond the horizon, so they cannot
-        join the current window); everything else is handed back for the
-        coordinator to route after the barrier.
-        """
-        remote: List[RossEvent] = []
-        window_events = 0
-        max_per_lp = 0
-        for lp_id in sorted(self.queues):
-            q = self.queues[lp_id]
-            if not q:
-                continue
-            lp = self.lps[lp_id]
-            handled_here = 0
-            while q and q[0].time < horizon and q[0].time <= until:
-                ev = heapq.heappop(q)
-                self._now = ev.time
-                self._current_lp = lp_id
-                try:
-                    lp._dispatch(self, ev)
-                finally:
-                    self._current_lp = None
-                handled_here += 1
-                for new in self._drain_outbox():
-                    if new.time < horizon:
-                        raise RuntimeError(
-                            "causality violation: generated event inside "
-                            "the current window (lookahead contract broken)"
-                        )
-                    if new.dest in self.lps:
-                        heapq.heappush(self.queues[new.dest], new)
-                    else:
-                        remote.append(new)
-            window_events += handled_here
-            if handled_here > max_per_lp:
-                max_per_lp = handled_here
-        self.events_handled += window_events
-        return remote, window_events, max_per_lp
-
-    def _drain_outbox(self) -> List[RossEvent]:
-        out, self._outbox = self._outbox, []
-        return out
-
-    def state_digests(self) -> Dict[int, Any]:
-        return {lp_id: lp.state_digest() for lp_id, lp in self.lps.items()}
-
-    def collect(self, method: str) -> Dict[int, Any]:
-        return {
-            lp_id: getattr(lp, method)()
-            for lp_id, lp in self.lps.items()
-            if hasattr(lp, method)
-        }
-
-
-def _build_shards(
-    kernel: RossKernel, plan: PartitionPlan
-) -> List[_Shard]:
-    """Split a populated kernel into per-partition shards.
-
-    The kernel's injected initial events (its outbox) are routed into the
-    owning shards; its per-LP send counters carry over so a partitioned
-    run started mid-stream numbers messages identically.
-    """
-    missing = sorted(set(kernel.lps) - set(plan.assignment))
-    if missing:
-        raise ValueError(f"partition plan does not cover LP(s): {missing}")
-    known = frozenset(kernel.lps)
-    shards = [
-        _Shard(
-            p,
-            kernel.lookahead,
-            known,
-            {lp_id: kernel.lps[lp_id] for lp_id in plan.members(p)},
-            kernel._send_counters,
-        )
-        for p in range(plan.n_partitions)
-    ]
-    by_partition = plan.assignment
-    for ev in kernel._drain_outbox():
-        shards[by_partition[ev.dest]].enqueue(ev)
-    return shards
-
-
-# ---------------------------------------------------------------------------
 # Stats
 # ---------------------------------------------------------------------------
 
@@ -355,13 +161,12 @@ def _build_shards(
 class PartitionStats(ExecutionStats):
     """Execution stats plus partition-level occupancy accounting."""
 
-    backend: str = "serial"
     partitions: int = 1
     #: Total events each partition processed over the whole run.
     partition_events: List[int] = field(default_factory=list)
     #: Per window: how many partitions processed at least one event.  The
-    #: realized-parallelism signal -- a window occupying one partition ran
-    #: as fast as the serial executor would have.
+    #: exposed-parallelism signal -- a window occupying one partition
+    #: offers a parallel machine nothing to overlap.
     occupied_partitions: List[int] = field(default_factory=list)
     #: Events that crossed a partition boundary (synchronization traffic).
     exchanged: int = 0
@@ -384,102 +189,96 @@ class PartitionStats(ExecutionStats):
 # ---------------------------------------------------------------------------
 
 class PartitionedExecutor:
-    """Conservative windowed execution with concurrent partitions.
+    """Conservative windowed execution with partition accounting.
 
     Parameters
     ----------
     kernel:
-        A populated :class:`RossKernel` (serial/thread backends; optional
-        for ``process``, where each worker builds its own via the factory).
+        A populated :class:`RossKernel` with positive lookahead.
     plan:
-        LP-to-partition assignment.  Defaults to one round-robin partition
-        per worker.
-    backend:
-        ``"serial"``, ``"thread"`` or ``"process"`` (see module docs).
-    max_workers:
-        Concurrency cap for the thread backend (the process backend runs
-        one worker per partition by construction).
-    kernel_factory / factory_args:
-        Module-level callable (plus positional args) that rebuilds the
-        populated kernel; required by the process backend, which cannot
-        ship live LP object graphs across the IPC boundary.
+        LP-to-partition assignment.  Defaults to a single partition.
     """
 
-    def __init__(
-        self,
-        kernel: Optional[RossKernel] = None,
-        plan: Optional[PartitionPlan] = None,
-        backend: str = "serial",
-        max_workers: Optional[int] = None,
-        kernel_factory: Optional[Callable[..., RossKernel]] = None,
-        factory_args: Tuple = (),
-    ):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-        if kernel is None:
-            if kernel_factory is None:
-                raise ValueError("need a kernel or a kernel_factory")
-            if backend != "process":
-                kernel = kernel_factory(*factory_args)
-        if backend == "process" and kernel_factory is None:
-            raise ValueError(
-                "the process backend needs a picklable kernel_factory: live "
-                "LP graphs do not cross the IPC boundary"
-            )
-        probe = kernel if kernel is not None else kernel_factory(*factory_args)
-        if probe.lookahead <= 0:
+    def __init__(self, kernel: RossKernel, plan: Optional[PartitionPlan] = None):
+        if kernel.lookahead <= 0:
             raise ValueError("partitioned execution requires positive lookahead")
-        self.lookahead = probe.lookahead
         if plan is None:
-            workers = max_workers or multiprocessing.cpu_count()
-            plan = PartitionPlan.round_robin(sorted(probe.lps), workers)
+            plan = PartitionPlan.round_robin(sorted(kernel.lps), 1)
         self.kernel = kernel
+        self.lookahead = kernel.lookahead
         self.plan = plan
-        self.backend = backend
-        self.max_workers = max_workers
-        self.kernel_factory = kernel_factory
-        self.factory_args = factory_args
-        self.stats = PartitionStats(backend=backend, partitions=plan.n_partitions)
-        self._shards: Optional[List[_Shard]] = None
-        self._finalized: Dict[int, Any] = {}
-        self._collected: Dict[str, Dict[int, Any]] = {}
-        self._traces: Dict[int, list] = {}
+        self.stats = PartitionStats(
+            partitions=plan.n_partitions,
+            partition_events=[0] * plan.n_partitions,
+        )
 
-    # -- shared window loop --------------------------------------------------
     def run(self, until: float = _INF) -> PartitionStats:
-        if self.backend == "process":
-            return self._run_process(until)
-        return self._run_local(until)
+        kernel, assignment = self.kernel, self.plan.assignment
+        missing = sorted(set(kernel.lps) - set(assignment))
+        if missing:
+            raise ValueError(f"partition plan does not cover LP(s): {missing}")
+        # Partitions in index order, LPs in id order within each.
+        queues: Dict[int, list] = {
+            lp_id: [] for lp_id in sorted(kernel.lps,
+                                          key=lambda i: (assignment[i], i))
+        }
+        for ev in kernel._drain_outbox():
+            heapq.heappush(queues[ev.dest], ev)
+        while True:
+            lbts = min((q[0].time for q in queues.values() if q), default=_INF)
+            if lbts == _INF or lbts > until:
+                break
+            horizon = lbts + self.lookahead
+            if not horizon > lbts:
+                raise _degenerate_window_error(lbts, self.lookahead)
+            per_partition = [0] * self.plan.n_partitions
+            max_per_lp = exchanged = 0
+            for lp_id, q in queues.items():
+                if not q:
+                    continue
+                part = assignment[lp_id]
+                handled = 0
+                while q and q[0].time < horizon and q[0].time <= until:
+                    for new in kernel._execute_one(heapq.heappop(q)):
+                        if new.time < horizon:
+                            raise RuntimeError(
+                                "causality violation: generated event inside "
+                                "the current window (lookahead contract broken)"
+                            )
+                        heapq.heappush(queues[new.dest], new)
+                        if assignment[new.dest] != part:
+                            exchanged += 1
+                    handled += 1
+                per_partition[part] += handled
+                if handled > max_per_lp:
+                    max_per_lp = handled
+            self._record_window(lbts, per_partition, max_per_lp, exchanged)
+        self._publish_telemetry()
+        return self.stats
 
     def _record_window(
-        self,
-        per_partition: List[Tuple[List[RossEvent], int, int]],
-        now: Optional[float] = None,
-    ) -> List[RossEvent]:
-        """Fold one window's per-partition results into the stats; return
-        the canonically-sorted cross-partition traffic.
-
-        ``now`` is the window's LBTS (simulated seconds); when telemetry
-        is on it timestamps the occupancy/exchange time series.
-        """
+        self, now: float, per_partition: List[int], max_per_lp: int,
+        exchanged: int,
+    ) -> None:
+        """Fold one window into the stats; when telemetry is on, also
+        record the occupancy/exchange time series at the window's LBTS
+        (simulated seconds)."""
         stats = self.stats
-        window_events = sum(n for _, n, _ in per_partition)
+        window_events = sum(per_partition)
         stats.events += window_events
         stats.windows += 1
         stats.window_sizes.append(window_events)
-        stats.critical_path += max((m for _, _, m in per_partition), default=0)
-        occupied = sum(1 for _, n, _ in per_partition if n)
+        stats.critical_path += max_per_lp
+        occupied = sum(1 for n in per_partition if n)
         stats.occupied_partitions.append(occupied)
-        remote: List[RossEvent] = []
-        for out, _, _ in per_partition:
-            remote.extend(out)
-        stats.exchanged += len(remote)
-        if TELEMETRY.active and now is not None:
+        stats.exchanged += exchanged
+        for p, n in enumerate(per_partition):
+            stats.partition_events[p] += n
+        if TELEMETRY.active:
             series = TELEMETRY.series
             series.record("des.partition.occupancy", now, occupied, "partitions")
             series.record("des.partition.window_events", now, window_events, "events")
-            series.record("des.partition.exchanged", now, len(remote), "events")
-        return canonical_event_sort(remote)
+            series.record("des.partition.exchanged", now, exchanged, "events")
 
     def _publish_telemetry(self) -> None:
         if not TELEMETRY.active:
@@ -494,227 +293,26 @@ class PartitionedExecutor:
         for p, n in enumerate(s.partition_events):
             m.counter(f"des.partition.p{p}.events").inc(n)
 
-    # -- serial / thread -----------------------------------------------------
-    def _run_local(self, until: float) -> PartitionStats:
-        shards = _build_shards(self.kernel, self.plan)
-        self._shards = shards
-        pool = (
-            ThreadPoolExecutor(
-                max_workers=min(
-                    self.plan.n_partitions,
-                    self.max_workers or multiprocessing.cpu_count(),
-                )
-            )
-            if self.backend == "thread"
-            else None
-        )
-        try:
-            while True:
-                lbts = min(shard.min_pending() for shard in shards)
-                if lbts == _INF or lbts > until:
-                    break
-                horizon = lbts + self.lookahead
-                if not horizon > lbts:
-                    raise _degenerate_window_error(lbts, self.lookahead)
-                if pool is not None:
-                    results = list(
-                        pool.map(lambda s: s.run_window(horizon, until), shards)
-                    )
-                else:
-                    results = [s.run_window(horizon, until) for s in shards]
-                for ev in self._record_window(results, now=lbts):
-                    shards[self.plan.assignment[ev.dest]].enqueue(ev)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        self.stats.partition_events = [s.events_handled for s in shards]
-        self._publish_telemetry()
-        return self.stats
-
-    # -- process backend -----------------------------------------------------
-    def _run_process(self, until: float) -> PartitionStats:
-        ctx = _mp_context()
-        conns = []
-        procs = []
-        try:
-            telemetry_active, log_level = worker_init_args()
-            for p in range(self.plan.n_partitions):
-                parent, child = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_partition_worker,
-                    args=(child, self.kernel_factory, self.factory_args,
-                          self.plan.n_partitions, self.plan.assignment, p,
-                          telemetry_active, log_level),
-                    daemon=False,
-                )
-                proc.start()
-                child.close()
-                conns.append(parent)
-                procs.append(proc)
-
-            mins = [self._recv(conn) for conn in conns]
-            while True:
-                lbts = min(mins)
-                if lbts == _INF or lbts > until:
-                    break
-                horizon = lbts + self.lookahead
-                if not horizon > lbts:
-                    raise _degenerate_window_error(lbts, self.lookahead)
-                for conn in conns:
-                    conn.send(("window", horizon, until))
-                results = [self._recv(conn) for conn in conns]
-                remote = self._record_window(results, now=lbts)
-                groups: List[List[RossEvent]] = [
-                    [] for _ in range(self.plan.n_partitions)
-                ]
-                for ev in remote:
-                    groups[self.plan.assignment[ev.dest]].append(ev)
-                for conn, group in zip(conns, groups):
-                    conn.send(("route", group))
-                mins = [self._recv(conn) for conn in conns]
-
-            for conn in conns:
-                conn.send(("finish",))
-            finals = [self._recv(conn) for conn in conns]
-            self.stats.partition_events = [f["events"] for f in finals]
-            for f in finals:
-                self._finalized.update(f["digests"])
-                self._traces.update(f["traces"])
-                for method, payload in f["collected"].items():
-                    self._collected.setdefault(method, {}).update(payload)
-                merge_snapshot(f.get("telemetry"))
-        finally:
-            for conn in conns:
-                conn.close()
-            for proc in procs:
-                proc.join(timeout=30)
-                if proc.is_alive():  # pragma: no cover - defensive
-                    proc.terminate()
-                    proc.join()
-        self._publish_telemetry()
-        return self.stats
-
-    @staticmethod
-    def _recv(conn):
-        msg = conn.recv()
-        if isinstance(msg, tuple) and msg and msg[0] == "error":
-            raise SimulationError(
-                f"partition worker failed:\n{msg[1]}"
-            )
-        return msg
-
     # -- result access -------------------------------------------------------
     def state_digests(self) -> Dict[int, Any]:
-        """Final ``state_digest()`` of every LP, merged across partitions."""
-        if self.backend == "process":
-            return dict(self._finalized)
-        out: Dict[int, Any] = {}
-        for shard in self._shards or []:
-            out.update(shard.state_digests())
-        return out
+        """Final ``state_digest()`` of every LP."""
+        return self.kernel.state_digests()
 
     def traces(self) -> Dict[int, list]:
         """Per-LP handled-event traces (determinism checks)."""
-        if self.backend == "process":
-            return dict(self._traces)
-        return {
-            lp_id: lp.trace
-            for shard in self._shards or []
-            for lp_id, lp in shard.lps.items()
-        }
+        return {lp_id: lp.trace for lp_id, lp in self.kernel.lps.items()}
 
     def collect(self, method: str) -> Dict[int, Any]:
-        """Call ``method()`` on every LP that defines it; merge the results.
-
-        How partitioned runs return model-level outcomes (the process
-        backend fetches them over IPC at shutdown).
-        """
-        if self.backend == "process":
-            return dict(self._collected.get(method, {}))
-        out: Dict[int, Any] = {}
-        for shard in self._shards or []:
-            out.update(shard.collect(method))
-        return out
-
-
-def _mp_context():
-    """Prefer fork (cheap, no pickling of the factory's globals); fall back
-    to the platform default where fork is unavailable."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-def _partition_worker(
-    conn, factory, factory_args, n_partitions, assignment, partition,
-    telemetry_active=False, log_level=logging.WARNING,
-):
-    """Worker entry point: build the model, keep one partition, serve windows.
-
-    ``telemetry_active``/``log_level`` mirror the parent's observability
-    state (a ``spawn``-context worker starts from library defaults); the
-    worker's spans/metrics/series ride back on the ``finish`` reply.
-    """
-    try:
-        init_worker(telemetry_active, log_level)
-        kernel = factory(*factory_args)
-        known = frozenset(kernel.lps)
-        members = {lp_id for lp_id, p in assignment.items() if p == partition}
-        shard = _Shard(
-            partition,
-            kernel.lookahead,
-            known,
-            {lp_id: kernel.lps[lp_id] for lp_id in sorted(members)},
-            kernel._send_counters,
-        )
-        for ev in kernel._drain_outbox():
-            if ev.dest in members:
-                shard.enqueue(ev)
-        conn.send(shard.min_pending())
-        while True:
-            msg = conn.recv()
-            if msg[0] == "window":
-                _, horizon, until = msg
-                if TELEMETRY.active:
-                    with TELEMETRY.tracer.span(
-                        "partition.window", cat="des.partition",
-                        partition=partition,
-                    ):
-                        out, n_events, max_per_lp = shard.run_window(
-                            horizon, until
-                        )
-                else:
-                    out, n_events, max_per_lp = shard.run_window(horizon, until)
-                conn.send((out, n_events, max_per_lp))
-            elif msg[0] == "route":
-                for ev in msg[1]:
-                    shard.enqueue(ev)
-                conn.send(shard.min_pending())
-            elif msg[0] == "finish":
-                collected = {}
-                for method in ("collect_result",):
-                    payload = shard.collect(method)
-                    if payload:
-                        collected[method] = payload
-                conn.send({
-                    "events": shard.events_handled,
-                    "digests": shard.state_digests(),
-                    "traces": {lp_id: lp.trace
-                               for lp_id, lp in shard.lps.items()},
-                    "collected": collected,
-                    "telemetry": telemetry_snapshot(),
-                })
-                return
-            else:  # pragma: no cover - protocol misuse
-                raise RuntimeError(f"unknown message {msg[0]!r}")
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (BrokenPipeError, OSError):  # pragma: no cover
-            pass
+        """Call ``method()`` on every LP that defines it (model-level
+        outcomes of a run)."""
+        return {
+            lp_id: getattr(lp, method)()
+            for lp_id, lp in self.kernel.lps.items()
+            if hasattr(lp, method)
+        }
 
 
 __all__ = [
-    "BACKENDS",
     "PartitionPlan",
     "PartitionStats",
     "PartitionedExecutor",

@@ -17,8 +17,8 @@ their own modules:
   every event with timestamp below ``LBTS + lookahead``.  Because every
   message carries a minimum delay of ``lookahead``, no event generated
   during a window can land inside it, which guarantees causal correctness
-  without rollback.  With one partition on the serial backend it is the
-  plain single-core conservative executor.
+  without rollback.  With one partition it is the plain conservative
+  executor.
 * :class:`~repro.des.optimistic.OptimisticExecutor` -- Time Warp.
 
 Determinism across executors: events are ordered by

@@ -25,9 +25,12 @@ completion timers, exactly as before.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Deque, Optional, Tuple
 
+import numpy as np
+
+from repro.des.cohort import observe_cohort
 from repro.des.events import Event, URGENT
 from repro.telemetry import TELEMETRY
 
@@ -133,7 +136,7 @@ class FairShareLink:
 
     def transfer(self, nbytes: float) -> Event:
         """Start transferring ``nbytes``; the event fires on completion."""
-        if nbytes < 0:
+        if not nbytes >= 0:  # also rejects NaN, which would poison the heap
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
         ev = Event(self.env)
         if nbytes == 0:
@@ -165,21 +168,11 @@ class FairShareLink:
         last) and bulk-inserts the flows with one ``heapify``.  This is
         the per-link fair-share cohort path the scale scenarios lean on.
         """
-        from heapq import heapify
-
-        from repro.des.cohort import HAVE_NUMPY, np, observe_cohort
-
-        if HAVE_NUMPY:
-            arr = np.asarray(sizes, dtype=np.float64)
-            if arr.size and not bool(np.all(arr >= 0.0)):
-                raise ValueError("nbytes must be non-negative")
-            total = float(arr.sum())  # ints up to 2**53 stay exact
-            plain = arr.tolist()
-        else:
-            plain = [float(b) for b in sizes]
-            if any(b < 0 or b != b for b in plain):
-                raise ValueError("nbytes must be non-negative")
-            total = sum(plain)
+        arr = np.asarray(sizes, dtype=np.float64)
+        if arr.size and not bool(np.all(arr >= 0.0)):
+            raise ValueError("nbytes must be non-negative")
+        total = float(arr.sum())  # ints up to 2**53 stay exact
+        plain = arr.tolist()
         events = [Event(self.env) for _ in plain]
         nonzero = sum(1 for b in plain if b != 0.0)
         if nonzero == 0:  # an all-zero cohort never touches the link state,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.experiment import ExperimentRecord
-from repro.des.partition import PartitionedExecutor, PartitionPlan
+from repro.des.partition import PartitionedExecutor
 from repro.des.ross import LogicalProcess, RossKernel, SequentialExecutor
 from repro.monitoring import DarshanProfiler
 from repro.scenario.build import build, instantiate_workloads, run_scenario
@@ -78,9 +78,7 @@ def run_a1(seed: int = 0) -> ExperimentRecord:
     k_seq = _build_storage_model()
     seq_stats = SequentialExecutor(k_seq).run()
     k_par = _build_storage_model()
-    par_stats = PartitionedExecutor(
-        k_par, PartitionPlan.round_robin(sorted(k_par.lps), 1)
-    ).run()
+    par_stats = PartitionedExecutor(k_par).run()
 
     digests_match = k_seq.state_digests() == k_par.state_digests()
     traces_match = all(

@@ -143,7 +143,6 @@ def _run_scale_workload(
     run: ScenarioRun,
     main,
     engine: str,
-    backend: str,
     workers: Optional[int],
 ) -> WorkloadResult:
     """Route one ``scale_write`` workload through the scale model.
@@ -157,7 +156,7 @@ def _run_scale_workload(
 
     spec = run.scenario
     config = main.scale_config(spec.platform, spec.seed)
-    result = run_scale(config, engine=engine, backend=backend, workers=workers)
+    result = run_scale(config, engine=engine, workers=workers)
     run.scale_results.append(result)
     env = run.harness.platform.env
     env.run(until=env.now + result.duration)
@@ -175,7 +174,6 @@ def run_scenario(
     spec: ScenarioSpec,
     observers: Optional[List[Callable[[IORecord], None]]] = None,
     engine: Optional[str] = None,
-    engine_backend: str = "thread",
     engine_workers: Optional[int] = None,
 ) -> ScenarioRun:
     """Build a scenario and run its declared workloads.
@@ -193,8 +191,8 @@ def run_scenario(
     ``repro-io scenario run --engine`` knob).  The parallel engines only
     execute cohort-capable workloads (``scale_write``); declaring any
     other kind under them is an error rather than a silent fallback.
-    ``engine_backend`` / ``engine_workers`` tune the partitioned engine
-    (``serial`` / ``thread`` / ``process`` and the partition count).
+    ``engine_workers`` is the partitioned engine's partition count
+    (default: one partition per island).
     """
     effective_engine = engine if engine is not None else spec.stack.engine
     if effective_engine not in STACK_ENGINES:
@@ -224,7 +222,7 @@ def run_scenario(
 
         if isinstance(main, ScaleWriteWorkload):
             return _run_scale_workload(
-                run, main, effective_engine, engine_backend, engine_workers
+                run, main, effective_engine, engine_workers
             )
         return harness.run(main, observers=observers)
 

@@ -1,9 +1,9 @@
 """The scale model: one SPMD I/O workload, three engines, identical answers.
 
-This module is the proving ground for the parallel-DES claim.  It models a
-bulk-synchronous SPMD application -- ``ranks`` MPI ranks spread over
-``islands`` fabric islands (rack + OSS group), each round computing, then
-writing a checkpoint slice through the island's shared link, then
+This module is the proving ground for the engine-equivalence claim.  It
+models a bulk-synchronous SPMD application -- ``ranks`` MPI ranks spread
+over ``islands`` fabric islands (rack + OSS group), each round computing,
+then writing a checkpoint slice through the island's shared link, then
 absorbing per-rank post-processing jitter, then hitting an island barrier
 and exchanging a halo with the neighbouring island -- in two arms that
 produce **bit-identical results**:
@@ -12,8 +12,8 @@ produce **bit-identical results**:
     The PR-1 sequential fast path: one coroutine per rank on
     :class:`repro.des.engine.Environment`, a :class:`FairShareLink` per
     island.  ~40 events per rank over 10 rounds; at 100k ranks this is a
-    multi-million-event simulation and the baseline the parallel engines
-    must beat.
+    multi-million-event simulation and the baseline the cohort engines
+    are timed against.
 
 ``run_cohort``
     The vectorized arm: one :class:`LogicalProcess` per island, whose
@@ -40,13 +40,9 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.des.cohort import (
-    cohort_max,
-    fair_share_batch_times,
-    jitter_finish_times,
-    observe_cohort,
-    require_numpy,
-)
+import numpy as np
+
+from repro.des.cohort import fair_share_batch_times, observe_cohort
 from repro.des.engine import Environment
 from repro.des.events import Event
 from repro.des.partition import PartitionPlan, PartitionedExecutor
@@ -62,7 +58,7 @@ ENGINES = ("sequential", "conservative", "partitioned")
 
 @dataclass(frozen=True)
 class ScaleConfig:
-    """Shape of the scale scenario.  Picklable (process-backend factories).
+    """Shape of the scale scenario.
 
     ``sync`` controls cross-island heterogeneity: 0 keeps every island's
     round durations identical (maximum window occupancy for the windowed
@@ -110,9 +106,6 @@ class ScaleLayout:
     """
 
     def __init__(self, config: ScaleConfig):
-        require_numpy("the scale model")
-        import numpy as np
-
         config.validate()
         self.config = config
         k, w = config.islands, config.rounds
@@ -138,8 +131,6 @@ class ScaleLayout:
 
     def min_round_duration(self) -> float:
         """Strict lower bound on any island round's duration."""
-        import numpy as np
-
         n = np.asarray(self.island_ranks, dtype=np.float64)
         durations = self.compute + (self.nbytes * n[:, None]) / self.config.rate
         return float(durations.min())
@@ -159,7 +150,6 @@ class ScaleResult:
     """Outcome of one scale-model run; digests are engine-invariant."""
 
     engine: str
-    backend: Optional[str]
     ranks: int
     islands: int
     rounds: int
@@ -181,7 +171,6 @@ class ScaleResult:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "engine": self.engine,
-            "backend": self.backend,
             "ranks": self.ranks,
             "islands": self.islands,
             "rounds": self.rounds,
@@ -208,7 +197,6 @@ def _digest_islands(per_island: List[Dict[str, Any]]) -> str:
 
 def _finalize(
     engine: str,
-    backend: Optional[str],
     config: ScaleConfig,
     per_island: List[Dict[str, Any]],
     events: int,
@@ -217,7 +205,6 @@ def _finalize(
     ends = [isl["round_ends"][-1] for isl in per_island]
     return ScaleResult(
         engine=engine,
-        backend=backend,
         ranks=config.ranks,
         islands=config.islands,
         rounds=config.rounds,
@@ -296,9 +283,7 @@ def run_scalar(config: ScaleConfig) -> ScaleResult:
             "bytes": int(layout.nbytes[island].sum())
             * layout.island_ranks[island],
         })
-    return _finalize(
-        "sequential", None, config, per_island, env.events_processed
-    )
+    return _finalize("sequential", config, per_island, env.events_processed)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +326,8 @@ class IslandLP(LogicalProcess):
         finish = fair_share_batch_times(
             arrive, float(layout.nbytes[k][w]), n, config.rate
         )
-        done = jitter_finish_times(finish, layout.jitter[k][w])
-        end = cohort_max(done)
+        # Elementwise float64 jitter add, then an exact max selection.
+        end = float((finish + layout.jitter[k][w]).max())
         observe_cohort("island_round", n, end)
         self.round_ends.append(end)
         self.bytes += int(layout.nbytes[k][w]) * n
@@ -370,11 +355,7 @@ class IslandLP(LogicalProcess):
 
 
 def build_kernel(config: ScaleConfig) -> RossKernel:
-    """Populate a kernel with one island LP per fabric island.
-
-    Module-level and driven only by the picklable config, so it doubles as
-    the ``kernel_factory`` for the partitioned process backend.
-    """
+    """Populate a kernel with one island LP per fabric island."""
     layout = ScaleLayout(config)
     kernel = RossKernel(lookahead=layout.lookahead())
     for k in range(config.islands):
@@ -387,34 +368,21 @@ def build_kernel(config: ScaleConfig) -> RossKernel:
 def run_cohort(
     config: ScaleConfig,
     engine: str = "conservative",
-    backend: str = "thread",
     workers: Optional[int] = None,
 ) -> ScaleResult:
-    """Run the island-LP model under the chosen parallel engine.
+    """Run the island-LP model under the chosen windowed engine.
 
     Both engines are the conservative windowed executor:
-    ``"conservative"`` on one partition with the serial backend,
-    ``"partitioned"`` on ``workers`` contiguous partitions with ``backend``.
+    ``"conservative"`` on one partition, ``"partitioned"`` on ``workers``
+    contiguous partitions (default: one per island).
     """
     if engine not in ("conservative", "partitioned"):
         raise ValueError(f"run_cohort: unknown engine {engine!r}")
     if engine == "conservative":
-        backend, workers = "serial", 1
-    import multiprocessing
-
-    n_workers = workers or multiprocessing.cpu_count()
-    plan = PartitionPlan.contiguous(range(config.islands), n_workers)
-    if backend == "process":
-        ex = PartitionedExecutor(
-            plan=plan,
-            backend="process",
-            kernel_factory=build_kernel,
-            factory_args=(config,),
-        )
-    else:
-        ex = PartitionedExecutor(
-            build_kernel(config), plan, backend=backend, max_workers=workers
-        )
+        workers = 1
+    plan = PartitionPlan.contiguous(range(config.islands),
+                                    workers or config.islands)
+    ex = PartitionedExecutor(build_kernel(config), plan)
     stats = ex.run()
     results = ex.collect("collect_result")
     collected = [results[k] for k in range(config.islands)]
@@ -425,7 +393,7 @@ def run_cohort(
         "mean_occupancy": stats.mean_occupancy,
         "exchanged": stats.exchanged,
     }
-    return _finalize(engine, backend, config, collected, stats.events, extra)
+    return _finalize(engine, config, collected, stats.events, extra)
 
 
 def run_cohort_sequential(config: ScaleConfig) -> ScaleResult:
@@ -434,20 +402,19 @@ def run_cohort_sequential(config: ScaleConfig) -> ScaleResult:
     kernel = build_kernel(config)
     stats = SequentialExecutor(kernel).run()
     collected = [kernel.lps[k].collect_result() for k in range(config.islands)]
-    return _finalize("cohort-sequential", None, config, collected, stats.events)
+    return _finalize("cohort-sequential", config, collected, stats.events)
 
 
 def run_scale(
     config: ScaleConfig,
     engine: str = "sequential",
-    backend: str = "thread",
     workers: Optional[int] = None,
 ) -> ScaleResult:
     """Engine dispatch: the one entry point the scenario layer calls."""
     if engine == "sequential":
         return run_scalar(config)
     if engine in ("conservative", "partitioned"):
-        return run_cohort(config, engine=engine, backend=backend, workers=workers)
+        return run_cohort(config, engine=engine, workers=workers)
     raise ValueError(
         f"unknown engine {engine!r}; choose from {ENGINES}"
     )

@@ -1,7 +1,7 @@
 """Cross-process telemetry collection.
 
-Worker processes (the runner/sweep ``ProcessPoolExecutor`` tasks and the
-``PartitionedExecutor`` pipe workers) each carry their own
+Worker processes (the runner/sweep/service ``ProcessPoolExecutor``
+tasks) each carry their own
 :class:`~repro.telemetry.TelemetryState` -- by default their spans,
 metrics and time series die with the process.  This module gives every
 layer the same three-step contract:
@@ -50,15 +50,15 @@ __all__ = [
 
 SNAPSHOT_SCHEMA = "repro.telemetry.snapshot/1"
 
-#: True only in a process started via :func:`init_worker` (or a
-#: partition pipe worker).  Pool task wrappers are sometimes invoked
-#: in-process (``jobs=1`` paths, tests); gating on this keeps such calls
-#: from snapshot-clearing the parent's own registries.
+#: True only in a process started via :func:`init_worker`.  Pool task
+#: wrappers are sometimes invoked in-process (``jobs=1`` paths, tests);
+#: gating on this keeps such calls from snapshot-clearing the parent's
+#: own registries.
 _IS_WORKER = False
 
 
 def in_worker() -> bool:
-    """Is this process a telemetry-initialized pool/pipe worker?"""
+    """Is this process a telemetry-initialized pool worker?"""
     return _IS_WORKER
 
 

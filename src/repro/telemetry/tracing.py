@@ -34,7 +34,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 log = logging.getLogger(__name__)
 
@@ -175,23 +175,8 @@ class SpanTracer:
 
     # -- analysis -----------------------------------------------------------
     def self_times(self) -> Dict[str, Dict[str, float]]:
-        """Aggregate per span *name*: call count, total and self seconds.
-
-        Self time is a span's duration minus the durations of its direct
-        children -- the classic profiler statistic that makes the hot frame
-        stand out even under deep nesting.
-        """
-        child_ns: Dict[int, int] = {}
-        for sp in self.spans:
-            if sp.parent_id is not None:
-                child_ns[sp.parent_id] = child_ns.get(sp.parent_id, 0) + sp.duration_ns
-        out: Dict[str, Dict[str, float]] = {}
-        for sp in self.spans:
-            agg = out.setdefault(sp.name, {"count": 0, "total_s": 0.0, "self_s": 0.0})
-            agg["count"] += 1
-            agg["total_s"] += sp.duration_ns / 1e9
-            agg["self_s"] += max(0, sp.duration_ns - child_ns.get(sp.span_id, 0)) / 1e9
-        return out
+        """:func:`span_self_times` over this tracer's finished spans."""
+        return span_self_times(self.to_chrome()["traceEvents"])
 
     # -- export -------------------------------------------------------------
     def to_chrome(self) -> Dict[str, Any]:
@@ -240,6 +225,36 @@ class SpanTracer:
             json.dump(self.to_chrome(), fh, indent=1)
         log.info("wrote %d trace span(s) to %s", len(self.spans), p)
         return p
+
+
+def span_self_times(
+    events: Iterable[Dict[str, Any]],
+) -> Dict[str, Dict[str, float]]:
+    """Aggregate Chrome trace spans per *name*: call count, total and self
+    seconds.
+
+    Self time is a span's duration minus the durations of its direct
+    children -- the classic profiler statistic that makes the hot frame
+    stand out even under deep nesting.  Parentage comes from the
+    ``span_id``/``parent_id`` args the exporter writes; ids are per
+    process, so spans are matched within their ``pid`` (a merged
+    multi-process trace reuses ids across workers).
+    """
+    spans = [ev for ev in events if ev.get("ph") == "X"]
+    child_us: Dict[Any, float] = {}
+    for ev in spans:
+        parent = ev.get("args", {}).get("parent_id")
+        if parent is not None:
+            key = (ev.get("pid"), parent)
+            child_us[key] = child_us.get(key, 0.0) + ev["dur"]
+    out: Dict[str, Dict[str, float]] = {}
+    for ev in spans:
+        agg = out.setdefault(ev["name"], {"count": 0, "total_s": 0.0, "self_s": 0.0})
+        own = (ev.get("pid"), ev.get("args", {}).get("span_id"))
+        agg["count"] += 1
+        agg["total_s"] += ev["dur"] / 1e6
+        agg["self_s"] += max(0.0, ev["dur"] - child_us.get(own, 0.0)) / 1e6
+    return out
 
 
 def validate_chrome_trace(doc: Dict[str, Any]) -> List[str]:

@@ -108,23 +108,12 @@ def test_committed_baseline_matches_benchmark_set(harness):
 # Scale tier
 # ---------------------------------------------------------------------------
 
-def _has_numpy():
-    try:
-        from repro.des.cohort import HAVE_NUMPY
-        return HAVE_NUMPY
-    except ImportError:  # pragma: no cover
-        return False
-
-
-needs_numpy = pytest.mark.skipif(not _has_numpy(), reason="scale tier needs numpy")
-
 SCALE_ARM_NAMES = {
     "sequential_fast_path", "cohort_sequential", "conservative",
-    "partitioned_serial", "partitioned_thread", "partitioned_process",
+    "partitioned_serial",
 }
 
 
-@needs_numpy
 def test_scale_tier_smoke_writes_report(harness, tmp_path):
     out = tmp_path / "scale.json"
     rc = harness.main(["--tier", "scale", "--smoke", "--scale", "0.002",
@@ -148,11 +137,9 @@ def test_scale_tier_smoke_writes_report(harness, tmp_path):
     assert ranks == sorted(ranks) and len(ranks) >= 2
     for point in sweep:
         assert point["sequential_fast_path"] > 0
-        assert point["partitioned_thread"] > 0
-        assert point["partitioned_process"] > 0
+        assert point["partitioned_serial"] > 0
 
 
-@needs_numpy
 def test_scale_tier_smoke_skips_gate(harness, tmp_path):
     baseline = tmp_path / "scale_baseline.json"
     baseline.write_text(json.dumps({
@@ -168,7 +155,6 @@ def test_scale_tier_smoke_skips_gate(harness, tmp_path):
     assert report["gate_failures"] == []
 
 
-@needs_numpy
 def test_tier_all_runs_every_tier(harness, tmp_path):
     kernel_out = tmp_path / "kernel.json"
     scale_out = tmp_path / "scale.json"
@@ -193,7 +179,6 @@ def test_default_tier_leaves_scale_report_untouched(harness, tmp_path):
     assert out.exists() and not scale_out.exists()
 
 
-@needs_numpy
 def test_committed_scale_baseline_matches_arm_set(harness):
     baseline = json.loads(
         (SCRIPT.parent / "BENCH_SCALE_BASELINE.json").read_text()
@@ -262,7 +247,6 @@ def test_committed_service_report_supports_the_claim():
     assert report["latency_ms"]["p99"] >= report["latency_ms"]["p50"] > 0
 
 
-@needs_numpy
 def test_committed_scale_report_supports_the_claim():
     """BENCH_PR6.json is a committed artifact: re-validate its claims."""
     report = json.loads(
@@ -273,6 +257,6 @@ def test_committed_scale_report_supports_the_claim():
     assert report["ok"] is True and report["gate_failures"] == []
     assert report["config"]["ranks"] >= 100_000
     assert report["arms"]["sequential_fast_path"]["events"] >= 2_000_000
-    assert report["speedup_vs_sequential"]["partitioned_thread"] >= 2.0
+    assert report["speedup_vs_sequential"]["partitioned_serial"] >= 2.0
     assert len({a["digest"] for a in report["arms"].values()}) == 1
-    assert report["crossover"]["crossover_ranks_thread"] is not None
+    assert report["crossover"]["crossover_ranks"] is not None

@@ -112,7 +112,7 @@ def test_scenario_run_engine_and_metrics(capsys, tmp_path):
     )
     telemetry.disable()
     assert code == 0
-    assert "scale engine partitioned/thread" in out
+    assert "scale engine partitioned: " in out
     # The cohort-size histogram and the per-partition window metrics are
     # in the printed table and in the JSON the telemetry command reads.
     assert "des.cohort.size" in out

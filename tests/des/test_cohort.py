@@ -13,7 +13,6 @@ import pytest
 
 from repro.des import Environment, Event, FairShareLink, SimulationError, URGENT
 from repro.des.cohort import (
-    HAVE_NUMPY,
     as_delay_array,
     fair_share_batch_times,
     fire_times,
@@ -253,7 +252,6 @@ def test_as_delay_array_validates():
     assert list(arr) == [0.25, 0.5]
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
 def test_as_delay_array_rejects_2d():
     with pytest.raises(ValueError):
         as_delay_array([[1.0, 2.0], [3.0, 4.0]])

@@ -1,9 +1,9 @@
-"""Partitioned parallel execution: plans, backends, and bit-equivalence.
+"""Partitioned windowed execution: plans, accounting, and bit-equivalence.
 
 The load-bearing property: for any LP model, the partitioned executor --
-under every backend and any partition plan -- produces exactly the same
-per-LP state digests and event traces as the sequential executor.  The
-random-model property test at the bottom pins this.
+under any partition plan -- produces exactly the same per-LP state
+digests and event traces as the sequential executor.  The random-model
+property test at the bottom pins this.
 """
 
 import random
@@ -119,13 +119,13 @@ def test_fabric_islands_from_platform_spec():
 # Executor correctness
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
-@pytest.mark.parametrize("n_partitions", [1, 3, 12])
-def test_partitioned_matches_sequential(backend, n_partitions):
+# The window loop is serial at every partition count; the ids say so.
+@pytest.mark.parametrize("n_partitions", [1, 3, 12], ids="{}-serial".format)
+def test_partitioned_matches_sequential(n_partitions):
     ref = sequential_reference()
     k = build_relay_kernel()
     plan = PartitionPlan.round_robin(range(12), n_partitions)
-    ex = PartitionedExecutor(k, plan, backend=backend)
+    ex = PartitionedExecutor(k, plan)
     stats = ex.run()
     assert ex.state_digests() == ref
     assert stats.events == sum(d[1] for d in ref.values())
@@ -133,16 +133,13 @@ def test_partitioned_matches_sequential(backend, n_partitions):
     assert sum(stats.partition_events) == stats.events
 
 
-def test_process_backend_matches_sequential():
-    ref = sequential_reference()
-    plan = PartitionPlan.contiguous(range(12), 3)
-    ex = PartitionedExecutor(
-        plan=plan, backend="process", kernel_factory=build_relay_kernel
-    )
+def test_default_plan_is_one_partition():
+    # The partition count comes from the model, never from the host.
+    ex = PartitionedExecutor(build_relay_kernel())
+    assert ex.plan.n_partitions == 1
     stats = ex.run()
-    assert ex.state_digests() == ref
-    assert stats.events == sum(d[1] for d in ref.values())
-    assert sum(stats.partition_events) == stats.events
+    assert stats.partition_events == [stats.events]
+    assert stats.exchanged == 0
 
 
 def test_partitioned_traces_match_sequential():
@@ -190,44 +187,11 @@ def test_requires_positive_lookahead():
         PartitionedExecutor(k, PartitionPlan.round_robin([0], 1))
 
 
-def test_unknown_backend_rejected():
-    k = build_relay_kernel()
-    with pytest.raises(ValueError, match="backend"):
-        PartitionedExecutor(k, backend="gpu")
-
-
-def test_process_backend_requires_factory():
-    k = build_relay_kernel()
-    with pytest.raises(ValueError, match="kernel_factory"):
-        PartitionedExecutor(k, backend="process")
-
-
 def test_plan_must_cover_kernel():
     k = build_relay_kernel(n_lps=4)
     plan = PartitionPlan(1, {0: 0, 1: 0})  # misses LPs 2, 3
     ex = PartitionedExecutor(k, plan)
     with pytest.raises(ValueError, match="does not cover"):
-        ex.run()
-
-
-def _crash_kernel():
-    class Boom(Relay):
-        def handle(self, kernel, event):
-            raise RuntimeError("lp exploded")
-
-    k = RossKernel(lookahead=1.0)
-    k.add_lp(Boom(0, 1, 1.0))
-    k.inject(0.0, 0, "token", 1)
-    return k
-
-
-def test_process_backend_propagates_worker_errors():
-    ex = PartitionedExecutor(
-        plan=PartitionPlan.round_robin([0], 1),
-        backend="process",
-        kernel_factory=_crash_kernel,
-    )
-    with pytest.raises(SimulationError, match="lp exploded"):
         ex.run()
 
 
@@ -244,10 +208,9 @@ def _late_clock_kernel(lookahead=1e-6, start=1e18):
     return k
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
-def test_partitioned_degenerate_window_raises(backend):
+def test_partitioned_degenerate_window_raises():
     k = _late_clock_kernel()
-    ex = PartitionedExecutor(k, PartitionPlan.round_robin([0], 1), backend=backend)
+    ex = PartitionedExecutor(k, PartitionPlan.round_robin([0], 1))
     with pytest.raises(SimulationError, match="degenerate conservative window"):
         ex.run()
 
@@ -309,25 +272,13 @@ def test_random_models_identical_across_executors(seed):
 
     rng = random.Random(seed ^ 0xABCDEF)
     n_parts = rng.randrange(1, len(ref) + 1)
-    for parts, backend in ((1, "serial"), (n_parts, "serial"), (n_parts, "thread")):
-        k = _random_kernel(seed)
-        plan = PartitionPlan.round_robin(sorted(k.lps), parts)
-        ex = PartitionedExecutor(k, plan, backend=backend)
-        ex.run()
-        assert ex.state_digests() == ref, f"{parts} x {backend} diverged"
-
-
-def test_random_model_process_backend_identical():
-    # One process-backend round (workers are expensive to spawn per-case).
-    seed = 3
-    k = _random_kernel(seed)
-    SequentialExecutor(k).run()
-    ref = k.state_digests()
-    ex = PartitionedExecutor(
-        plan=PartitionPlan.contiguous(sorted(ref), 2),
-        backend="process",
-        kernel_factory=_random_kernel,
-        factory_args=(seed,),
+    layouts = (
+        (1, PartitionPlan.round_robin),
+        (n_parts, PartitionPlan.round_robin),
+        (n_parts, PartitionPlan.contiguous),
     )
-    ex.run()
-    assert ex.state_digests() == ref
+    for parts, make_plan in layouts:
+        k = _random_kernel(seed)
+        ex = PartitionedExecutor(k, make_plan(sorted(k.lps), parts))
+        ex.run()
+        assert ex.state_digests() == ref, f"{parts} x {make_plan.__name__} diverged"

@@ -78,6 +78,9 @@ def test_negative_bytes_rejected():
     link = FairShareLink(env, rate=10.0)
     with pytest.raises(ValueError):
         link.transfer(-1)
+    with pytest.raises(ValueError):
+        link.transfer(float("nan"))
+    assert link.active_flows == 0
 
 
 def test_invalid_rate_rejected():

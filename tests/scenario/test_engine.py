@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.des.cohort import HAVE_NUMPY
 from repro.scenario import (
     ScenarioError,
     ScenarioSpec,
@@ -11,8 +10,6 @@ from repro.scenario import (
     get_scenario,
     run_scenario,
 )
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="scale model needs numpy")
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +54,6 @@ def test_engine_not_in_stack_builder_kwargs():
 # run_scenario routing
 # ---------------------------------------------------------------------------
 
-@needs_numpy
 def test_scale_scenario_engine_invariant_payload():
     # The whole-scenario result payload must be bit-identical across
     # engines: this is the user-facing face of the equivalence contract.
@@ -70,7 +66,6 @@ def test_scale_scenario_engine_invariant_payload():
     assert payloads["sequential"] == payloads["partitioned"]
 
 
-@needs_numpy
 def test_scale_scenario_digests_identical_across_engines():
     spec = get_scenario("scale-tiny", seed=3)
     digests = set()
@@ -81,7 +76,6 @@ def test_scale_scenario_digests_identical_across_engines():
     assert len(digests) == 1
 
 
-@needs_numpy
 def test_declared_engine_drives_the_run():
     spec = get_scenario("scale-tiny", seed=0).replace(
         stack=StackSpec(engine="conservative")
@@ -90,7 +84,6 @@ def test_declared_engine_drives_the_run():
     assert run.scale_results[0].engine == "conservative"
 
 
-@needs_numpy
 def test_engine_override_beats_declared_engine():
     spec = get_scenario("scale-tiny", seed=0).replace(
         stack=StackSpec(engine="conservative")
@@ -99,7 +92,6 @@ def test_engine_override_beats_declared_engine():
     assert run.scale_results[0].engine == "sequential"
 
 
-@needs_numpy
 def test_scale_run_advances_harness_clock():
     spec = get_scenario("scale-tiny", seed=0)
     run = run_scenario(spec)
@@ -131,7 +123,6 @@ def test_concurrent_scale_write_rejected():
         run_scenario(spec)
 
 
-@needs_numpy
 def test_scale_write_bad_params_raise_scenario_error():
     spec = ScenarioSpec(
         name="bad-params",
@@ -141,7 +132,6 @@ def test_scale_write_bad_params_raise_scenario_error():
         run_scenario(spec)
 
 
-@needs_numpy
 def test_scale_islands_default_to_platform_oss_count():
     spec = ScenarioSpec(
         name="defaults",

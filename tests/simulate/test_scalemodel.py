@@ -1,15 +1,14 @@
 """Scale model: the scalar and cohort arms must agree to the bit.
 
-These are the tests that license the parallel engines: if any engine or
-backend diverged from the per-rank scalar simulation by a single ulp in a
-single round-end time, the digest comparison here would fail.
+These are the tests that license the windowed engines: if any engine or
+partition plan diverged from the per-rank scalar simulation by a single
+ulp in a single round-end time, the digest comparison here would fail.
 """
 
 import random
 
 import pytest
 
-from repro.des.cohort import HAVE_NUMPY
 from repro.simulate.scalemodel import (
     ENGINES,
     ScaleConfig,
@@ -20,8 +19,6 @@ from repro.simulate.scalemodel import (
     run_scalar,
     run_scale,
 )
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="scale model needs numpy")
 
 CFG = ScaleConfig(ranks=96, islands=4, rounds=3, seed=11)
 
@@ -83,13 +80,18 @@ def test_parallel_engines_bit_identical_to_scalar(engine):
     assert out.bytes_written == ref.bytes_written
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-def test_partitioned_backends_bit_identical(backend):
+def test_partitioned_bit_identical():
     ref = run_scalar(CFG)
-    out = run_cohort(CFG, engine="partitioned", backend=backend, workers=2)
+    out = run_cohort(CFG, engine="partitioned", workers=2)
     assert out.digest == ref.digest
     assert out.stats["partitions"] == 2
     assert out.stats["exchanged"] > 0  # halos really cross partitions
+
+
+def test_partitioned_defaults_to_one_partition_per_island():
+    out = run_cohort(CFG, engine="partitioned")
+    assert out.stats["partitions"] == CFG.islands
+    assert out.digest == run_scalar(CFG).digest
 
 
 def test_property_random_configs_all_engines_agree():
@@ -151,7 +153,7 @@ def test_unknown_engine_rejected():
 
 
 def test_result_to_dict_roundtrips():
-    out = run_scale(CFG, engine="partitioned", backend="serial", workers=2)
+    out = run_scale(CFG, engine="partitioned", workers=2)
     d = out.to_dict()
     assert d["engine"] == "partitioned"
     assert d["digest"] == out.digest

@@ -1,64 +1,30 @@
-"""Cross-process collection through the real PartitionedExecutor.
+"""Cross-process collection through the experiment runner's worker pool.
 
-The acceptance property for distributed telemetry: a partitioned run on
-the process backend yields ONE merged Chrome trace carrying span tracks
-from every worker pid, while the simulation-side metrics and series it
-folds back are identical to what the serial backend records in-process.
+The acceptance property for distributed telemetry: a ``jobs=2`` run
+yields ONE merged Chrome trace carrying span tracks from the worker pids
+as well as the parent's, and the workers' simulation-time series ride
+back as counter tracks.
 """
 
 import os
 
 from repro import telemetry
-from repro.des import PartitionPlan, PartitionedExecutor
-from repro.telemetry import TELEMETRY
+from repro.experiments.runner import run_experiments
 from repro.telemetry.collect import merged_chrome_trace
 from repro.telemetry.tracing import validate_chrome_trace
 
-from tests.des.test_partition import build_relay_kernel
 
-
-def run_partitioned(backend, n_partitions=3):
-    telemetry.reset()
+def test_pool_workers_merge_into_one_trace():
     telemetry.enable()
-    plan = PartitionPlan.contiguous(range(12), n_partitions)
-    if backend == "process":
-        ex = PartitionedExecutor(
-            plan=plan, backend="process", kernel_factory=build_relay_kernel
-        )
-    else:
-        ex = PartitionedExecutor(build_relay_kernel(), plan, backend=backend)
-    ex.run()
-
-
-def partition_metrics():
-    doc = TELEMETRY.metrics.to_dict()["metrics"]
-    return {k: v for k, v in doc.items() if k.startswith("des.partition.")}
-
-
-def test_process_backend_merges_every_worker_pid():
-    run_partitioned("process", n_partitions=3)
+    # Experiments that run simulations (so workers record spans) and take
+    # long enough that both workers pick up a task.
+    results = run_experiments(ids=["C2", "R3", "C3", "A3"], jobs=2,
+                              use_cache=False, manifest=False)
+    assert not any(r.failed for r in results)
     doc = merged_chrome_trace()
     assert validate_chrome_trace(doc) == []
-    worker_pids = {
-        e["pid"]
-        for e in doc["traceEvents"]
-        if e["ph"] == "X" and e["name"] == "partition.window"
-    }
-    # One pipe worker per partition, none of them the parent.
-    assert len(worker_pids) == 3
-    assert os.getpid() not in worker_pids
+    span_pids = {e["pid"] for e in doc["traceEvents"] if e["ph"] == "X"}
+    worker_pids = span_pids - {os.getpid()}
+    assert len(worker_pids) >= 2
     assert worker_pids < set(doc["otherData"]["processes"])
-    # Simulation-time series collected from the workers ride counter tracks.
-    counters = {e["name"] for e in doc["traceEvents"] if e["ph"] == "C"}
-    assert "des.partition.occupancy" in counters
-
-
-def test_metrics_and_series_backend_independent():
-    run_partitioned("serial")
-    serial_metrics = partition_metrics()
-    serial_series = TELEMETRY.series.to_dict()
-
-    run_partitioned("process")
-    assert partition_metrics() == serial_metrics
-    assert TELEMETRY.series.to_dict() == serial_series
-    assert serial_metrics["des.partition.windows"]["value"] > 0
+    assert any(e["ph"] == "C" for e in doc["traceEvents"])

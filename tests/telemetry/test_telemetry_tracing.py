@@ -7,6 +7,7 @@ import pytest
 from repro.telemetry.tracing import (
     SpanTracer,
     TRACE_SCHEMA,
+    span_self_times,
     validate_chrome_trace,
 )
 
@@ -96,6 +97,21 @@ class TestSelfTimes:
         # parent self <= parent total, and child total fits inside parent.
         assert agg["parent"]["self_s"] <= agg["parent"]["total_s"]
         assert agg["child"]["total_s"] <= agg["parent"]["total_s"]
+
+    def test_span_ids_matched_within_their_pid(self):
+        # A merged trace reuses span ids across processes: pid 2's child
+        # (parent_id 1) must not be charged to pid 1's span 1.
+        def x(pid, span_id, dur, parent=None):
+            args = {"span_id": span_id}
+            if parent is not None:
+                args["parent_id"] = parent
+            return {"name": f"p{pid}.{span_id}", "ph": "X", "ts": 0.0,
+                    "dur": dur, "pid": pid, "tid": 0, "args": args}
+
+        agg = span_self_times([x(1, 1, 10.0), x(2, 1, 8.0), x(2, 2, 3.0, 1)])
+        assert agg["p1.1"]["self_s"] == pytest.approx(10e-6)
+        assert agg["p2.1"]["self_s"] == pytest.approx(5e-6)
+        assert agg["p2.2"]["total_s"] == pytest.approx(3e-6)
 
 
 class TestChromeExport:
