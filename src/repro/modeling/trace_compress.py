@@ -26,13 +26,15 @@ steps; parameterising paths across iterations is what
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.ops import IOOp
 
 
 def _meta_key(meta: dict) -> tuple:
     """Hashable stand-in for an op's meta dict (exactness of folding)."""
+    if not meta:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in meta.items()))
 
 
@@ -50,15 +52,6 @@ class Run:
             for i in range(self.count)
         ]
 
-    def key(self) -> tuple:
-        # The start offset is part of the key: folding two runs that differ
-        # only in their base offset would break exact decompression.
-        return (
-            ("run",)
-            + self.op.signature()
-            + (self.op.rank, _meta_key(self.op.meta), self.stride, self.count)
-        )
-
     @property
     def size(self) -> int:
         return 1
@@ -72,9 +65,6 @@ class OpNode:
 
     def expand(self) -> List[IOOp]:
         return [self.op]
-
-    def key(self) -> tuple:
-        return ("op",) + self.op.signature() + (self.op.rank, _meta_key(self.op.meta))
 
     @property
     def size(self) -> int:
@@ -91,9 +81,6 @@ class Loop:
     def expand(self) -> List[IOOp]:
         once = [op for node in self.body for op in node.expand()]
         return once * self.count
-
-    def key(self) -> tuple:
-        return ("loop", self.count) + tuple(n.key() for n in self.body)
 
     @property
     def size(self) -> int:
@@ -122,58 +109,68 @@ class CompressedTrace:
         return self.original_ops / size if size else 1.0
 
 
-def _collapse_runs(ops: Sequence[IOOp]) -> List[Node]:
-    """Pass 1: fold arithmetic offset runs into Run nodes."""
+def _collapse_runs(
+    ops: Sequence[IOOp], interned: Dict[tuple, int]
+) -> Tuple[List[Node], List[int]]:
+    """Pass 1: fold arithmetic offset runs into Run nodes.
+
+    Also returns each node's id in ``interned``: nodes share an id exactly
+    when folding may treat them as equal -- same op signature, rank and
+    meta, and for runs the same stride and count.  The start offset is
+    part of the key: folding two runs that differ only in their base
+    offset would break exact decompression.
+    """
+    # Duration must match exactly: Run.expand() replays op.duration for
+    # every copy, so rounding here would break exact decompression.
+    sigs = [(op.kind, op.path, op.nbytes, op.rank, op.duration) for op in ops]
+    offsets = [op.offset for op in ops]
     nodes: List[Node] = []
+    ids: List[int] = []
     i = 0
     n = len(ops)
     while i < n:
         op = ops[i]
+        sig = sigs[i]
         j = i + 1
-        stride = None
-        # Duration must match exactly: Run.expand() replays op.duration for
-        # every copy, so rounding here would break exact decompression.
-        sig = (op.kind, op.path, op.nbytes, op.rank, op.duration)
-        while j < n:
-            nxt = ops[j]
-            if (nxt.kind, nxt.path, nxt.nbytes, nxt.rank, nxt.duration) != sig:
-                break
-            if nxt.meta != op.meta:
-                break
-            step = nxt.offset - ops[j - 1].offset
-            if stride is None:
-                stride = step
-            elif step != stride:
-                break
+        if j < n and sigs[j] == sig and ops[j].meta == op.meta:
+            stride = offsets[j] - offsets[i]
             j += 1
+            while (j < n and sigs[j] == sig and ops[j].meta == op.meta
+                   and offsets[j] - offsets[j - 1] == stride):
+                j += 1
         count = j - i
         # Runs shorter than 3 do not pay for their (op, stride, count)
         # representation and would make accidentally-arithmetic pairs in
         # random streams look compressible.
-        if count >= 3 and stride is not None:
+        if count >= 3:
             nodes.append(Run(op=op, count=count, stride=stride))
+            key = (sig, offsets[i], _meta_key(op.meta), stride, count)
             i = j
         else:
             nodes.append(OpNode(op=op))
+            key = (sig, offsets[i], _meta_key(op.meta))
             i += 1
-    return nodes
+        ids.append(interned.setdefault(key, len(interned)))
+    return nodes, ids
 
 
 def _best_tandem_repeat(
-    keys: List[tuple], max_pattern: int
+    ids: List[int], max_pattern: int
 ) -> Tuple[int, int, int, int]:
     """Find (start, pattern_len, repeats, savings) of the best fold."""
-    n = len(keys)
+    n = len(ids)
     best = (-1, 0, 0, 0)
     for plen in range(1, min(max_pattern, n // 2) + 1):
         i = 0
         while i + 2 * plen <= n:
-            if keys[i : i + plen] == keys[i + plen : i + 2 * plen]:
+            # The head compare rejects most starts without slicing.
+            if (ids[i] == ids[i + plen]
+                    and ids[i : i + plen] == ids[i + plen : i + 2 * plen]):
                 reps = 2
                 while (
                     i + (reps + 1) * plen <= n
-                    and keys[i : i + plen]
-                    == keys[i + reps * plen : i + (reps + 1) * plen]
+                    and ids[i : i + plen]
+                    == ids[i + reps * plen : i + (reps + 1) * plen]
                 ):
                     reps += 1
                 savings = (reps - 1) * plen - 1
@@ -190,6 +187,11 @@ def compress_ops(
 ) -> CompressedTrace:
     """Compress one rank's op stream.
 
+    Folding compares nodes by small-int ids: each distinct node key (an
+    op or run's, or a loop's count plus its body's ids) is interned once,
+    so a pass compares ints instead of rebuilding and comparing nested
+    key tuples.
+
     Parameters
     ----------
     ops:
@@ -200,15 +202,19 @@ def compress_ops(
         Safety bound on folding iterations.
     """
     ops = list(ops)
-    nodes: List[Node] = _collapse_runs(ops)
+    interned: Dict[tuple, int] = {}
+    nodes, ids = _collapse_runs(ops, interned)
     for _ in range(max_passes):
-        keys = [n.key() for n in nodes]
-        start, plen, reps, savings = _best_tandem_repeat(keys, max_pattern)
+        start, plen, reps, savings = _best_tandem_repeat(ids, max_pattern)
         if savings <= 0:
             break
-        body = tuple(nodes[start : start + plen])
-        loop = Loop(body=body, count=reps)
-        nodes = nodes[:start] + [loop] + nodes[start + plen * reps :]
+        end = start + plen * reps
+        body_ids = ids[start : start + plen]
+        loop = Loop(body=tuple(nodes[start : start + plen]), count=reps)
+        loop_id = interned.setdefault(("loop", reps, *body_ids),
+                                      len(interned))
+        nodes[start:end] = [loop]
+        ids[start:end] = [loop_id]
     return CompressedTrace(nodes=nodes, original_ops=len(ops))
 
 

@@ -46,6 +46,7 @@ STRUCTURE_NAMES = (
 
 
 def _walk(nodes, depth: int, acc: Dict[str, float]) -> None:
+    n_plain = 0
     for node in nodes:
         if isinstance(node, Loop):
             acc["n_loops"] += 1
@@ -58,7 +59,8 @@ def _walk(nodes, depth: int, acc: Dict[str, float]) -> None:
             acc["run_count_total"] += node.count
             acc["max_run_count"] = max(acc["max_run_count"], node.count)
         else:
-            acc["n_plain"] += 1
+            n_plain += 1
+    acc["n_plain"] += n_plain
 
 
 def structure_signature(

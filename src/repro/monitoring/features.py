@@ -19,10 +19,18 @@ positionally for modeling code.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, Union
 
-from repro.ops import IOOp, IORecord, OpKind, SIZE_BUCKETS, size_bucket
+from repro.ops import (
+    DATA_KINDS,
+    MARKER_KINDS,
+    METADATA_KINDS,
+    SIZE_BUCKETS,
+    IOOp,
+    IORecord,
+    OpKind,
+    size_bucket,
+)
 
 #: Fixed key set of :func:`access_features`, in output order.
 FEATURE_NAMES = (
@@ -35,72 +43,71 @@ FEATURE_NAMES = (
 )
 
 
-def _as_ops(stream: Iterable[Union[IOOp, IORecord]]) -> List[IOOp]:
-    ops: List[IOOp] = []
-    for item in stream:
-        if isinstance(item, IORecord):
-            ops.append(item.to_op())
-        elif isinstance(item, IOOp):
-            ops.append(item)
-        else:
-            raise TypeError(
-                f"expected IOOp or IORecord, got {type(item).__name__}"
-            )
-    return ops
-
-
 def access_features(stream: Iterable[Union[IOOp, IORecord]]) -> Dict[str, float]:
     """Reduce an op/record stream to a fixed access-pattern feature vector.
 
     Accepts any iterable of :class:`IOOp` and/or :class:`IORecord` (mixed
-    is fine; records are projected to ops, dropping timing).  An empty
+    is fine; records are read as ops, ignoring timing).  An empty
     stream yields the all-zero vector.  Fractions are in [0, 1]; byte
     totals are raw; ``rank_balance_cv`` is the coefficient of variation
-    of per-rank op counts (0 = perfectly balanced).
+    of per-rank op counts (0 = perfectly balanced).  One pass over the
+    stream.
     """
-    ops = _as_ops(stream)
-    features = {name: 0.0 for name in FEATURE_NAMES}
-    if not ops:
-        return features
-
-    n = len(ops)
-    kind_counts: Dict[OpKind, int] = defaultdict(int)
-    rank_counts: Dict[int, int] = defaultdict(int)
+    features = dict.fromkeys(FEATURE_NAMES, 0.0)
+    kind_counts = dict.fromkeys(OpKind, 0)
+    rank_counts: Dict[int, int] = {}
     size_hist = [0] * (len(SIZE_BUCKETS) + 1)
     bytes_read = 0
     bytes_written = 0
-    n_data = 0
-    n_meta = 0
     n_sequential = 0
     transfer_total = 0
     files = set()
-    # Per-(path, kind) cursor: a data op is "sequential" when it starts
-    # exactly where that stream's previous op on the file ended.
+    # Ranks touching each path, over non-marker ops (the fpp census).
+    file_ranks: Dict[str, set] = {}
+    # Per-(path, kind, rank) cursor: a data op is "sequential" when it
+    # starts exactly where that stream's previous op on the file ended.
     cursors: Dict[tuple, int] = {}
 
-    for op in ops:
-        kind_counts[op.kind] += 1
-        rank_counts[op.rank] += 1
-        if op.path:
-            files.add(op.path)
-        if op.kind.is_metadata:
-            n_meta += 1
-        if op.kind.is_data:
-            n_data += 1
-            transfer_total += op.nbytes
-            size_hist[size_bucket(op.nbytes)] += 1
-            if op.kind is OpKind.READ:
-                bytes_read += op.nbytes
+    for op in stream:
+        if not isinstance(op, (IORecord, IOOp)):
+            raise TypeError(
+                f"expected IOOp or IORecord, got {type(op).__name__}"
+            )
+        kind = op.kind
+        rank = op.rank
+        path = op.path
+        kind_counts[kind] += 1
+        rank_counts[rank] = rank_counts.get(rank, 0) + 1
+        if path:
+            files.add(path)
+            if kind not in MARKER_KINDS:
+                ranks = file_ranks.get(path)
+                if ranks is None:
+                    file_ranks[path] = {rank}
+                else:
+                    ranks.add(rank)
+        if kind in DATA_KINDS:
+            nbytes = op.nbytes
+            offset = op.offset
+            transfer_total += nbytes
+            size_hist[size_bucket(nbytes)] += 1
+            if kind is OpKind.READ:
+                bytes_read += nbytes
             else:
-                bytes_written += op.nbytes
-            key = (op.path, op.kind, op.rank)
-            if cursors.get(key) == op.offset:
+                bytes_written += nbytes
+            key = (path, kind, rank)
+            if cursors.get(key) == offset:
                 n_sequential += 1
-            cursors[key] = op.offset + op.nbytes
+            cursors[key] = offset + nbytes
 
-    for kind in OpKind:
-        features[f"mix_{kind.value}"] = kind_counts.get(kind, 0) / n
-    n_reads = kind_counts.get(OpKind.READ, 0)
+    if not rank_counts:
+        return features
+    n = sum(rank_counts.values())
+    for kind, count in kind_counts.items():
+        features[f"mix_{kind.value}"] = count / n
+    n_reads = kind_counts[OpKind.READ]
+    n_data = n_reads + kind_counts[OpKind.WRITE]
+    n_meta = sum(kind_counts[kind] for kind in METADATA_KINDS)
     features["read_fraction"] = n_reads / n_data if n_data else 0.0
     features["meta_fraction"] = n_meta / n
     features["bytes_read"] = float(bytes_read)
@@ -116,13 +123,9 @@ def access_features(stream: Iterable[Union[IOOp, IORecord]]) -> Dict[str, float]
     features["n_files"] = float(len(files))
     # File-per-process paths carry the compiler's ".<rank>" suffix (or any
     # per-rank numbering); count files touched by exactly one rank.
-    by_file_ranks: Dict[str, set] = defaultdict(set)
-    for op in ops:
-        if op.path and not op.kind.is_marker:
-            by_file_ranks[op.path].add(op.rank)
-    if by_file_ranks:
-        private = sum(1 for ranks in by_file_ranks.values() if len(ranks) == 1)
-        features["fpp_fraction"] = private / len(by_file_ranks)
+    if file_ranks:
+        private = sum(1 for ranks in file_ranks.values() if len(ranks) == 1)
+        features["fpp_fraction"] = private / len(file_ranks)
     counts = list(rank_counts.values())
     mean = sum(counts) / len(counts)
     if mean > 0 and len(counts) > 1:

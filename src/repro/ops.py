@@ -15,6 +15,7 @@ the file system, monitoring and modeling interoperate without import cycles.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Dict, Optional
@@ -53,28 +54,39 @@ class OpKind(str, Enum):
 
     @property
     def is_data(self) -> bool:
-        return self in (OpKind.READ, OpKind.WRITE)
+        return self in DATA_KINDS
 
     @property
     def is_metadata(self) -> bool:
-        return self in (
-            OpKind.CREATE,
-            OpKind.OPEN,
-            OpKind.CLOSE,
-            OpKind.STAT,
-            OpKind.UNLINK,
-            OpKind.MKDIR,
-            OpKind.RMDIR,
-            OpKind.READDIR,
-            OpKind.FSYNC,
-        )
+        return self in METADATA_KINDS
 
     @property
     def is_marker(self) -> bool:
-        return self in (OpKind.COMPUTE, OpKind.BARRIER)
+        return self in MARKER_KINDS
 
 
-@dataclass(frozen=True)
+#: Kind classes behind :attr:`OpKind.is_data` / ``is_metadata`` /
+#: ``is_marker``, for hot loops that test membership directly.
+DATA_KINDS = frozenset((OpKind.READ, OpKind.WRITE))
+METADATA_KINDS = frozenset((
+    OpKind.CREATE,
+    OpKind.OPEN,
+    OpKind.CLOSE,
+    OpKind.STAT,
+    OpKind.UNLINK,
+    OpKind.MKDIR,
+    OpKind.RMDIR,
+    OpKind.READDIR,
+    OpKind.FSYNC,
+))
+MARKER_KINDS = frozenset((OpKind.COMPUTE, OpKind.BARRIER))
+
+
+#: Stand-in default for ``IOOp(meta=...)``: each op gets its own fresh dict.
+_FRESH_META: Dict[str, Any] = {}
+
+
+@dataclass(frozen=True, init=False)
 class IOOp:
     """An intended I/O operation in a workload stream.
 
@@ -104,6 +116,21 @@ class IOOp:
     rank: int = 0
     duration: float = 0.0
     meta: Dict[str, Any] = field(default_factory=dict)
+
+    def __init__(self, kind: OpKind, path: str = "", offset: int = 0,
+                 nbytes: int = 0, rank: int = 0, duration: float = 0.0,
+                 meta: Dict[str, Any] = _FRESH_META):
+        # Hand-written because workloads build ops by the hundred
+        # thousand: storing into ``__dict__`` costs a third of the
+        # generated frozen ``__init__``'s ``object.__setattr__`` calls.
+        d = self.__dict__
+        d["kind"] = kind
+        d["path"] = path
+        d["offset"] = offset
+        d["nbytes"] = nbytes
+        d["rank"] = rank
+        d["duration"] = duration
+        d["meta"] = {} if meta is _FRESH_META else meta
 
     def with_rank(self, rank: int) -> "IOOp":
         """Copy of this op re-targeted at another rank."""
@@ -197,7 +224,4 @@ SIZE_BUCKETS = [
 
 def size_bucket(nbytes: int) -> int:
     """Index of the Darshan-style size histogram bucket for ``nbytes``."""
-    for i, ub in enumerate(SIZE_BUCKETS):
-        if nbytes <= ub:
-            return i
-    return len(SIZE_BUCKETS)
+    return bisect_left(SIZE_BUCKETS, nbytes)

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -81,43 +81,46 @@ class DSLError(ValueError):
 # -- lexer ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "word" | "string" | "punct"
     value: str
     line: int
 
 
+#: One token per match, after any blanks.  Newlines are their own
+#: alternative so the lexer can count lines; a newline inside a string
+#: does not advance the count.  Every non-blank character starts some
+#: alternative, so ``finditer`` skips nothing but trailing blanks.
+_TOKEN_RE = re.compile(r"""
+    [^\S\n]*
+    (?:
+        (\n)              # 1: newline
+      | \#[^\n]*         # comment, up to the newline
+      | "([^"]*)"        # 2: string
+      | (")              # 3: unterminated string
+      | ([{};])          # 4: punctuation
+      | ([^\s{};"\#]+)   # 5: word
+    )""", re.VERBOSE)
+
+
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
+    append = tokens.append
     line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group is None:
+            continue
+        if group == 5:
+            append(_Token("word", m.group(5), line))
+        elif group == 1:
             line += 1
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise DSLError(f"line {line}: unterminated string")
-            tokens.append(_Token("string", text[i + 1 : j], line))
-            i = j + 1
-        elif ch in "{};":
-            tokens.append(_Token("punct", ch, line))
-            i += 1
+        elif group == 4:
+            append(_Token("punct", m.group(4), line))
+        elif group == 2:
+            append(_Token("string", m.group(2), line))
         else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '{};"#':
-                j += 1
-            tokens.append(_Token("word", text[i:j], line))
-            i = j
+            raise DSLError(f"line {line}: unterminated string")
     return tokens
 
 
@@ -307,6 +310,13 @@ class _Parser:
 
 # -- compiler ------------------------------------------------------------------
 
+_META_STMT_KINDS = {
+    "stat": OpKind.STAT,
+    "fsync": OpKind.FSYNC,
+    "unlink": OpKind.UNLINK,
+    "close": OpKind.CLOSE,
+}
+
 
 class _Compiler:
     def __init__(self, name: str, n_ranks: int, seed: int):
@@ -319,7 +329,9 @@ class _Compiler:
         per_rank: List[List[IOOp]] = []
         for rank in range(self.n_ranks):
             self._cursors = {}
-            per_rank.append(list(self._emit_block(body, rank, {})))
+            ops: List[IOOp] = []
+            self._emit_block(body, rank, {}, ops)
+            per_rank.append(ops)
         return OpStreamWorkload(self.name, per_rank)
 
     @staticmethod
@@ -341,7 +353,8 @@ class _Compiler:
             return f"{path}.{rank:08d}"
         return path
 
-    def _emit_block(self, body: List[_Stmt], rank: int, env: dict) -> Iterator[IOOp]:
+    def _emit_block(self, body: List[_Stmt], rank: int, env: dict,
+                    out: List[IOOp]) -> None:
         for stmt in body:
             if isinstance(stmt, _LoopStmt):
                 for i in range(stmt.count):
@@ -349,46 +362,15 @@ class _Compiler:
                     if stmt.var is not None:
                         inner = dict(env)
                         inner[stmt.var] = i
-                    yield from self._emit_block(stmt.body, rank, inner)
+                    self._emit_block(stmt.body, rank, inner, out)
                 continue
-            yield from self._emit_simple(stmt, rank, env)
+            self._emit_simple(stmt, rank, env, out)
 
-    def _emit_simple(self, stmt: _Simple, rank: int, env: dict) -> Iterator[IOOp]:
+    def _emit_simple(self, stmt: _Simple, rank: int, env: dict,
+                     out: List[IOOp]) -> None:
+        # Branches in order of frequency in generated programs.
         op = stmt.op
-        if op == "compute":
-            yield IOOp(OpKind.COMPUTE, duration=stmt.seconds, rank=rank)
-        elif op == "barrier":
-            yield IOOp(OpKind.BARRIER, rank=rank)
-        elif op == "mkdir":
-            if rank == 0:
-                yield IOOp(
-                    OpKind.MKDIR, self._subst(stmt.path, env, stmt.line),
-                    rank=rank, meta={"exist_ok": True},
-                )
-            yield IOOp(OpKind.BARRIER, rank=rank)
-        elif op in ("stat", "fsync", "unlink", "close"):
-            kind = {
-                "stat": OpKind.STAT,
-                "fsync": OpKind.FSYNC,
-                "unlink": OpKind.UNLINK,
-                "close": OpKind.CLOSE,
-            }[op]
-            # Metadata statements accept an optional shared|fpp mode; fpp
-            # targets this rank's file, the default targets the literal path.
-            if stmt.mode == "fpp":
-                path = self._path_for(stmt, rank, env)
-            else:
-                path = self._subst(stmt.path, env, stmt.line)
-            yield IOOp(kind, path, rank=rank)
-        elif op == "create":
-            path = self._path_for(stmt, rank, env)
-            meta = {}
-            if stmt.stripe is not None:
-                meta["stripe_count"] = stmt.stripe
-            if stmt.mode == "fpp" or rank == 0:
-                yield IOOp(OpKind.CREATE, path, rank=rank, meta=meta)
-            yield IOOp(OpKind.BARRIER, rank=rank)
-        elif op in ("write", "read"):
+        if op == "write" or op == "read":
             path = self._path_for(stmt, rank, env)
             kind = OpKind.WRITE if op == "write" else OpKind.READ
             cursor_key = (path, stmt.mode)
@@ -397,23 +379,46 @@ class _Compiler:
                 start = base + rank * stmt.size
             else:
                 start = base
-            n_transfers = stmt.size // stmt.transfer
-            order = np.arange(n_transfers)
+            transfer = stmt.transfer
+            n_transfers = stmt.size // transfer
             if stmt.pattern == "random":
                 rng = np.random.default_rng(self.seed + rank * 9973 + stmt.line)
-                order = rng.permutation(order)
-            for i in order:
-                yield IOOp(
-                    kind,
-                    path,
-                    offset=start + int(i) * stmt.transfer,
-                    nbytes=stmt.transfer,
-                    rank=rank,
-                )
+                order = rng.permutation(n_transfers).tolist()
+            else:
+                order = range(n_transfers)
+            out += [IOOp(kind, path, start + i * transfer, transfer, rank)
+                    for i in order]
             if stmt.mode == "shared":
                 self._cursors[cursor_key] = base + self.n_ranks * stmt.size
             else:
                 self._cursors[cursor_key] = base + stmt.size
+        elif op == "create":
+            path = self._path_for(stmt, rank, env)
+            meta = {}
+            if stmt.stripe is not None:
+                meta["stripe_count"] = stmt.stripe
+            if stmt.mode == "fpp" or rank == 0:
+                out.append(IOOp(OpKind.CREATE, path, rank=rank, meta=meta))
+            out.append(IOOp(OpKind.BARRIER, rank=rank))
+        elif op in _META_STMT_KINDS:
+            # Metadata statements accept an optional shared|fpp mode; fpp
+            # targets this rank's file, the default targets the literal path.
+            if stmt.mode == "fpp":
+                path = self._path_for(stmt, rank, env)
+            else:
+                path = self._subst(stmt.path, env, stmt.line)
+            out.append(IOOp(_META_STMT_KINDS[op], path, rank=rank))
+        elif op == "barrier":
+            out.append(IOOp(OpKind.BARRIER, rank=rank))
+        elif op == "compute":
+            out.append(IOOp(OpKind.COMPUTE, duration=stmt.seconds, rank=rank))
+        elif op == "mkdir":
+            if rank == 0:
+                out.append(IOOp(
+                    OpKind.MKDIR, self._subst(stmt.path, env, stmt.line),
+                    rank=rank, meta={"exist_ok": True},
+                ))
+            out.append(IOOp(OpKind.BARRIER, rank=rank))
         else:  # pragma: no cover - parser guarantees exhaustiveness
             raise DSLError(f"line {stmt.line}: unknown op {op!r}")
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -270,6 +270,33 @@ class GrammarSpec:
             costs[_nt_name(s)] for s in prod.symbols if _is_nonterminal(s)
         )
 
+    @cached_property
+    def _min_choices(self) -> Dict[str, int]:
+        """``lhs -> index`` of its cheapest-terminating production (ties:
+        first) -- the greedy completion's choice at every step."""
+        costs = self._min_costs
+        out: Dict[str, int] = {}
+        for rule in self.rules:
+            prod_costs = [self.production_cost(p, costs)
+                          for p in rule.productions]
+            out[rule.lhs] = prod_costs.index(min(prod_costs))
+        return out
+
+    @cached_property
+    def _pushes(self) -> Dict[str, Tuple[tuple, ...]]:
+        """``lhs -> (symbols pushed by each production)``: reversed, with
+        nonterminals resolved to their :class:`Rule`, so expanding never
+        re-parses a symbol."""
+        by_name = self._rule_map
+        return {
+            rule.lhs: tuple(
+                tuple(by_name[_nt_name(s)] if _is_nonterminal(s) else s
+                      for s in reversed(p.symbols))
+                for p in rule.productions
+            )
+            for rule in self.rules
+        }
+
     # -- canonical serialization ---------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -420,38 +447,57 @@ def _render(fragments: Sequence[str], name: str, n_ranks: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class _Expansion:
-    """Mutable state of one leftmost expansion (shared by sample/expand)."""
+    """Mutable state of one leftmost expansion (shared by sample, expand
+    and the synthesis search).
 
-    grammar: GrammarSpec
-    rules: Mapping[str, Rule] = field(init=False)
-    costs: Mapping[str, int] = field(init=False)
-    stack: List[str] = field(init=False)
-    fragments: List[str] = field(init=False)
-    choices: List[int] = field(init=False)
-    steps: int = 0
+    The stack holds pending symbols, top last: literal fragments as
+    strings, nonterminals as their :class:`Rule`.  :meth:`fork` copies
+    the state, so a search can extend one replayed prefix many ways
+    without replaying it from the start symbol.
+    """
 
-    def __post_init__(self):
-        self.rules = self.grammar.rule_map()
-        self.costs = self.grammar.min_costs()
-        self.stack = [f"<{self.grammar.start}>"]
-        self.fragments = []
-        self.choices = []
+    __slots__ = ("grammar", "costs", "_pushes", "stack", "fragments",
+                 "choices")
+
+    def __init__(self, grammar: GrammarSpec):
+        self.grammar = grammar
+        self.costs = grammar.min_costs()
+        self._pushes = grammar._pushes
+        self.stack: List[Any] = [grammar._rule_map[grammar.start]]
+        self.fragments: List[str] = []
+        self.choices: List[int] = []
+
+    @property
+    def steps(self) -> int:
+        """Choices applied so far."""
+        return len(self.choices)
+
+    def fork(self) -> "_Expansion":
+        """An independent copy of this state."""
+        child = _Expansion.__new__(_Expansion)
+        child.grammar = self.grammar
+        child.costs = self.costs
+        child._pushes = self._pushes
+        child.stack = self.stack.copy()
+        child.fragments = self.fragments.copy()
+        child.choices = self.choices.copy()
+        return child
 
     def pending_cost(self) -> int:
         """Minimum steps needed to finish everything still on the stack."""
         return sum(
-            self.costs[_nt_name(s)] for s in self.stack if _is_nonterminal(s)
+            self.costs[s.lhs] for s in self.stack if s.__class__ is Rule
         )
 
     def next_nonterminal(self) -> Optional[Rule]:
         """Advance past literals; return the leftmost pending rule."""
-        while self.stack:
-            top = self.stack[-1]
-            if _is_nonterminal(top):
-                return self.rules[_nt_name(top)]
-            self.fragments.append(self.stack.pop())
+        stack = self.stack
+        while stack:
+            top = stack[-1]
+            if top.__class__ is Rule:
+                return top
+            self.fragments.append(stack.pop())
         return None
 
     def apply(self, rule: Rule, index: int) -> None:
@@ -461,24 +507,32 @@ class _Expansion:
                 f"({len(rule.productions)} production(s))"
             )
         self.stack.pop()
-        prod = rule.productions[index]
-        self.stack.extend(reversed(prod.symbols))
+        self.stack.extend(self._pushes[rule.lhs][index])
         self.choices.append(index)
-        self.steps += 1
 
-    def done(self) -> bool:
-        return not self.stack
+    def complete(self, rule: Optional[Rule]) -> None:
+        """Finish greedily from pending ``rule`` (the cheapest-terminating
+        production at every remaining step)."""
+        min_choices = self.grammar._min_choices
+        while rule is not None:
+            self.apply(rule, min_choices[rule.lhs])
+            rule = self.next_nonterminal()
+
+    def derivation(self, name: str, n_ranks: int,
+                   seed: Optional[int] = None) -> Derivation:
+        """The finished expansion as a :class:`Derivation`."""
+        return Derivation(
+            grammar_digest=self.grammar.digest(),
+            choices=tuple(self.choices),
+            text=_render(self.fragments, name, n_ranks),
+            n_ranks=n_ranks,
+            seed=seed,
+        )
 
 
-def _min_choice(rule: Rule, costs: Mapping[str, int],
-                grammar: GrammarSpec) -> int:
-    """Index of the cheapest-terminating production (ties: first)."""
-    best_i, best_c = 0, None
-    for i, p in enumerate(rule.productions):
-        c = grammar.production_cost(p, costs)
-        if best_c is None or c < best_c:
-            best_i, best_c = i, c
-    return best_i
+def _default_name(grammar: GrammarSpec) -> str:
+    """The program name :func:`expand` gives a derivation by default."""
+    return f"g_{grammar.name}_d".replace("-", "_")
 
 
 def sample(
@@ -513,19 +567,13 @@ def sample(
             - state.costs[rule.lhs] <= budget
         ]
         if not eligible:
-            eligible = [_min_choice(rule, state.costs, grammar)]
+            eligible = [grammar._min_choices[rule.lhs]]
         weights = [rule.productions[i].weight for i in eligible]
         total = sum(weights)
         probs = [w / total for w in weights]
         index = eligible[int(rng.choice(len(eligible), p=probs))]
         state.apply(rule, index)
-    return Derivation(
-        grammar_digest=grammar.digest(),
-        choices=tuple(state.choices),
-        text=_render(state.fragments, name, n_ranks),
-        n_ranks=n_ranks,
-        seed=seed,
-    )
+    return state.derivation(name, n_ranks, seed=seed)
 
 
 def _replay(state: _Expansion, choices: Sequence[int]) -> Optional[Rule]:
@@ -565,7 +613,7 @@ def expand(
     """
     grammar.validate()
     if name is None:
-        name = f"g_{grammar.name}_d".replace("-", "_")
+        name = _default_name(grammar)
     state = _Expansion(grammar)
     rule = _replay(state, choices)
     if rule is not None and not complete:
@@ -574,24 +622,19 @@ def expand(
             f"but <{rule.lhs}> still pending (pass complete=True to "
             f"finish greedily)"
         )
-    while rule is not None:
-        state.apply(rule, _min_choice(rule, state.costs, grammar))
-        rule = state.next_nonterminal()
-    return Derivation(
-        grammar_digest=grammar.digest(),
-        choices=tuple(state.choices),
-        text=_render(state.fragments, name, n_ranks),
-        n_ranks=n_ranks,
-    )
+    state.complete(rule)
+    return state.derivation(name, n_ranks)
 
 
 def pending_rule(grammar: GrammarSpec, choices: Sequence[int]) -> Optional[Rule]:
     """The leftmost nonterminal still pending after replaying ``choices``.
 
     Returns ``None`` when the prefix is already a complete derivation.
-    The synthesis beam search uses this to enumerate a prefix's children
-    (one per production of the pending rule).
+    A prefix's children are one per production of this rule (the
+    synthesis search reads the rule off each beam state instead of
+    replaying the prefix).
     """
+    grammar.validate()
     return _replay(_Expansion(grammar), choices)
 
 

@@ -13,9 +13,15 @@ resulting DSL program, and measuring
 :func:`repro.modeling.trace_distance.trace_distance` against the target,
 plus a small per-choice penalty so the search prefers the *smallest*
 derivation that reproduces the access pattern.  The search is fully
-deterministic: no RNG, ties broken by choice order.  The target is
-reduced to its :func:`~repro.modeling.trace_distance.trace_shape` once,
-and each distinct completion is compiled and measured once per search.
+deterministic: no RNG, ties broken by choice order.
+
+Scoring is incremental.  The target is reduced to its
+:func:`~repro.modeling.trace_distance.trace_shape` once.  Each beam state
+carries its prefix's replayed expansion, so a child costs one fork of its
+parent's state plus one choice, and its greedy completion continues from
+there instead of replaying the prefix from the start symbol.  A
+completion seen before in the same search reuses its distance; a new one
+costs one compile and one shape.  Nothing is cached across calls.
 
 :func:`store_synthesis` persists the result into the content-addressed
 store as a ``synthesis`` artifact (with the grammar as a ``grammar``
@@ -31,7 +37,7 @@ is approximated by the nearest derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.ioutil import canonical_json_bytes, sha256_hex
@@ -40,15 +46,17 @@ from repro.modeling.trace_distance import (
     shape_distance,
     trace_shape,
 )
-from repro.ops import IOOp, IORecord, OpKind
+from repro.ops import MARKER_KINDS, IOOp, IORecord, OpKind
 from repro.wgen.dsl import DSLError, parse_workload
 from repro.wgen.grammar import (
     Derivation,
     GrammarError,
     GrammarSpec,
+    Rule,
+    _default_name,
+    _Expansion,
     default_grammar,
     expand,
-    pending_rule,
 )
 
 #: Per-choice score penalty: large enough to prefer a strictly smaller
@@ -81,6 +89,10 @@ def target_ops(stream: Iterable[Union[IOOp, IORecord]]) -> List[IOOp]:
     return out
 
 
+#: Kinds that need an open descriptor: the executor opens lazily for them.
+_LAZY_OPEN_KINDS = frozenset((OpKind.WRITE, OpKind.READ, OpKind.FSYNC))
+
+
 def normalize_ops(ops: Iterable[IOOp]) -> List[IOOp]:
     """Project an op stream onto the observable posix-layer dialect.
 
@@ -97,33 +109,36 @@ def normalize_ops(ops: Iterable[IOOp]) -> List[IOOp]:
     (almost) the identity, so both sides meet in the middle.
     """
     out: List[IOOp] = []
+    append = out.append
     open_files: set = set()  # (rank, path) with a live descriptor
     for op in ops:
-        if op.kind.is_marker:
+        kind = op.kind
+        if kind in MARKER_KINDS:
             continue
         key = (op.rank, op.path)
-        if op.kind is OpKind.CREATE:
-            out.append(replace(op, kind=OpKind.OPEN, meta={}))
+        if kind is OpKind.CREATE:
+            append(IOOp(OpKind.OPEN, op.path, op.offset, op.nbytes, op.rank,
+                        op.duration, {}))
             open_files.add(key)
-        elif op.kind is OpKind.OPEN:
-            out.append(op)
+        elif kind is OpKind.OPEN:
+            append(op)
             open_files.add(key)
-        elif op.kind in (OpKind.WRITE, OpKind.READ, OpKind.FSYNC):
+        elif kind in _LAZY_OPEN_KINDS:
             if key not in open_files:
-                out.append(IOOp(OpKind.OPEN, op.path, rank=op.rank))
+                append(IOOp(OpKind.OPEN, op.path, rank=op.rank))
                 open_files.add(key)
-            out.append(op)
-        elif op.kind is OpKind.CLOSE:
+            append(op)
+        elif kind is OpKind.CLOSE:
             if key in open_files:
                 open_files.discard(key)
-                out.append(op)
-        elif op.kind is OpKind.UNLINK:
+                append(op)
+        elif kind is OpKind.UNLINK:
             open_files.discard(key)
-            out.append(op)
+            append(op)
         else:
-            out.append(op)
+            append(op)
     for rank, path in sorted(open_files):
-        out.append(IOOp(OpKind.CLOSE, path, rank=rank))
+        append(IOOp(OpKind.CLOSE, path, rank=rank))
     return out
 
 
@@ -170,12 +185,18 @@ class SynthesisResult:
 
 @dataclass(order=True)
 class _Candidate:
-    """A scored search state; orders by (score, fewest choices)."""
+    """A scored search state; orders by (score, fewest choices).
+
+    ``state`` is the prefix's replayed expansion, stopped at ``rule``
+    (its leftmost pending nonterminal; ``None`` once the prefix is a
+    complete derivation).
+    """
 
     score: float
     n_choices: int
     choices: Tuple[int, ...] = field(compare=False)
-    complete: bool = field(compare=False, default=False)
+    state: _Expansion = field(compare=False)
+    rule: Optional[Rule] = field(compare=False)
 
 
 def synthesize(
@@ -211,23 +232,23 @@ def synthesize(
         )
 
     target_shape = trace_shape(normalized_target)
+    name = _default_name(grammar)
     # Distance of each greedy completion scored so far (None: it does not
     # compile).  Many prefixes complete to the same derivation; each
     # distinct one is compiled and measured once per search.
     distances: Dict[Tuple[int, ...], Optional[float]] = {}
 
-    def score(choices: Tuple[int, ...]) -> Optional[_Candidate]:
-        """Greedily complete, compile and measure a prefix; None if the
-        completion is not a valid program (kept out of the beam)."""
-        try:
-            completed = expand(grammar, choices, n_ranks=n_ranks,
-                               complete=True)
-        except GrammarError:
-            return None
-        key = completed.choices
+    def score(state: _Expansion, rule: Optional[Rule],
+              choices: Tuple[int, ...]) -> Optional[_Candidate]:
+        """Greedily complete, compile and measure a prefix state; None if
+        the completion is not a valid program (kept out of the beam)."""
+        completion = state.fork()
+        completion.complete(rule)
+        key = tuple(completion.choices)
         if key not in distances:
             try:
-                ops = normalize_ops(derivation_ops(completed))
+                ops = normalize_ops(derivation_ops(
+                    completion.derivation(name, n_ranks)))
             except (GrammarError, DSLError):
                 distances[key] = None
             else:
@@ -240,7 +261,8 @@ def synthesize(
             score=dist + SIZE_PENALTY * len(key),
             n_choices=len(choices),
             choices=choices,
-            complete=len(key) == len(choices),
+            state=state,
+            rule=rule,
         )
 
     # Every scored prefix stands for a full derivation (its greedy
@@ -248,7 +270,8 @@ def synthesize(
     # anywhere in the search, not just the last beam.
     n_candidates = 0
     best: Optional[_Candidate] = None
-    root = score(())
+    root_state = _Expansion(grammar)
+    root = score(root_state, root_state.next_nonterminal(), ())
     if root is not None:
         n_candidates = 1
         best = root
@@ -257,11 +280,14 @@ def synthesize(
     for _ in range(max_steps):
         frontier: List[_Candidate] = []
         for cand in beam:
-            if cand.complete:
-                continue  # nothing left to expand
-            rule = pending_rule(grammar, cand.choices)
+            rule = cand.rule
+            if rule is None:
+                continue  # complete: nothing left to expand
             for index in range(len(rule.productions)):
-                child = score(cand.choices + (index,))
+                state = cand.state.fork()
+                state.apply(rule, index)
+                child = score(state, state.next_nonterminal(),
+                              cand.choices + (index,))
                 if child is None:
                     continue
                 n_candidates += 1

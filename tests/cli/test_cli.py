@@ -101,7 +101,6 @@ def test_cycle(capsys):
 
 
 def test_scenario_run_engine_and_metrics(capsys, tmp_path):
-    pytest.importorskip("numpy")
     from repro import telemetry
 
     metrics_json = tmp_path / "metrics.json"
@@ -124,7 +123,6 @@ def test_scenario_run_engine_and_metrics(capsys, tmp_path):
 
 
 def test_scenario_run_sequential_no_telemetry(capsys):
-    pytest.importorskip("numpy")
     code, out, _ = run_cli(capsys, "scenario", "run", "scale-tiny")
     assert code == 0
     assert "scale engine sequential" in out
