@@ -163,11 +163,6 @@ SCALE_SWEEP = (1_000, 4_000, 16_000, 50_000, SCALE_RANKS)
 #: Gate: at full scale the partitioned arm must beat the sequential fast
 #: path by at least this factor.
 SCALE_MIN_SPEEDUP = 2.0
-#: Arms longer than this (seconds) are timed once instead of ``rounds``
-#: times -- at 100k ranks the sequential fast path alone runs tens of
-#: seconds, and repeating it five times would buy noise rejection nobody
-#: needs at that magnitude.
-SCALE_SINGLE_RUN_THRESHOLD = 2.0
 #: Partition count for the partitioned arm: the measured topology is 8
 #: partitions of 8 islands, halos crossing at the boundaries.
 SCALE_WORKERS = 8
@@ -204,25 +199,23 @@ def _scale_arms() -> Dict[str, Callable]:
     }
 
 
-def _time_arm(fn, rounds: int, threshold: float = SCALE_SINGLE_RUN_THRESHOLD):
-    """Time ``fn()`` with the collector paused, as in :func:`run_benchmarks`.
+def _time_arm(fn, rounds: int):
+    """Time ``fn()`` ``rounds`` times with the collector paused, as in
+    :func:`run_benchmarks`; every arm gets the same number of samples, so
+    its "min" is never a single run.
 
-    Returns ``({"median": s, "min": s}, last_result)``.  Arms whose first
-    run exceeds ``threshold`` seconds are not repeated (see
-    ``SCALE_SINGLE_RUN_THRESHOLD``).
+    Returns ``({"median": s, "min": s}, last_result)``.
     """
     gc_was_enabled = gc.isenabled()
     times, result = [], None
     try:
-        while True:
+        for _ in range(rounds):
             gc.collect()
             gc.disable()
             start = time.perf_counter()
             result = fn()
             times.append(time.perf_counter() - start)
             gc.enable()
-            if len(times) >= rounds or times[0] >= threshold:
-                break
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -256,7 +249,7 @@ def run_crossover_sweep(scale: float, full_arms: Dict[str, Dict]) -> Dict:
     """Sweep rank counts; find where the partitioned arm starts winning.
 
     Each sweep point times the sequential fast path against the
-    partitioned arm (min-of-3, single run for arms slower than 0.5 s).
+    partitioned arm (min-of-3).
     The headline point's timings are reused from ``full_arms`` rather
     than re-measured.
     """
@@ -278,9 +271,7 @@ def run_crossover_sweep(scale: float, full_arms: Dict[str, Dict]) -> Dict:
         else:
             point = {"ranks": config.ranks}
             for name in ("sequential_fast_path", "partitioned_serial"):
-                timing, _ = _time_arm(
-                    lambda: arms[name](config), rounds=3, threshold=0.5
-                )
+                timing, _ = _time_arm(lambda: arms[name](config), rounds=3)
                 point[name] = timing["min"]
         sweep.append(point)
     sweep.sort(key=lambda p: p["ranks"])

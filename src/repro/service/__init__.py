@@ -10,7 +10,9 @@ sweep`` of the same spec produce the *same* artifact at the same address.
 Layering (top to bottom)::
 
     repro-io serve / submit / jobs / loadgen      (CLI front-ends)
-    repro.service.server  -- admission, quotas, fair share, coalescing
+    repro.service.server  -- admission, quotas, fair share, pool, protocol
+    repro.service.journal -- write-ahead journal; replay -> ServiceState
+    repro.service.state   -- the state machine (one transition per record)
     repro.service.jobs    -- job/computation model + job ledger
     repro.service.scheduler -- start-time fair queueing across tenants
     repro.jobs            -- shared execution core (pools, cache, ledgers)
@@ -32,9 +34,10 @@ from repro.service.jobs import (
     SERVICE_LEDGER_NAME,
     SERVICE_LEDGER_SCHEMA,
 )
-from repro.service.journal import JobJournal, JournalState
+from repro.service.journal import JobJournal
 from repro.service.scheduler import FairShareQueue
 from repro.service.server import RunService, ServiceConfig
+from repro.service.state import ServiceState
 
 __all__ = [
     "RunService",
@@ -43,7 +46,7 @@ __all__ = [
     "StaleDiscoveryError",
     "FairShareQueue",
     "JobJournal",
-    "JournalState",
+    "ServiceState",
     "backoff_delay",
     "load_discovery",
     "pid_alive",

@@ -116,7 +116,7 @@ class Job:
     __slots__ = (
         "job_id", "tenant", "kind", "submitted", "finished",
         "computations", "warm", "coalesced", "done_event", "_pending",
-        "_abandoned", "run_id", "idempotency_key", "journaled",
+        "_abandoned", "run_id", "idempotency_key",
     )
 
     def __init__(
@@ -140,8 +140,6 @@ class Job:
         self.coalesced = coalesced
         #: Client-chosen exactly-once submission key (``submit``).
         self.idempotency_key: Optional[str] = None
-        #: True when this job's admission was written to the journal.
-        self.journaled = False
         #: Run-document id landed in the store (fresh-compute jobs only).
         self.run_id: Optional[str] = None
         self.done_event = asyncio.Event()

@@ -28,9 +28,11 @@ journaled at all) and under a handful of milliseconds on the cold path.
 Rotation and compaction
 -----------------------
 A segment is rotated once it holds ``segment_max_records`` records.
-Compaction rewrites the *live* state (snapshot records supplied by the
-server -- admits of unfinished jobs plus payloads of their pending
-computations) into a fresh segment via write-temp-then-rename, then
+Compaction rewrites the *live* state (the records of
+:meth:`ServiceState.snapshot <repro.service.state.ServiceState.snapshot>`
+-- admits of unfinished jobs with their settled slots inline and the
+payloads of their pending computations, then a start per started
+computation) into a fresh segment via write-temp-then-rename, then
 deletes every older segment.  The server compacts at every boot after
 replay and whenever ``compact_threshold`` records accumulate, so the
 journal's size is bounded by live work, not by history (history lives
@@ -38,9 +40,13 @@ in the job ledger and the store).
 
 Record types
 ------------
+Replay applies every record, ``start`` included, to a fresh
+:class:`~repro.service.state.ServiceState` -- the live service's state
+machine -- and returns it.
+
 ``admit``        one job admitted with live work (slots + payloads)
 ``start``        a computation was dispatched to the pool
-``complete``     a computation reached a terminal state
+``complete``     the digest's live computation reached a terminal state
 ``cancel``       a client cancelled a job's queued work
 ``land``         a finished job's run document landed in the store
 ``clean_close``  orderly shutdown; everything before it is settled
@@ -55,15 +61,15 @@ import os
 import re
 import time
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
+from repro.service.state import ServiceState
 from repro.telemetry import TELEMETRY
 
 log = logging.getLogger(__name__)
 
-__all__ = ["JobJournal", "JournalState", "JOURNAL_DIR_NAME", "frame_record", "parse_line"]
+__all__ = ["JobJournal", "JOURNAL_DIR_NAME", "frame_record", "parse_line"]
 
 #: Journal directory, created next to the job ledger / discovery file.
 JOURNAL_DIR_NAME = "service-journal"
@@ -99,73 +105,6 @@ def parse_line(line: bytes) -> Optional[Dict[str, Any]]:
     except json.JSONDecodeError:
         return None
     return doc if isinstance(doc, dict) else None
-
-
-@dataclass
-class JournalState:
-    """What a replay recovered: jobs, payloads, completions."""
-
-    #: job id -> its (mutated) ``admit`` record.
-    jobs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: scenario digest -> canonical scenario JSON (pending work only).
-    payloads: Dict[str, str] = field(default_factory=dict)
-    #: scenario digest -> its ``complete`` record.
-    completed: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: True when the journal ends in a settled state (clean shutdown).
-    clean_close: bool = False
-    records: int = 0
-    corrupt_lines: int = 0
-    segments: int = 0
-
-    def live_jobs(self) -> List[Dict[str, Any]]:
-        """Admit records that still have unfinished, wanted work.
-
-        A job is live when it was not cancelled, did not settle before a
-        clean close, and at least one of its slots points at a
-        computation with no terminal outcome on record.
-        """
-        live = []
-        for rec in self.jobs.values():
-            if rec.get("cancelled") or rec.get("closed"):
-                continue
-            slots = rec.get("tasks") or []
-            pending = [
-                s for s in slots
-                if "state" not in s and s.get("digest") not in self.completed
-            ]
-            if pending:
-                live.append(rec)
-        return live
-
-    def apply(self, rec: Dict[str, Any]) -> None:
-        """Fold one record into the state (records arrive in log order)."""
-        kind = rec.get("t")
-        if kind == "admit":
-            job_id = rec.get("job")
-            if job_id:
-                self.jobs[job_id] = rec
-                for digest, payload in (rec.get("payloads") or {}).items():
-                    self.payloads[digest] = payload
-            self.clean_close = False
-        elif kind == "complete":
-            digest = rec.get("digest")
-            if digest:
-                self.completed[digest] = rec
-        elif kind == "cancel":
-            job = self.jobs.get(rec.get("job"))
-            if job is not None:
-                job["cancelled"] = True
-        elif kind == "land":
-            job = self.jobs.get(rec.get("job"))
-            if job is not None:
-                job["run_id"] = rec.get("run_id")
-        elif kind == "clean_close":
-            # Everything before an orderly shutdown is settled; records
-            # after it (if any) belong to a newer server life.
-            for job in self.jobs.values():
-                job["closed"] = True
-            self.clean_close = True
-        # "start" records are observability only; replay ignores them.
 
 
 class JobJournal:
@@ -358,10 +297,6 @@ class JobJournal:
 
     # -- compaction ----------------------------------------------------------
 
-    @property
-    def records_since_compact(self) -> int:
-        return self._records_since_compact + self._buffer_records
-
     def compact(self, snapshot_records: Iterable[Dict[str, Any]]) -> int:
         """Rewrite the journal to just the live snapshot, atomically.
 
@@ -378,10 +313,7 @@ class JobJournal:
         tmp = path.with_suffix(".tmp")
         with open(tmp, "wb") as fh:
             for rec in records:
-                rec = dict(rec)
-                rec.setdefault("t", "admit")
-                rec.setdefault("ts", time.time())
-                fh.write(frame_record(rec))
+                fh.write(frame_record({"t": "admit", "ts": time.time(), **rec}))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -425,14 +357,15 @@ class JobJournal:
     # -- replay --------------------------------------------------------------
 
     @classmethod
-    def replay(cls, directory: Union[Path, str]) -> JournalState:
-        """Fold every readable record in every segment into a state.
+    def replay(cls, directory: Union[Path, str]) -> ServiceState:
+        """Apply every readable record, in log order, to a fresh
+        :class:`ServiceState` -- the transitions the live service made.
 
         Corrupt or torn lines are skipped and counted, never fatal: the
         journal exists to survive crashes, and a crash is exactly when
         a torn tail appears.
         """
-        state = JournalState()
+        state = ServiceState()
         directory = Path(directory)
         if not directory.is_dir():
             return state

@@ -47,11 +47,9 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import itertools
 import json
 import logging
 import os
-import re
 import secrets
 import threading
 import time
@@ -73,8 +71,9 @@ from repro.service.jobs import (
     Computation,
     Job,
 )
-from repro.service.journal import JOURNAL_DIR_NAME, JobJournal, JournalState
+from repro.service.journal import JOURNAL_DIR_NAME, JobJournal
 from repro.service.scheduler import FairShareQueue
+from repro.service.state import ServiceState
 from repro.store import RunArtifact, RunStore
 from repro.store.scrub import scrub_store
 from repro.store.store import DEFAULT_STORE_DIR
@@ -194,14 +193,9 @@ class RunService:
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._queue = FairShareQueue()
-        #: digest -> live (non-terminal) computation, for coalescing.
-        self._inflight: Dict[str, Computation] = {}
-        self._jobs: Dict[str, Job] = {}
-        self._finished_jobs: set = set()
-        self._job_ids = itertools.count(1)
-        self._outstanding: Dict[str, int] = {}
-        #: idempotency key -> job id, restored from the journal on boot.
-        self._idem: Dict[str, str] = {}
+        #: Jobs, computations and counters; replaced by the journal's
+        #: replay at :meth:`start`.
+        self._state = ServiceState()
         self._running_count = 0
         self._stopping = False
         self._draining = False
@@ -221,23 +215,6 @@ class RunService:
         self._pool_generation = 0
         self._pool_lock = asyncio.Lock()
         self._source_digest = self.config.source_digest
-        self.stats: Dict[str, int] = {
-            "jobs_submitted": 0,
-            "tasks_submitted": 0,
-            "computed": 0,
-            "warm_hits": 0,
-            "coalesced": 0,
-            "done": 0,
-            "failed": 0,
-            "cancelled": 0,
-            "requeued": 0,
-            "rejected_backpressure": 0,
-            "rejected_quota": 0,
-            "rejected_draining": 0,
-            "deduplicated": 0,
-            "replayed": 0,
-            "replayed_jobs": 0,
-        }
         state_dir = self.config.resolved_state_dir()
         self.ledger_path = state_dir / SERVICE_LEDGER_NAME
         self.discovery_path = state_dir / DISCOVERY_NAME
@@ -250,6 +227,14 @@ class RunService:
             extra=self._ledger_extra,
         )
         self._ledger_dirty = False
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        return self._state.stats
+
+    @property
+    def _jobs(self) -> Dict[str, Job]:
+        return self._state.jobs
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -266,13 +251,13 @@ class RunService:
                 .run_in_executor(None, source_digest)
         if self.config.journal:
             journal_dir = self.config.resolved_journal_dir()
-            state = JobJournal.replay(journal_dir)
+            self._state = JobJournal.replay(journal_dir)
             self._journal = JobJournal(
                 journal_dir, fsync_interval=self.config.fsync_interval
             )
             self._journal.open()
-            self._restore_from_journal(state)
-            self._journal.compact(self._journal_snapshot_records())
+            self._boot()
+            self._journal.compact(self._state.snapshot())
         self._new_pool()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,
@@ -284,7 +269,7 @@ class RunService:
         self._spawn(self._ledger_loop(), name="ledger")
         if self._journal is not None:
             self._spawn(
-                self._journal.run_flusher(self._journal_snapshot_records),
+                self._journal.run_flusher(self._state.snapshot),
                 name="journal",
             )
         if self.config.scrub_interval > 0:
@@ -341,6 +326,7 @@ class RunService:
                 self._journal.close(clean=True)
                 self._journal_final_stats = dict(self._journal.stats)
                 self._journal = None
+            self._state.apply({"t": "clean_close"})
             self._write_ledger(finished=True)
             try:
                 self.discovery_path.unlink()
@@ -380,7 +366,7 @@ class RunService:
     async def drain(self) -> None:
         """Stop admission, let queued and running work finish, then stop."""
         self._draining = True
-        while self._inflight or self._running_count:
+        while self._state.inflight or self._running_count:
             if self._stopping:
                 return
             await asyncio.sleep(0.05)
@@ -437,13 +423,10 @@ class RunService:
             self._wake.clear()
             while self._queue and self._running_count < self.config.workers:
                 comp = self._queue.pop()
-                if comp.state != "queued":
+                if comp.terminal:
                     continue  # cancelled while queued
-                comp.state = "running"
                 self._running_count += 1
-                if self._journal is not None:
-                    self._journal.append("start", digest=comp.digest)
-                self._ledger_dirty = True
+                self._transition("start", digest=comp.digest)
                 self._spawn(
                     self._run_computation(comp), name=f"comp:{comp.digest[:8]}"
                 )
@@ -468,17 +451,16 @@ class RunService:
                 # Re-queue with waiters intact: a transient kill must not
                 # fail N tenants' jobs.  Nothing was cached (the worker
                 # died before any put), so the retry recomputes cleanly.
+                # The computation stays started (a cancel meanwhile leaves
+                # it be, as replay of its start record would); dispatching
+                # it again journals the retry's start.
                 log.warning(
                     "computation %s lost its worker (attempt %d/%d); "
                     "re-queueing with %d waiter(s)",
                     comp.name, comp.attempts, self.config.crash_retries,
                     len(comp.jobs),
                 )
-                comp.state = "queued"
-                self.stats["requeued"] += 1
-                self._queue.push(comp.jobs[0].tenant if comp.jobs else "-",
-                                 comp)
-                self._ledger_dirty = True
+                self._queue.push(comp.jobs[0].tenant, comp)
             else:
                 self._resolve(
                     comp, "failed",
@@ -502,54 +484,38 @@ class RunService:
                 digest = store_ref_artifact(self.store, name, artifact, meta)
             else:
                 digest = artifact.digest()
-            self.stats["computed"] += 1
             self._resolve(comp, "done", seconds=seconds, artifact=digest)
         finally:
             self._running_count -= 1
             self._wake.set()
 
-    def _resolve(self, comp: Computation, state: str, **kwargs: Any) -> None:
-        """Terminal transition + all the bookkeeping around it."""
-        waiters = list(comp.jobs)
-        comp.resolve(state, **kwargs)
-        self._inflight.pop(comp.digest, None)
-        if self._journal is not None:
-            # Journaled *after* the artifact landed in the store: a
-            # crash in between replays the computation, whose re-put is
-            # idempotent (same content address), so nothing is poisoned.
-            self._journal.append(
-                "complete",
-                digest=comp.digest,
-                state=state,
-                artifact=comp.artifact,
-                error=comp.error,
-                seconds=comp.seconds,
-                cached=comp.cached,
-            )
-        for job in waiters:
-            self._outstanding[job.tenant] = max(
-                0, self._outstanding.get(job.tenant, 0) - 1
-            )
-            if job.done_event.is_set():
-                self._finish_job(job)
+    def _transition(
+        self, record_type: str, journal: bool = True, **fields: Any
+    ) -> None:
+        """Journal one record (write-ahead) and apply it to the state;
+        finished jobs then land their run documents."""
+        if journal and self._journal is not None:
+            self._journal.append(record_type, **fields)
+        for job in self._state.apply({"t": record_type, **fields}):
+            self._finish_job(job)
         self._ledger_dirty = True
 
-    def _finish_job(self, job: Job) -> None:
-        """Land a finished job's run document (fresh-compute jobs only).
+    def _resolve(self, comp: Computation, state: str, **kwargs: Any) -> None:
+        """Terminal transition of one computation.
 
-        Idempotent per job: a job that waited on the same computation
-        through several slots is notified once per slot."""
-        if job.job_id in self._finished_jobs:
-            return
-        self._finished_jobs.add(job.job_id)
-        state = job.state
-        if state in ("done", "failed", "cancelled"):
-            self.stats[state] += 1
-        fresh_done = [
-            c for c in job.computations
-            if c.state == "done" and not c.cached
-        ]
-        if not fresh_done or not self.config.use_cache:
+        Journaled *after* the artifact landed in the store: a crash in
+        between replays the computation, whose re-put is idempotent
+        (same content address), so nothing is poisoned.
+        """
+        outcome = {"artifact": None, "error": None, "seconds": 0.0,
+                   "cached": False, **kwargs}
+        self._transition("complete", digest=comp.digest, state=state, **outcome)
+
+    def _finish_job(self, job: Job) -> None:
+        """Land a finished job's run document (fresh-compute jobs only)."""
+        if not self.config.use_cache or not any(
+            c.state == "done" and not c.cached for c in job.computations
+        ):
             return
         try:
             doc = job.document()
@@ -559,16 +525,14 @@ class RunService:
                 for c in job.computations
                 if c.state == "done" and c.artifact is not None
             }
-            job.run_id = self.store.add_run(
+            run_id = self.store.add_run(
                 "service", manifest_digest, artifacts, created=job.finished
             )
-            if self._journal is not None and job.journaled:
-                self._journal.append(
-                    "land", job=job.job_id, run_id=job.run_id
-                )
         except OSError as exc:  # pragma: no cover - store on a bad disk
             log.warning("could not land run document for %s: %s",
                         job.job_id, exc)
+            return
+        self._transition("land", job=job.job_id, run_id=run_id)
 
     # -- admission -----------------------------------------------------------
 
@@ -594,129 +558,75 @@ class RunService:
             return "sweep", [(p.name, p.scenario) for p in points]
         return "scenario", [(base.name, base.validate())]
 
+    def _reject(self, reason: str, error: str, retry: bool = True) -> Dict[str, Any]:
+        self.stats[f"rejected_{reason}"] += 1
+        return {"ok": False, "reason": reason, "retry": retry, "error": error}
+
     def _admit(self, req: Dict[str, Any]) -> Dict[str, Any]:
         """Admission control + per-digest resolution; returns the response
         skeleton (the job is registered on success)."""
         tenant = str(req.get("tenant") or "anonymous")
         if self._draining or self._stopping:
-            self.stats["rejected_draining"] += 1
-            return {
-                "ok": False, "reason": "draining", "retry": False,
-                "error": "service is draining (shutdown in progress)",
-            }
+            return self._reject(
+                "draining", "service is draining (shutdown in progress)",
+                retry=False,
+            )
         key = req.get("idempotency_key")
         if key is not None:
             key = str(key)
-            existing = self._idem.get(key)
-            if existing is not None and existing in self._jobs:
-                # Exactly-once submission: a resubmit after a reconnect
-                # (or a server restart replaying the journal) lands on
-                # the original job instead of queueing duplicate work.
-                self.stats["deduplicated"] += 1
-                return {
-                    "ok": True,
-                    "job": self._jobs[existing],
-                    "deduplicated": True,
-                }
+            # Exactly-once submission: a resubmit after a reconnect (or a
+            # server restart replaying the journal) lands on the original
+            # job instead of queueing duplicate work.
+            existing = self._state.deduplicate(key)
+            if existing is not None:
+                return {"ok": True, "job": existing, "deduplicated": True}
         try:
             kind, specs = self._resolve_specs(req)
         except (ScenarioError, KeyError, TypeError, ValueError) as exc:
             return {"ok": False, "reason": "bad-request", "error": str(exc)}
 
-        resolved: List[Tuple[str, str, str]] = []  # (name, digest, json)
-        for name, spec in specs:
-            resolved.append((name, spec.digest(), spec.canonical_json()))
-
-        # Classify before creating anything, so rejections are side-effect
-        # free: warm (store hit), coalesce (in-flight), fresh (new work).
-        warm: Dict[str, str] = {}  # digest -> artifact digest
-        fresh_digests: List[str] = []
-        seen_fresh: set = set()
-        for name, digest, _payload in resolved:
-            if digest in self._inflight or digest in warm \
-                    or digest in seen_fresh:
-                continue  # coalesces, or duplicate inside this submission
-            hit = self._warm_lookup(digest) if self.config.use_cache else None
-            if hit is not None:
-                warm[digest] = hit
-            else:
-                seen_fresh.add(digest)
-                fresh_digests.append(digest)
-
-        if len(self._queue) + len(fresh_digests) > self.config.queue_limit:
-            self.stats["rejected_backpressure"] += 1
-            return {
-                "ok": False, "reason": "backpressure", "retry": True,
-                "error": f"admission queue full "
-                         f"({len(self._queue)}/{self.config.queue_limit})",
-            }
-        outstanding = self._outstanding.get(tenant, 0)
-        n_new = len(resolved) - len([
-            1 for _n, d, _p in resolved if d in warm
-        ])
+        points = [
+            (name, spec.digest(), spec.canonical_json()) for name, spec in specs
+        ]
+        # Build the record before changing anything, so rejections are
+        # side-effect free: each point is warm (store hit), coalesces
+        # (in flight, or repeated here), or is fresh work.
+        inflight = self._state.inflight
+        hits: Dict[str, str] = {}  # digest -> artifact digest
+        for digest in dict.fromkeys(d for _n, d, _p in points):
+            if digest not in inflight and self.config.use_cache:
+                hit = self._warm_lookup(digest)
+                if hit is not None:
+                    hits[digest] = hit
+        record = self._state.admit_record(tenant, kind, points, hits, key)
+        fresh = [d for d in record["payloads"] if d not in inflight]
+        if len(self._queue) + len(fresh) > self.config.queue_limit:
+            return self._reject(
+                "backpressure",
+                f"admission queue full "
+                f"({len(self._queue)}/{self.config.queue_limit})",
+            )
+        outstanding = self._state.outstanding.get(tenant, 0)
+        n_new = sum(1 for slot in record["tasks"] if "state" not in slot)
         if outstanding + n_new > self.config.tenant_quota:
-            self.stats["rejected_quota"] += 1
-            return {
-                "ok": False, "reason": "quota", "retry": True,
-                "error": f"tenant {tenant!r} quota exceeded "
-                         f"({outstanding}+{n_new} > "
-                         f"{self.config.tenant_quota})",
-            }
+            return self._reject(
+                "quota",
+                f"tenant {tenant!r} quota exceeded "
+                f"({outstanding}+{n_new} > {self.config.tenant_quota})",
+            )
 
-        # Build the job: every slot points at a computation.
-        computations: List[Computation] = []
-        by_digest: Dict[str, Computation] = {}
-        n_warm = n_coalesced = 0
-        for name, digest, payload in resolved:
-            if digest in by_digest:  # duplicate point in this submission
-                comp = by_digest[digest]
-                n_coalesced += 1
-            elif digest in self._inflight:
-                comp = self._inflight[digest]
-                n_coalesced += 1
-                self.stats["coalesced"] += 1
-            elif digest in warm:
-                artifact_digest = warm[digest]
-                comp = Computation(digest, payload, name)
-                comp.resolve(
-                    "done", artifact=artifact_digest, cached=True
-                )
-                n_warm += 1
-                self.stats["warm_hits"] += 1
-            else:
-                comp = Computation(digest, payload, name)
-                self._inflight[digest] = comp
-                self._queue.push(tenant, comp)
-            by_digest[digest] = comp
-            computations.append(comp)
-
-        job = Job(
-            f"job-{next(self._job_ids):05d}",
-            tenant, kind, computations,
-            warm=n_warm, coalesced=n_coalesced,
-        )
-        self._jobs[job.job_id] = job
-        self._outstanding[tenant] = (
-            self._outstanding.get(tenant, 0) + job.outstanding
-        )
-        if key is not None:
-            self._idem[key] = job.job_id
-            job.idempotency_key = key
-        journaled = False
-        if self._journal is not None and job.outstanding > 0:
-            # Warm-only jobs are answered entirely from the store and
-            # need no recovery; skipping them keeps the journal off the
-            # warm path (zero fsyncs on a 100%-hit storm).
-            job.journaled = True
-            self._journal.append("admit", **self._admit_record(job))
-            journaled = True
-        self.stats["jobs_submitted"] += 1
-        self.stats["tasks_submitted"] += len(computations)
-        if job.done_event.is_set():
-            self._finish_job(job)
-        self._ledger_dirty = True
+        # Warm-only jobs are answered entirely from the store and need no
+        # recovery; skipping them keeps the journal off the warm path
+        # (zero fsyncs on a 100%-hit storm).
+        journaled = n_new > 0
+        self._transition("admit", journal=journaled, **record)
+        for digest in fresh:
+            self._queue.push(tenant, inflight[digest])
         self._wake.set()
-        return {"ok": True, "job": job, "journaled": journaled}
+        return {
+            "ok": True, "job": self._state.jobs[record["job"]],
+            "journaled": journaled,
+        }
 
     def _warm_lookup(self, digest: str) -> Optional[str]:
         """Store lookup for one scenario digest -> its artifact digest."""
@@ -726,162 +636,33 @@ class RunService:
             self._source_digest,
             kind="sweep_point",
         )
-        if artifact is None:
-            return None
-        return artifact.digest()
+        return None if artifact is None else artifact.digest()
 
-    # -- journal (durability + crash recovery) -------------------------------
+    # -- crash recovery ------------------------------------------------------
 
-    @staticmethod
-    def _slot_record(comp: Computation) -> Dict[str, Any]:
-        """One job slot as journaled: bare while pending, outcome inline
-        once terminal (so snapshots need no separate complete records)."""
-        slot: Dict[str, Any] = {"name": comp.name, "digest": comp.digest}
-        if comp.terminal:
-            slot["state"] = comp.state
-            slot["cached"] = comp.cached
-            if comp.artifact is not None:
-                slot["artifact"] = comp.artifact
-            if comp.error is not None:
-                slot["error"] = comp.error
-        return slot
-
-    def _admit_record(self, job: Job) -> Dict[str, Any]:
-        payloads = {
-            c.digest: c.scenario_json
-            for c in job.computations
-            if not c.terminal
-        }
-        record: Dict[str, Any] = {
-            "job": job.job_id,
-            "tenant": job.tenant,
-            "kind": job.kind,
-            "submitted": job.submitted,
-            "warm": job.warm,
-            "coalesced": job.coalesced,
-            "tasks": [self._slot_record(c) for c in job.computations],
-            "payloads": payloads,
-        }
-        if job.idempotency_key is not None:
-            record["key"] = job.idempotency_key
-        return record
-
-    def _journal_snapshot_records(self) -> List[Dict[str, Any]]:
-        """The live state as admit records (compaction snapshot).
-
-        Finished jobs need no recovery -- their history lives in the
-        ledger and the store -- so the snapshot is bounded by live work.
-        """
-        records = []
-        for job in self._jobs.values():
-            if job.journaled and job.finished is None:
-                records.append(dict(self._admit_record(job), t="admit"))
-        return records
-
-    def _restore_from_journal(self, state: JournalState) -> None:
-        """Rebuild live jobs/computations from a replayed journal.
-
-        Shared digests share one :class:`Computation`, so waiter lists
-        coalesce exactly as they did before the crash.  Every pending
-        digest is checked against the store first: an artifact that
-        landed just before the crash (its complete record still in the
-        fsync buffer) resolves instantly instead of recomputing.
-        """
-        # Never reuse job ids across restarts, including terminal ones.
-        max_id = 0
-        for job_id in state.jobs:
-            m = re.match(r"job-(\d+)$", job_id)
-            if m:
-                max_id = max(max_id, int(m.group(1)))
-        if max_id:
-            self._job_ids = itertools.count(max_id + 1)
-        live = sorted(
-            state.live_jobs(), key=lambda r: r.get("submitted", 0.0)
-        )
-        if not live:
-            return
-        by_digest: Dict[str, Computation] = {}
-        for rec in live:
-            for slot in rec.get("tasks") or []:
-                digest = slot.get("digest")
-                if not digest or digest in by_digest:
-                    continue
-                comp = Computation(
-                    digest,
-                    state.payloads.get(digest, ""),
-                    slot.get("name") or digest[:16],
-                )
-                done = state.completed.get(digest)
-                if "state" in slot:  # terminal at admission (warm slot)
-                    comp.resolve(
-                        slot["state"],
-                        artifact=slot.get("artifact"),
-                        error=slot.get("error"),
-                        cached=bool(slot.get("cached")),
-                    )
-                elif done is not None:
-                    comp.resolve(
-                        done.get("state", "failed"),
-                        artifact=done.get("artifact"),
-                        error=done.get("error"),
-                        seconds=done.get("seconds", 0.0),
-                        cached=bool(done.get("cached")),
-                    )
-                by_digest[digest] = comp
-        requeued = 0
-        for digest, comp in by_digest.items():
-            if comp.terminal:
-                continue
+    def _boot(self) -> None:
+        """Serve the replayed state: each pending computation resolves
+        from the store when its artifact landed just before the crash
+        (its complete record still in the fsync buffer), and is
+        re-queued, waiter list intact, otherwise."""
+        for comp in self._state.boot():
             if not comp.scenario_json:
-                comp.resolve(
-                    "failed", error="journal replay: scenario payload missing"
-                )
+                self._resolve(comp, "failed",
+                              error="journal replay: scenario payload missing")
                 continue
-            hit = self._warm_lookup(digest) if self.config.use_cache else None
+            hit = self._warm_lookup(comp.digest) if self.config.use_cache else None
             if hit is not None:
-                comp.resolve("done", artifact=hit, cached=True)
-                self.stats["warm_hits"] += 1
-        for rec in live:
-            comps = [
-                by_digest[slot["digest"]]
-                for slot in rec.get("tasks") or []
-                if slot.get("digest") in by_digest
-            ]
-            if not comps:
-                continue
-            job = Job(
-                rec["job"], rec.get("tenant", "anonymous"),
-                rec.get("kind", "scenario"), comps,
-                warm=rec.get("warm", 0), coalesced=rec.get("coalesced", 0),
-                submitted=rec.get("submitted"),
-            )
-            job.journaled = True
-            if rec.get("key"):
-                job.idempotency_key = rec["key"]
-                self._idem[rec["key"]] = job.job_id
-            self._jobs[job.job_id] = job
-            self._outstanding[job.tenant] = (
-                self._outstanding.get(job.tenant, 0) + job.outstanding
-            )
-            self.stats["replayed_jobs"] += 1
-            if job.done_event.is_set():
-                self._finish_job(job)
-        for digest, comp in by_digest.items():
-            if comp.terminal:
-                continue
-            self._inflight[digest] = comp
-            tenant = comp.jobs[0].tenant if comp.jobs else "-"
-            self._queue.push(tenant, comp)
-            requeued += 1
-        self.stats["replayed"] += requeued
+                self._resolve(comp, "done", artifact=hit, cached=True)
+            else:
+                self._queue.push(comp.jobs[0].tenant, comp)
+        requeued = self.stats["replayed"] = len(self._queue)
         if TELEMETRY.active:
             TELEMETRY.metrics.counter("service.journal.replayed").inc(requeued)
-        self._ledger_dirty = True
-        self._wake.set()
         log.info(
             "journal replay: %d live job(s), %d computation(s) re-queued "
             "(%d record(s), %d corrupt line(s) skipped)",
-            len(live), requeued, state.records, state.corrupt_lines,
+            self.stats["replayed_jobs"], requeued, self._state.records,
+            self._state.corrupt_lines,
         )
 
     # -- store scrubbing -----------------------------------------------------
@@ -995,44 +776,41 @@ class RunService:
             # disk.  Group commit amortizes the fsync across every
             # submission in the same flush window.
             await self._journal.commit()
-        deduplicated = bool(admitted.get("deduplicated"))
         if req.get("wait", True):
-            await job.done_event.wait()
-            doc = job.document()
-            doc["ok"] = job.state == "done"
-            doc["latency"] = job.finished - job.submitted
-            if deduplicated:
-                doc["deduplicated"] = True
-            return doc
-        response = {
-            "ok": True,
-            "job_id": job.job_id,
-            "state": job.state,
-            "total": len(job.computations),
-            "warm": job.warm,
-            "coalesced": job.coalesced,
-        }
-        if deduplicated:
+            response = await self._result(job)
+        else:
+            response = {
+                "ok": True,
+                "job_id": job.job_id,
+                "state": job.state,
+                "total": len(job.computations),
+                "warm": job.warm,
+                "coalesced": job.coalesced,
+            }
+        if admitted.get("deduplicated"):
             response["deduplicated"] = True
         return response
 
-    async def _op_wait(self, req: Dict[str, Any]) -> Dict[str, Any]:
-        job = self._jobs.get(req.get("job_id"))
-        if job is None:
-            return {"ok": False, "error": f"unknown job {req.get('job_id')!r}"}
+    @staticmethod
+    async def _result(job: Job) -> Dict[str, Any]:
+        """The finished job's document, once it is finished."""
         await job.done_event.wait()
         doc = job.document()
         doc["ok"] = job.state == "done"
         doc["latency"] = job.finished - job.submitted
         return doc
 
+    async def _op_wait(self, req: Dict[str, Any]) -> Dict[str, Any]:
+        job = self._jobs.get(req.get("job_id"))
+        if job is None:
+            return {"ok": False, "error": f"unknown job {req.get('job_id')!r}"}
+        return await self._result(job)
+
     async def _op_status(self, req: Dict[str, Any]) -> Dict[str, Any]:
         job = self._jobs.get(req.get("job_id"))
         if job is None:
             return {"ok": False, "error": f"unknown job {req.get('job_id')!r}"}
-        doc = job.document()
-        doc["ok"] = True
-        return doc
+        return dict(job.document(), ok=True)
 
     async def _op_jobs(self, req: Dict[str, Any]) -> Dict[str, Any]:
         tenant = req.get("tenant")
@@ -1060,32 +838,22 @@ class RunService:
             if not targets:
                 return {"ok": False, "error": f"unknown job {job_id!r}"}
         elif tenant is not None:
-            targets = [
-                j for j in self._jobs.values()
-                if j.tenant == tenant and j.finished is None
-            ]
+            targets = [j for j in self._state.live_jobs() if j.tenant == tenant]
         else:
             return {"ok": False, "error": "cancel needs job_id or tenant"}
 
-        for job in targets:
-            released = 0
-            for comp in job.computations:
-                if comp.state == "queued":
-                    released += job.abandon(comp)
-            if released:
-                self._outstanding[job.tenant] = max(
-                    0, self._outstanding.get(job.tenant, 0) - released
-                )
-                if self._journal is not None and job.journaled:
-                    self._journal.append("cancel", job=job.job_id)
-                if job.done_event.is_set():
-                    self._finish_job(job)
+        live = [job for job in targets if job.finished is None]
+        for job in live:
+            self._transition("cancel", job=job.job_id)
         dropped = self._queue.drop(
             lambda comp: comp.state == "queued" and not comp.jobs
         )
         for comp in dropped:
             self._resolve(comp, "cancelled", error="cancelled by client")
-        self._ledger_dirty = True
+        if (live or dropped) and self._journal is not None:
+            # Same write-ahead contract as submit: the ack implies the
+            # cancellation is on disk, so a crash cannot revive the work.
+            await self._journal.commit()
         return {
             "ok": True,
             "cancelled": [j.job_id for j in targets],
@@ -1096,7 +864,7 @@ class RunService:
         return {
             "ok": True,
             **self._counters(),
-            "inflight": len(self._inflight),
+            "inflight": len(self._state.inflight),
             "jobs": len(self._jobs),
             "uptime": time.time() - self.started,
             "workers": self.config.workers,
@@ -1130,7 +898,7 @@ class RunService:
             loop.call_later(0.05, lambda: loop.create_task(self.drain()))
             return {
                 "ok": True, "stopping": True, "draining": True,
-                "pending": len(self._inflight) + self._running_count,
+                "pending": len(self._state.inflight) + self._running_count,
             }
         loop.call_later(0.05, lambda: loop.create_task(self.stop()))
         return {"ok": True, "stopping": True}

@@ -10,6 +10,7 @@ without asserting anything about actual machine speed.
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -260,3 +261,16 @@ def test_committed_scale_report_supports_the_claim():
     assert report["speedup_vs_sequential"]["partitioned_serial"] >= 2.0
     assert len({a["digest"] for a in report["arms"].values()}) == 1
     assert report["crossover"]["crossover_ranks"] is not None
+
+
+def test_slow_arms_are_timed_every_round(harness, monkeypatch):
+    """An arm that takes 30 s per run still gets ``rounds`` samples: its
+    "min" must never be a single run."""
+    clock = iter(range(0, 10_000, 30))
+    monkeypatch.setattr(harness, "time",
+                        SimpleNamespace(perf_counter=lambda: next(clock)))
+    calls = []
+    timing, result = harness._time_arm(lambda: calls.append(1) or "r", 4)
+    assert len(calls) == 4
+    assert result == "r"
+    assert timing == {"median": 30, "min": 30}

@@ -9,12 +9,8 @@ import asyncio
 
 import pytest
 
-from repro.service.journal import (
-    JobJournal,
-    JournalState,
-    frame_record,
-    parse_line,
-)
+from repro.service.journal import JobJournal, frame_record, parse_line
+from repro.service.state import ServiceState
 
 DIGEST = "d" * 64
 
@@ -70,9 +66,10 @@ def test_append_flush_replay_round_trip(tmp_path):
     state = JobJournal.replay(tmp_path)
     assert state.records == 3
     assert state.corrupt_lines == 0
-    assert "job-00001" in state.jobs
-    assert state.payloads[DIGEST] == '{"name":"tiny"}'
-    assert state.completed[DIGEST]["state"] == "done"
+    (comp,) = state.jobs["job-00001"].computations
+    assert comp.scenario_json == '{"name":"tiny"}'
+    assert comp.state == "done"
+    assert DIGEST not in state.inflight
     assert state.clean_close is False
     # The completed computation makes the job settled, not live.
     assert state.live_jobs() == []
@@ -93,8 +90,8 @@ def test_replay_skips_a_torn_tail_but_keeps_good_records(tmp_path):
     state = JobJournal.replay(tmp_path)
     assert state.records == 1
     assert state.corrupt_lines == 1
-    assert DIGEST not in state.completed
-    assert [rec["job"] for rec in state.live_jobs()] == ["job-00001"]
+    assert state.inflight[DIGEST].state == "queued"
+    assert [job.job_id for job in state.live_jobs()] == ["job-00001"]
 
 
 def test_open_starts_a_new_segment_after_any_existing_one(tmp_path):
@@ -145,7 +142,8 @@ def test_compaction_rewrites_live_state_and_drops_history(tmp_path):
     journal.close()
     state = JobJournal.replay(tmp_path)
     assert set(state.jobs) == {"job-00004"}
-    assert DIGEST in state.completed
+    assert state.jobs["job-00004"].state == "done"
+    assert DIGEST not in state.inflight
 
 
 def test_clean_close_settles_everything(tmp_path):
@@ -168,7 +166,7 @@ def test_clean_close_settles_everything(tmp_path):
     journal.close()
     state = JobJournal.replay(tmp_path)
     assert state.clean_close is False
-    assert [rec["job"] for rec in state.live_jobs()] == ["job-00002"]
+    assert [job.job_id for job in state.live_jobs()] == ["job-00002"]
 
 
 def test_abort_drops_unflushed_records(tmp_path):
@@ -185,20 +183,80 @@ def test_abort_drops_unflushed_records(tmp_path):
 # -- replay state rules -------------------------------------------------------
 
 def test_live_jobs_excludes_cancelled_and_terminal_slots():
-    state = JournalState()
+    state = ServiceState()
     state.apply(_admit("job-00001", digest="a" * 64))
     state.apply(_admit("job-00002", digest="b" * 64))
     state.apply(_admit("job-00003", digest="c" * 64))
     state.apply({"t": "cancel", "job": "job-00002"})
     state.apply({"t": "complete", "digest": "c" * 64, "state": "done"})
-    assert [rec["job"] for rec in state.live_jobs()] == ["job-00001"]
+    assert [job.job_id for job in state.live_jobs()] == ["job-00001"]
 
 
 def test_land_records_attach_the_run_id():
-    state = JournalState()
+    state = ServiceState()
     state.apply(_admit("job-00001"))
     state.apply({"t": "land", "job": "job-00001", "run_id": "service-abc"})
-    assert state.jobs["job-00001"]["run_id"] == "service-abc"
+    assert state.jobs["job-00001"].run_id == "service-abc"
+
+
+def test_parent_format_records_replay_to_the_expected_live_jobs(tmp_path):
+    """Records framed with exactly the field sets the journal has always
+    written -- the format is unchanged, so an old journal still boots."""
+    a, b, c, w = "a" * 64, "b" * 64, "c" * 64, "e" * 64
+    records = [
+        {"t": "admit", "ts": 1.0, "job": "job-00001", "tenant": "x",
+         "kind": "sweep", "submitted": 1.0, "warm": 1, "coalesced": 0,
+         "tasks": [{"name": "p0", "digest": a}, {"name": "p1", "digest": b},
+                   {"name": "p2", "digest": w, "state": "done",
+                    "cached": True, "artifact": "f" * 64}],
+         "payloads": {a: "{}", b: "{}"}, "key": "k-1"},
+        {"t": "admit", "ts": 2.0, "job": "job-00002", "tenant": "y",
+         "kind": "scenario", "submitted": 2.0, "warm": 0, "coalesced": 1,
+         "tasks": [{"name": "p1", "digest": b}], "payloads": {b: "{}"}},
+        {"t": "admit", "ts": 3.0, "job": "job-00003", "tenant": "z",
+         "kind": "scenario", "submitted": 3.0, "warm": 0, "coalesced": 0,
+         "tasks": [{"name": "q", "digest": c}], "payloads": {c: "{}"}},
+        {"t": "start", "ts": 4.0, "digest": a},
+        {"t": "cancel", "ts": 5.0, "job": "job-00001"},
+        {"t": "complete", "ts": 6.0, "digest": c, "state": "done",
+         "artifact": "9" * 64, "error": None, "seconds": 0.5,
+         "cached": False},
+        {"t": "land", "ts": 7.0, "job": "job-00003", "run_id": "service-1"},
+    ]
+    journal = JobJournal(tmp_path)
+    journal.open()
+    journal.close()
+    segment = next(tmp_path.glob("segment-*.ndjson"))
+    segment.write_bytes(b"".join(frame_record(rec) for rec in records))
+
+    state = JobJournal.replay(tmp_path)
+    assert state.records == len(records) and state.corrupt_lines == 0
+    assert state.jobs["job-00003"].run_id == "service-1"
+    state.boot()
+    # job 1's running point survives its cancel; its queued point b is
+    # abandoned but job 2 still waits on it; job 3 finished.
+    assert [job.job_id for job in state.live_jobs()] == [
+        "job-00001", "job-00002"
+    ]
+    job1 = state.jobs["job-00001"]
+    assert [t["state"] for t in job1.document()["tasks"]] == [
+        "queued", "cancelled", "done"
+    ]
+    assert list(state.inflight) == [a, b]
+    assert state.inflight[b].jobs == [state.jobs["job-00002"]]
+    assert state.outstanding == {"x": 1, "y": 1}
+    assert state.idem == {"k-1": "job-00001"}
+    assert state.next_id == 4
+
+
+def test_a_repeated_admit_keeps_the_first():
+    """Old segments a crash left beside a compaction snapshot replay the
+    same job twice; the first admission stands, counted once."""
+    state = ServiceState()
+    state.apply(_admit("job-00001"))
+    state.apply(_admit("job-00001"))
+    assert state.inflight[DIGEST].jobs == [state.jobs["job-00001"]]
+    assert state.outstanding == {"t": 1}
 
 
 # -- group commit -------------------------------------------------------------
