@@ -8,14 +8,23 @@ attached) and then streams its bytes through egress NIC, core, and ingress
 NIC in parallel; the slowest of the three gates completion.  This fluid
 approximation captures the two effects that matter for parallel I/O
 evaluation: endpoint (NIC) saturation and fabric (bisection) saturation.
+
+One message costs the sender a single wait.  The latency ``Timeout``'s own
+callback admits the three legs, and the legs complete into a countdown
+join (:class:`_Message`) rather than three leg events and an ``AllOf``.
+The first two completions only count down.  The last keeps the ``AllOf``'s
+two queue hops: it pushes one leg event, and processing that event
+triggers the event the sender waits on.  Every event that remains
+therefore sits where it sat in the three-event form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.des.engine import Environment
+from repro.des.events import Event
 from repro.des.sharing import FairShareLink
 from repro.cluster.topology import Topology
 
@@ -35,6 +44,41 @@ class _Endpoint:
         self.name = name
         self.ingress = FairShareLink(env, nic_bandwidth)
         self.egress = FairShareLink(env, nic_bandwidth)
+
+
+class _Message:
+    """A message in flight: the completion target of its three legs.
+
+    :meth:`admit` starts the legs, and each leg's
+    :class:`~repro.des.sharing.FairShareLink` calls :meth:`succeed` when
+    the leg completes.  The last call pushes a leg event, whose processing
+    triggers :attr:`done` -- the same two queue hops an ``AllOf`` over three
+    leg events takes after its last leg.
+    """
+
+    __slots__ = ("links", "nbytes", "left", "done")
+
+    def __init__(self, links: tuple, nbytes: float, done: Event):
+        self.links = links
+        self.nbytes = nbytes
+        self.left = len(links)
+        self.done = done
+
+    def admit(self, _latency: Optional[Event] = None) -> None:
+        nbytes = self.nbytes
+        for link in self.links:
+            link.transfer(nbytes, self)
+
+    def succeed(self, value: float) -> None:
+        self.left -= 1
+        if self.left:
+            return
+        last = Event(self.done.env)
+        last.callbacks = self._join
+        last.succeed(value)
+
+    def _join(self, _last: Event) -> None:
+        self.done.succeed()
 
 
 class NetworkFabric:
@@ -89,6 +133,8 @@ class NetworkFabric:
         #: node names rarely match generated topology host names).
         self.topology_map = dict(topology_map or {})
         self._endpoints: Dict[str, _Endpoint] = {}
+        #: (src, dst) -> (latency, (egress, core, ingress)); see _route.
+        self._routes: Dict[Tuple[str, str], tuple] = {}
         self.stats = FabricStats()
 
     # -- endpoint management -----------------------------------------------
@@ -137,33 +183,48 @@ class NetworkFabric:
         return self.base_latency + hops * self.hop_latency
 
     # -- transfer ------------------------------------------------------------
+    def _route(self, src: str, dst: str) -> tuple:
+        """Latency and leg links of a pair, computed once per fabric."""
+        route = self._routes.get((src, dst))
+        if route is None:
+            if src not in self._endpoints:
+                raise KeyError(f"unknown endpoint {src!r} on fabric {self.name!r}")
+            if dst not in self._endpoints:
+                raise KeyError(f"unknown endpoint {dst!r} on fabric {self.name!r}")
+            links = (
+                self._endpoints[src].egress,
+                self.core,
+                self._endpoints[dst].ingress,
+            )
+            route = self._routes[(src, dst)] = (self.latency(src, dst), links)
+        return route
+
     def send(self, src: str, dst: str, nbytes: float):
         """Simulated-process generator moving ``nbytes`` from src to dst.
 
         Usage: ``yield from fabric.send("c0", "oss1", 1 << 20)``.
         Returns the transfer duration in seconds.  Intra-node transfers
-        (``src == dst``) are free.
+        (``src == dst``) are free.  A sender interrupted mid-message stops
+        waiting; the message itself still crosses the fabric.
         """
-        if src not in self._endpoints:
-            raise KeyError(f"unknown endpoint {src!r} on fabric {self.name!r}")
-        if dst not in self._endpoints:
-            raise KeyError(f"unknown endpoint {dst!r} on fabric {self.name!r}")
-        start = self.env.now
+        lat, links = self._route(src, dst)
+        env = self.env
+        start = env._now
         self.stats.messages += 1
         if src == dst:
             return 0.0
         self.stats.bytes += nbytes
-        lat = self.latency(src, dst)
-        if lat > 0:
-            yield self.env.timeout(lat)
         if nbytes > 0:
-            legs = [
-                self._endpoints[src].egress.transfer(nbytes),
-                self.core.transfer(nbytes),
-                self._endpoints[dst].ingress.transfer(nbytes),
-            ]
-            yield self.env.all_of(legs)
-        return self.env.now - start
+            done = Event(env)
+            msg = _Message(links, nbytes, done)
+            if lat > 0:
+                env.timeout(lat).callbacks = msg.admit
+            else:
+                msg.admit()
+            yield done
+        elif lat > 0:
+            yield env.timeout(lat)
+        return env._now - start
 
     def core_utilization(self) -> float:
         """Fraction of time the core link was busy."""

@@ -87,19 +87,28 @@ class Resource:
     def request(self, **kwargs) -> Request:
         """Claim a slot; the returned event fires when the slot is granted."""
         req = self.request_cls(self, **kwargs)
-        req._enqueued_at = self.env.now
+        now = self.env._now
+        req._enqueued_at = now
         self.total_requests += 1
-        self.queue.append(req)
-        self._trigger_pending()
+        if not self.queue and len(self.users) < self._capacity:
+            # Free slot, nobody waiting: grant at once (zero wait).
+            self.users.append(req)
+            req.usage_since = now
+            req.succeed(req)
+        else:
+            self.queue.append(req)
+            self._trigger_pending()
         return req
 
     def release(self, request: Request) -> None:
         """Give back a previously granted slot (no-op for cancelled waits)."""
-        if request in self.users:
+        try:
             self.users.remove(request)
-        elif request in self.queue:
-            self.queue.remove(request)
-        self._trigger_pending()
+        except ValueError:
+            if request in self.queue:
+                self.queue.remove(request)
+        if self.queue:
+            self._trigger_pending()
 
     def _sort_queue(self) -> None:
         """Hook for priority disciplines; FIFO keeps insertion order."""

@@ -15,11 +15,21 @@ since it joined is a single link-wide number: ``_virtual``, the bytes
 delivered to each active flow since the link's current busy period began.
 A flow entering with ``nbytes`` to move finishes when ``_virtual`` reaches
 ``_virtual + nbytes``; that *finish tag* is fixed at admission, so the
-active set is a min-heap ordered by ``(finish_tag, seq)``.  A flow-set
-change costs O(log n) (heap push/pop) instead of the O(n) per-flow
-``remaining`` rewrite of the naive model -- O(n log n) total for n
-transfers instead of O(n^2).  A generation counter invalidates stale
-completion timers, exactly as before.
+active set is a min-heap of ``(finish_tag, seq, target)`` tuples (``seq``
+is unique, so ``target`` is never compared and every heap comparison runs
+in C).  A flow-set change costs O(log n) (heap push/pop) instead of the
+O(n) per-flow ``remaining`` rewrite of the naive model -- O(n log n) total
+for n transfers instead of O(n^2).
+
+Every flow-set change re-arms the link's completion timer: a slotted
+:class:`_Timer` pushed straight onto the event queue at URGENT priority.
+The link remembers only the timer it armed last; any other timer that
+fires is stale and does nothing.
+
+A flow completes by calling ``target.succeed(now)``.  The target is a
+fresh :class:`~repro.des.events.Event` unless the caller passes its own
+(:class:`repro.cluster.network.NetworkFabric` passes one countdown shared
+by a message's three legs).
 """
 
 from __future__ import annotations
@@ -31,26 +41,22 @@ from typing import Deque, Optional, Tuple
 import numpy as np
 
 from repro.des.cohort import observe_cohort
-from repro.des.events import Event, URGENT
+from repro.des.events import Event
 from repro.telemetry import TELEMETRY
 
 
-class _Flow:
-    """An admitted flow: completes when the link's virtual service reaches
-    ``finish_tag``.  Orders by (finish_tag, seq) so simultaneous finishers
-    complete in admission order, independent of float noise."""
+class _Timer:
+    """A link's completion timer, pushed straight onto the event queue.
 
-    __slots__ = ("event", "finish_tag", "seq")
+    The event loop reads only ``callbacks`` and ``_ok`` off a queue entry,
+    so this is all a timer needs to be.
+    """
 
-    def __init__(self, event: Event, finish_tag: float, seq: int):
-        self.event = event
-        self.finish_tag = finish_tag
-        self.seq = seq
+    __slots__ = ("callbacks",)
+    _ok = True
 
-    def __lt__(self, other: "_Flow") -> bool:
-        if self.finish_tag != other.finish_tag:
-            return self.finish_tag < other.finish_tag
-        return self.seq < other.seq
+    def __init__(self, callback):
+        self.callbacks = callback
 
 
 class FairShareLink:
@@ -74,7 +80,7 @@ class FairShareLink:
     """
 
     def __init__(self, env, rate: float, concurrency_limit: Optional[int] = None):
-        if rate <= 0:
+        if not rate > 0:  # also rejects NaN, which would poison the queue
             raise ValueError(f"rate must be positive, got {rate}")
         if concurrency_limit is not None and concurrency_limit <= 0:
             raise ValueError("concurrency_limit must be positive or None")
@@ -84,14 +90,16 @@ class FairShareLink:
         #: effective :attr:`rate` from it (fault injection).
         self._base_rate = self.rate
         self.concurrency_limit = concurrency_limit
-        #: Min-heap of admitted flows, keyed by (finish_tag, seq).
-        self._active: list[_Flow] = []
-        #: FIFO of (event, nbytes, seq) waiting on the concurrency limit.
-        self._pending: Deque[Tuple[Event, float, int]] = deque()
+        #: Min-heap of admitted flows: (finish_tag, seq, target).
+        self._active: list[tuple] = []
+        #: FIFO of (target, nbytes, seq) waiting on the concurrency limit.
+        self._pending: Deque[Tuple[object, float, int]] = deque()
         #: Per-flow bytes served since the current busy period began.
         self._virtual = 0.0
         self._last_update = env.now
-        self._timer_generation = 0
+        #: The armed completion timer (``None`` while idle).
+        self._timer: Optional[_Timer] = None
+        self._on_timer_cb = self._on_timer
         self._seq = 0
         # Statistics
         self.bytes_transferred = 0.0
@@ -124,37 +132,48 @@ class FairShareLink:
 
         Models a flapping/renegotiated link or a straggling NIC.  In-flight
         transfers finish at the new rate from now on: virtual service is
-        accrued at the old rate up to this instant, then the completion
-        timer is re-armed at the new rate (the generation counter
-        invalidates the stale timer).  ``factor=1.0`` restores health.
+        accrued at the old rate up to this instant, then a new completion
+        timer is armed at the new rate (the previously armed one goes
+        stale).  ``factor=1.0`` restores health.
         """
-        if factor < 1.0:
+        if not factor >= 1.0:  # also rejects NaN, which would poison the queue
             raise ValueError(f"degradation factor must be >= 1.0, got {factor}")
         self._advance()
         self.rate = self._base_rate / float(factor)
         self._reschedule()
 
-    def transfer(self, nbytes: float) -> Event:
-        """Start transferring ``nbytes``; the event fires on completion."""
+    def transfer(self, nbytes: float, target=None):
+        """Start transferring ``nbytes``; returns the completion event.
+
+        On completion the link calls ``target.succeed(now)``.  By default
+        ``target`` is a fresh :class:`Event`; a caller may pass any object
+        with a ``succeed(value)`` method instead, which is then returned.
+        """
         if not nbytes >= 0:  # also rejects NaN, which would poison the heap
             raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-        ev = Event(self.env)
+        if target is None:
+            target = Event(self.env)
         if nbytes == 0:
-            ev.succeed(0.0)
-            return ev
+            target.succeed(0.0)
+            return target
         self.bytes_transferred += nbytes
-        self._advance()
+        # Inlined _advance().
+        now = self.env._now
+        active = self._active
+        dt = now - self._last_update
+        if dt > 0 and active:
+            self._virtual += dt * (self.rate / len(active))
+            self.busy_time += dt
+        self._last_update = now
         seq = self._seq
-        self._seq += 1
-        if (
-            self.concurrency_limit is not None
-            and len(self._active) >= self.concurrency_limit
-        ):
-            self._pending.append((ev, float(nbytes), seq))
+        self._seq = seq + 1
+        limit = self.concurrency_limit
+        if limit is not None and len(active) >= limit:
+            self._pending.append((target, float(nbytes), seq))
         else:
-            heappush(self._active, _Flow(ev, self._virtual + nbytes, seq))
+            heappush(active, (self._virtual + nbytes, seq, target))
         self._reschedule()
-        return ev
+        return target
 
     def transfer_batch(self, sizes) -> list[Event]:
         """Admit a cohort of simultaneous transfers; one event per member.
@@ -163,9 +182,9 @@ class FairShareLink:
         the flows receive the same admission sequence numbers and the same
         finish tags, so every completion fires at exactly the time the
         scalar loop would produce -- but the link advances its virtual
-        clock once, re-arms its completion timer once (the scalar loop
-        arms ``len(sizes)`` timers and immediately invalidates all but the
-        last) and bulk-inserts the flows with one ``heapify``.  This is
+        clock once, arms its completion timer once (the scalar loop
+        arms ``len(sizes)`` timers, all but the last of which go stale)
+        and bulk-inserts the flows with one ``heapify``.  This is
         the per-link fair-share cohort path the scale scenarios lean on.
         """
         arr = np.asarray(sizes, dtype=np.float64)
@@ -182,7 +201,7 @@ class FairShareLink:
         self.bytes_transferred += total
         self._advance()
         active = self._active
-        fresh: list[_Flow] = []
+        fresh: list[tuple] = []
         for ev, nbytes in zip(events, plain):
             if nbytes == 0.0:
                 ev.succeed(0.0)
@@ -195,7 +214,7 @@ class FairShareLink:
             ):
                 self._pending.append((ev, nbytes, seq))
             else:
-                fresh.append(_Flow(ev, self._virtual + nbytes, seq))
+                fresh.append((self._virtual + nbytes, seq, ev))
         if fresh:
             active.extend(fresh)
             heapify(active)
@@ -216,7 +235,6 @@ class FairShareLink:
 
     def _reschedule(self) -> None:
         """Arm a completion timer for the earliest-finishing active flow."""
-        self._timer_generation += 1
         active = self._active
         if TELEMETRY.active:
             m = TELEMETRY.metrics
@@ -225,48 +243,49 @@ class FairShareLink:
         if not active:
             # Busy period over: reset the virtual clock so its magnitude is
             # bounded by one busy period's bytes (keeps float eps meaningful).
+            self._timer = None
             self._virtual = 0.0
             return
-        gen = self._timer_generation
-        remaining = active[0].finish_tag - self._virtual
-        delay = remaining * len(active) / self.rate
+        delay = (active[0][0] - self._virtual) * len(active) / self.rate
         if delay < 0.0:
             delay = 0.0
-        timer = Event(self.env)
-        timer._ok = True
-        timer._value = None
-        timer.callbacks = lambda _ev, g=gen: self._on_timer(g)
-        self.env.schedule(timer, delay=delay, priority=URGENT)
+        env = self.env
+        timer = self._timer = _Timer(self._on_timer_cb)
+        # URGENT is priority 0: the heap key is the bare sequence number.
+        heappush(env._queue, (env._now + delay, env._seq(), timer))
 
-    def _on_timer(self, generation: int) -> None:
-        if generation != self._timer_generation:
+    def _on_timer(self, timer: _Timer) -> None:
+        if timer is not self._timer:
             return  # stale timer: flow set changed since it was armed
-        self._advance()
+        # Inlined _advance().
+        now = self.env._now
         active = self._active
-        now = self.env.now
+        dt = now - self._last_update
+        if dt > 0 and active:
+            self._virtual += dt * (self.rate / len(active))
+            self.busy_time += dt
+        self._last_update = now
+        virtual = self._virtual
         # Sub-millibyte residue is floating-point noise; treating it as done
         # guarantees progress (otherwise a ~1e-16-byte remainder arms a
         # zero-delay timer forever because now + delay == now in floats).
         # The relative term covers busy periods large enough that 1e-3 bytes
         # falls below one ulp of the virtual clock.
-        threshold = self._virtual + 1e-3 + 1e-12 * self._virtual
-        finished: list[_Flow] = []
-        while active and active[0].finish_tag <= threshold:
-            finished.append(heappop(active))
+        threshold = virtual + 1e-3 + 1e-12 * virtual
+        finished = False
+        while active and active[0][0] <= threshold:
+            heappop(active)[2].succeed(now)
+            finished = True
         if not finished and active:
             # The timer fired for *some* flow; float rounding can leave its
             # remaining marginally positive while the computed delay rounds
             # to zero.  Force-complete the minimum to preserve liveness.
-            top = active[0]
-            delay = (top.finish_tag - self._virtual) * len(active) / self.rate
+            delay = (active[0][0] - virtual) * len(active) / self.rate
             if now + delay <= now:
-                finished.append(heappop(active))
-        for flow in finished:
-            flow.event.succeed(now)
-        while self._pending and (
-            self.concurrency_limit is None
-            or len(active) < self.concurrency_limit
-        ):
-            ev, nbytes, seq = self._pending.popleft()
-            heappush(active, _Flow(ev, self._virtual + nbytes, seq))
+                heappop(active)[2].succeed(now)
+        pending = self._pending
+        limit = self.concurrency_limit
+        while pending and (limit is None or len(active) < limit):
+            target, nbytes, seq = pending.popleft()
+            heappush(active, (virtual + nbytes, seq, target))
         self._reschedule()

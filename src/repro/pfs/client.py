@@ -164,7 +164,7 @@ class PFSClient:
             nbytes=nbytes,
             rank=self.rank if rank is None else rank,
             start=start,
-            end=self.env.now,
+            end=self.env._now,
             extra=extra or {},
         )
         for obs in self.observers:
@@ -268,39 +268,44 @@ class PFSClient:
         """
         if offset < 0 or nbytes < 0:
             raise ValueError("offset and nbytes must be non-negative")
-        start = self.env.now
-        layout = yield from self._layout(path)
+        env = self.env
+        start = env._now
+        layout = self._layouts.get(path)
+        if layout is None:
+            layout = yield from self._layout(path)
         if nbytes > 0:
             if 0 < nbytes <= self.write_cache_bytes:
                 yield from self._buffer_write(path, offset, nbytes)
             else:
                 yield from self._write_through(path, offset, nbytes, layout)
-        self.stats.writes += 1
-        self.stats.bytes_written += nbytes
-        self.stats.write_time += self.env.now - start
+        stats = self.stats
+        stats.writes += 1
+        stats.bytes_written += nbytes
+        stats.write_time += env._now - start
         self._emit(OpKind.WRITE, path, offset, nbytes, start, rank)
-        return self.env.now - start
+        return env._now - start
 
     def _write_through(self, path: str, offset: int, nbytes: int, layout=None):
         if layout is None:
             layout = yield from self._layout(path)
+        env = self.env
         procs = []
         for sl in layout.slices(offset, nbytes):
             alt = layout.replica_of(sl.ost_index)
             for obj_off, length in self._chunks(sl.object_offset, sl.length):
-                procs.append(self.env.process(
+                procs.append(env.process(
                     self._data_rpc(sl.ost_id, obj_off, length, True,
                                    alt_ost_id=alt)
                 ))
                 if alt is not None:
                     # Mirror copy: best effort -- if its OST is down the
                     # primary copy carries the data (resync is offline).
-                    procs.append(self.env.process(
+                    procs.append(env.process(
                         self._data_rpc(alt, obj_off, length, True,
                                        best_effort=True)
                     ))
-        yield self.env.all_of(procs)
-        self.fs.namespace.update_size(path, offset + nbytes, now=self.env.now)
+        yield env.all_of(procs)
+        self.fs.namespace.update_size(path, offset + nbytes, now=env._now)
         self._invalidate_extent(path, offset, nbytes)
 
     # -- write-back cache -----------------------------------------------------
@@ -351,28 +356,31 @@ class PFSClient:
         """
         if offset < 0 or nbytes < 0:
             raise ValueError("offset and nbytes must be non-negative")
-        start = self.env.now
-        layout = yield from self._layout(path)
+        env = self.env
+        start = env._now
+        layout = self._layouts.get(path)
+        if layout is None:
+            layout = yield from self._layout(path)
         if nbytes > 0 and self._dirty.get(path):
             covered = total_bytes(
                 clip(coalesce(self._dirty[path]), offset, offset + nbytes)
             )
             if covered >= nbytes:
                 # Entirely in the local write-back buffer: memory speed.
-                yield self.env.timeout(_CACHE_HIT_LATENCY + nbytes / _MEM_BANDWIDTH)
+                yield env.timeout(_CACHE_HIT_LATENCY + nbytes / _MEM_BANDWIDTH)
                 self.stats.reads += 1
                 self.stats.bytes_read += nbytes
                 self.stats.cache_hits += 1
-                self.stats.read_time += self.env.now - start
+                self.stats.read_time += env._now - start
                 self._emit(OpKind.READ, path, offset, nbytes, start, rank)
-                return self.env.now - start
+                return env._now - start
             # Partially dirty: write back first for a consistent read.
             yield from self._flush_path(path)
         if nbytes > 0:
             miss_ranges = self._cache_lookup(path, offset, nbytes)
             if not miss_ranges:
                 self.stats.cache_hits += 1
-                yield self.env.timeout(_CACHE_HIT_LATENCY + nbytes / _MEM_BANDWIDTH)
+                yield env.timeout(_CACHE_HIT_LATENCY + nbytes / _MEM_BANDWIDTH)
             else:
                 self.stats.cache_misses += 1
                 procs = []
@@ -382,17 +390,18 @@ class PFSClient:
                         for obj_off, length in self._chunks(
                             sl.object_offset, sl.length
                         ):
-                            procs.append(self.env.process(
+                            procs.append(env.process(
                                 self._data_rpc(sl.ost_id, obj_off, length,
                                                False, alt_ost_id=alt)
                             ))
-                yield self.env.all_of(procs)
+                yield env.all_of(procs)
                 self._cache_insert(path, offset, nbytes)
-        self.stats.reads += 1
-        self.stats.bytes_read += nbytes
-        self.stats.read_time += self.env.now - start
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += nbytes
+        stats.read_time += env._now - start
         self._emit(OpKind.READ, path, offset, nbytes, start, rank)
-        return self.env.now - start
+        return env._now - start
 
     # -- plumbing -----------------------------------------------------------------
     def _chunks(self, object_offset: int, length: int):
@@ -414,10 +423,10 @@ class PFSClient:
         alt_ost_id: Optional[int] = None,
         best_effort: bool = False,
     ):
+        """The generator of one data RPC, with resilience when configured."""
         if not self._resilient:
-            yield from self._rpc_once(ost_id, object_offset, nbytes, is_write)
-            return
-        yield from self._data_rpc_resilient(
+            return self._rpc_once(ost_id, object_offset, nbytes, is_write)
+        return self._data_rpc_resilient(
             ost_id, object_offset, nbytes, is_write, alt_ost_id, best_effort
         )
 

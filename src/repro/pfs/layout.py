@@ -125,6 +125,16 @@ class StripeLayout:
         """
         if offset < 0 or nbytes < 0:
             raise ValueError("offset and nbytes must be non-negative")
+        if 0 < nbytes <= self.stripe_size - offset % self.stripe_size:
+            # Inside one stripe unit (the common small request): one slice.
+            idx = (offset // self.stripe_size) % len(self.ost_ids)
+            return [StripeSlice(
+                ost_index=idx,
+                ost_id=self.ost_ids[idx],
+                object_offset=self.object_offset(offset),
+                file_offset=offset,
+                length=nbytes,
+            )]
         raw: List[StripeSlice] = []
         pos = offset
         end = offset + nbytes

@@ -89,6 +89,15 @@ def test_invalid_rate_rejected():
         FairShareLink(env, rate=0)
     with pytest.raises(ValueError):
         FairShareLink(env, rate=10, concurrency_limit=0)
+    # NaN would put a NaN fire time on the event queue.
+    with pytest.raises(ValueError):
+        FairShareLink(env, rate=float("nan"))
+    link = FairShareLink(env, rate=10)
+    link.transfer(5)
+    with pytest.raises(ValueError):
+        link.set_degradation(float("nan"))
+    env.run()
+    assert env.now == 0.5
 
 
 def test_concurrency_limit_queues_flows():

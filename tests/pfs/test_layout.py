@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pfs import StripeLayout
+from repro.pfs.layout import StripeSlice
 
 
 def test_constructor_validation():
@@ -140,6 +141,27 @@ def test_slices_cover_extent_exactly(layout, extent):
     total = sum(t for (_, _, t) in covered_units)
     assert total == nbytes
     assert intervals[0][0] == offset
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=layouts, data=st.data())
+def test_extent_inside_one_stripe_unit_is_one_slice(layout, data):
+    unit = data.draw(st.integers(0, 64))
+    start = data.draw(st.integers(0, layout.stripe_size - 1))
+    nbytes = data.draw(st.integers(1, layout.stripe_size - start))
+    offset = unit * layout.stripe_size + start
+    assert layout.slices(offset, nbytes) == [StripeSlice(
+        ost_index=unit % layout.stripe_count,
+        ost_id=layout.ost_of(offset),
+        object_offset=layout.object_offset(offset),
+        file_offset=offset,
+        length=nbytes,
+    )]
+    # One byte more than fits reaches the next unit, on the next OST.
+    crosses = nbytes == layout.stripe_size - start
+    assert len(layout.slices(offset, nbytes + 1)) == (
+        2 if crosses and layout.stripe_count > 1 else 1
+    )
 
 
 @settings(max_examples=200, deadline=None)
