@@ -19,32 +19,55 @@ storage cluster, and the storage servers with their block devices.
 * :mod:`repro.cluster.platform` -- assembled platform presets and the
   historical platform-generation table used by claim C1 (the growing
   compute-to-storage performance gap).
+* :mod:`repro.cluster.spec` -- :class:`PlatformSpec` and the named
+  sizings, plain data that imports no simulator code.
 """
 
-from repro.cluster.devices import BlockDevice, DiskDevice, SSDDevice
-from repro.cluster.topology import (
-    DragonflyTopology,
-    FatTreeTopology,
-    Topology,
-)
-from repro.cluster.network import NetworkFabric
-from repro.cluster.node import ComputeNode, IONode, NodeRole, StorageNode
-from repro.cluster.burst_buffer import BurstBuffer
-from repro.cluster.scheduler import BatchScheduler
-from repro.cluster.platform import (
-    GENERATIONS,
+import importlib
+
+from repro.cluster.spec import (
     PLATFORM_PRESETS,
-    Platform,
-    PlatformGeneration,
     PlatformSpec,
-    large_cluster,
     large_spec,
-    medium_cluster,
     medium_spec,
-    platform_from_spec,
-    tiny_cluster,
     tiny_spec,
 )
+
+#: The simulator's names, each imported from its module on first use, so
+#: that the specs above (and the scenario specs, presets and run service
+#: built on them) load without the DES engine, numpy or networkx.
+_SIMULATOR_NAMES = {
+    "BlockDevice": "devices",
+    "DiskDevice": "devices",
+    "SSDDevice": "devices",
+    "DragonflyTopology": "topology",
+    "FatTreeTopology": "topology",
+    "Topology": "topology",
+    "NetworkFabric": "network",
+    "ComputeNode": "node",
+    "IONode": "node",
+    "NodeRole": "node",
+    "StorageNode": "node",
+    "BurstBuffer": "burst_buffer",
+    "BatchScheduler": "scheduler",
+    "GENERATIONS": "platform",
+    "Platform": "platform",
+    "PlatformGeneration": "platform",
+    "large_cluster": "platform",
+    "medium_cluster": "platform",
+    "platform_from_spec": "platform",
+    "tiny_cluster": "platform",
+}
+
+
+def __getattr__(name):
+    module = _SIMULATOR_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BatchScheduler",

@@ -98,12 +98,14 @@ class Process(Event):
                 next_target = self._throw(event._value)
         except StopIteration as stop:
             self._target = None
+            self._release()
             self._ok = True
             self._value = stop.value
             heappush(env._queue, (env._now, env._seq(), self))
             return
         except BaseException as exc:
             self._target = None
+            self._release()
             self._ok = False
             self._value = exc
             heappush(env._queue, (env._now, env._seq(), self))
@@ -117,6 +119,7 @@ class Process(Event):
                 "(yield Timeout/Event/Process/resource requests)"
             )
             self._target = None
+            self._release()
             self._ok = False
             self._value = err
             heappush(env._queue, (env._now, env._seq(), self))
@@ -134,6 +137,15 @@ class Process(Event):
             cbs.append(self._resume_cb)
         else:
             next_target.callbacks = [cbs, self._resume_cb]
+
+    def _release(self) -> None:
+        """Drop the bound methods once the generator has ended.
+
+        ``_resume_cb`` is a bound method of this process, so keeping it
+        would leave every finished process in a reference cycle that only
+        the cyclic garbage collector can free.
+        """
+        self._resume_cb = self._send = self._throw = None
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", str(self._generator))

@@ -101,12 +101,20 @@ class Resource:
         return req
 
     def release(self, request: Request) -> None:
-        """Give back a previously granted slot (no-op for cancelled waits)."""
+        """Give back a previously granted slot (no-op for cancelled waits).
+
+        A granted request's value is the request itself; once its waiter
+        has been resumed (the event is processed), the value is cleared so
+        the released request is not its own reference cycle.
+        """
         try:
             self.users.remove(request)
         except ValueError:
             if request in self.queue:
                 self.queue.remove(request)
+        else:
+            if request.callbacks is None:
+                request._value = None
         if self.queue:
             self._trigger_pending()
 

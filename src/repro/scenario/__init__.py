@@ -20,7 +20,14 @@ the simulator:
   configurations the claims experiments run;
 * :mod:`repro.scenario.sweep` -- cartesian parameter sweeps over a base
   scenario, with cached parallel execution and per-point provenance.
+
+Importing the package loads no simulator code: ``build`` and
+``run_scenario`` import it when called, and the workload registry
+(``WORKLOAD_KINDS``, ``build_workload``), which needs the workload zoo,
+loads on first use.
 """
+
+import importlib
 
 from repro.scenario.spec import (
     ALLOC_POLICIES,
@@ -32,7 +39,6 @@ from repro.scenario.spec import (
     StorageSpec,
     WorkloadSpec,
 )
-from repro.scenario.workloads import WORKLOAD_KINDS, build_workload
 from repro.scenario.build import (
     ScenarioRun,
     build,
@@ -49,6 +55,15 @@ from repro.scenario.sweep import (
     load_sweep_manifest,
     run_sweep,
 )
+
+
+def __getattr__(name):
+    if name not in ("WORKLOAD_KINDS", "build_workload"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.workloads"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "ALLOC_POLICIES",

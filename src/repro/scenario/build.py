@@ -11,28 +11,35 @@ and per-rank I/O stack defaults -- and returns a ready
 workloads (sequentially, or concurrently for interference scenarios) and
 returns a :class:`ScenarioRun` with per-workload results and aggregate
 file-system counters.
+
+The simulator is imported inside the functions that run it, so importing
+this module (and with it :mod:`repro.scenario`) costs no more than the
+specs do: the run service and ``repro-io scenario list`` never load the
+DES engine.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from repro.cluster.platform import Platform, platform_from_spec
 from repro.ops import IORecord
-from repro.pfs.filesystem import ParallelFileSystem
 from repro.scenario.spec import STACK_ENGINES, ScenarioError, ScenarioSpec
-from repro.scenario.workloads import build_workload
-from repro.simulate.execsim import ExperimentHarness
 from repro.telemetry import TELEMETRY, install_standard_probes
-from repro.workloads.base import Workload, WorkloadResult
+
+if TYPE_CHECKING:
+    from repro.cluster.platform import Platform
+    from repro.simulate.execsim import ExperimentHarness
+    from repro.workloads.base import WorkloadResult
 
 log = logging.getLogger(__name__)
 
 
 def build_platform(spec: ScenarioSpec) -> Platform:
     """Assemble only the platform of a scenario (seed-overridden)."""
+    from repro.cluster.platform import platform_from_spec
+
     spec.validate()
     return platform_from_spec(spec.platform, seed=spec.seed)
 
@@ -45,6 +52,9 @@ def build(spec: ScenarioSpec) -> ExperimentHarness:
     collective-buffering and client-cache settings unless the call
     overrides them explicitly.
     """
+    from repro.pfs.filesystem import ParallelFileSystem
+    from repro.simulate.execsim import ExperimentHarness
+
     platform = build_platform(spec)
     pfs = ParallelFileSystem.from_spec(platform, spec.storage)
     injector = None
@@ -72,6 +82,8 @@ def build(spec: ScenarioSpec) -> ExperimentHarness:
 
 def instantiate_workloads(spec: ScenarioSpec):
     """Build every declared workload: ``[(setup_list, main), ...]``."""
+    from repro.scenario.workloads import build_workload
+
     return [build_workload(w) for w in spec.workloads]
 
 
@@ -153,6 +165,7 @@ def _run_scale_workload(
     by the simulated duration so mixed scenarios keep a coherent timeline.
     """
     from repro.simulate.scalemodel import run_scale
+    from repro.workloads.base import WorkloadResult
 
     spec = run.scenario
     config = main.scale_config(spec.platform, spec.seed)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.cluster.platform import large_spec, medium_spec, tiny_spec
+from repro.cluster.spec import large_spec, medium_spec, tiny_spec
 from repro.faults.spec import FaultEventSpec, FaultSpec
 from repro.scenario.spec import ScenarioSpec, StackSpec, StorageSpec, WorkloadSpec
 

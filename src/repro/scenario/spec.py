@@ -10,7 +10,7 @@ a running simulated system by :func:`repro.scenario.build.build`.
 
 Layers (mirroring Fig. 1 / Fig. 2 of the paper):
 
-* :class:`~repro.cluster.platform.PlatformSpec` (reused as-is) -- nodes,
+* :class:`~repro.cluster.spec.PlatformSpec` (reused as-is) -- nodes,
   fabrics, devices;
 * :class:`StorageSpec` -- the parallel file system: striping, RPC size,
   OST device class, allocation policy;
@@ -33,9 +33,10 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cluster.platform import PlatformSpec
+from repro.cluster.spec import PlatformSpec
 from repro.faults.spec import FaultSpec, FaultSpecError
 
 SCENARIO_SCHEMA = "repro.scenario/1"
@@ -73,6 +74,12 @@ def _check_fields(cls, payload: Mapping[str, Any], where: str) -> None:
         raise ScenarioError(f"unknown {where} field(s): {', '.join(unknown)}")
 
 
+def _field_dict(obj) -> Dict[str, Any]:
+    """``dataclasses.asdict`` of a dataclass whose fields are all JSON
+    scalars, without its recursive deep copy (a scalar copies to itself)."""
+    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
+
+
 @dataclass(frozen=True)
 class StorageSpec:
     """Parallel-file-system configuration (the ``build_pfs`` knobs)."""
@@ -106,7 +113,7 @@ class StorageSpec:
             raise ScenarioError(f"replicas must be 1 or 2, got {self.replicas}")
 
     def to_dict(self) -> Dict[str, Any]:
-        out = dataclasses.asdict(self)
+        out = _field_dict(self)
         # Serialized form (and thus every digest/cache key) of an
         # unreplicated spec predates the replicas field: omit the default.
         if self.replicas == 1:
@@ -170,7 +177,7 @@ class StackSpec:
         }
 
     def to_dict(self) -> Dict[str, Any]:
-        out = dataclasses.asdict(self)
+        out = _field_dict(self)
         # Omit resilience/engine fields still at their defaults so earlier
         # scenario digests (and the caches keyed on them) are unchanged.
         for name in ("rpc_timeout", "rpc_retries",
@@ -199,6 +206,11 @@ class WorkloadSpec:
     n_ranks: int = 4
     params: Dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self):
+        # A private copy: a caller mutating the dict it passed cannot change
+        # this spec behind a memoized canonical form.
+        object.__setattr__(self, "params", dict(self.params))
+
     def validate(self) -> None:
         if self.kind not in WORKLOAD_KIND_NAMES:
             raise ScenarioError(
@@ -220,7 +232,7 @@ class WorkloadSpec:
         return cls(
             kind=payload["kind"],
             n_ranks=payload.get("n_ranks", 4),
-            params=dict(payload.get("params", {})),
+            params=payload.get("params", {}),
         )
 
 
@@ -294,7 +306,7 @@ class ScenarioSpec:
             "name": self.name,
             "seed": self.seed,
             "concurrent": self.concurrent,
-            "platform": dataclasses.asdict(self.platform),
+            "platform": _field_dict(self.platform),
             "storage": self.storage.to_dict(),
             "stack": self.stack.to_dict(),
             "workloads": [w.to_dict() for w in self.workloads],
@@ -354,7 +366,15 @@ class ScenarioSpec:
         return cls.from_dict(payload)
 
     def canonical_json(self) -> str:
-        """Minimal, key-sorted JSON -- the cache/digest identity."""
+        """Minimal, key-sorted JSON -- the cache/digest identity.
+
+        Serialized once per instance: the spec is frozen, and ``replace``
+        and ``with_seed`` build new instances with no memo.
+        """
+        return self._canonical_json
+
+    @cached_property
+    def _canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True,
                           separators=(",", ":"))
 

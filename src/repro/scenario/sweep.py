@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.cluster.platform import PlatformSpec
+from repro.cluster.spec import PlatformSpec
 from repro.jobs import CachedResult, ProgressLedger, run_cached, source_digest
 from repro.jobs.execution import seed_globals, timed
 from repro.scenario.spec import (

@@ -45,6 +45,9 @@ SERVICE_LEDGER_SCHEMA = "repro.service.jobs/1"
 
 _TERMINAL = ("done", "failed", "cancelled")
 
+#: What a job that never cancelled has abandoned (one object, shared).
+_NONE_ABANDONED: frozenset = frozenset()
+
 
 class Computation:
     """One scenario execution, keyed by scenario digest."""
@@ -115,7 +118,7 @@ class Job:
 
     __slots__ = (
         "job_id", "tenant", "kind", "submitted", "finished",
-        "computations", "warm", "coalesced", "done_event", "_pending",
+        "computations", "warm", "coalesced", "_done", "_pending",
         "_abandoned", "run_id", "idempotency_key",
     )
 
@@ -142,9 +145,12 @@ class Job:
         self.idempotency_key: Optional[str] = None
         #: Run-document id landed in the store (fresh-compute jobs only).
         self.run_id: Optional[str] = None
-        self.done_event = asyncio.Event()
+        #: Set when the job finishes; created only for a waiter that
+        #: arrives before then (see wait()), so a job born finished -- every
+        #: warm hit -- never allocates one.
+        self._done: Optional[asyncio.Event] = None
         #: Ids of computations this job cancelled out of (see abandon()).
-        self._abandoned: set = set()
+        self._abandoned = _NONE_ABANDONED
         self._pending = sum(1 for c in computations if not c.terminal)
         for comp in computations:
             if not comp.terminal:
@@ -161,7 +167,17 @@ class Job:
 
     def _finish(self) -> None:
         self.finished = time.time()
-        self.done_event.set()
+        done, self._done = self._done, None
+        if done is not None:
+            done.set()
+
+    async def wait(self) -> None:
+        """Return once the job has finished."""
+        if self.finished is not None:
+            return
+        if self._done is None:
+            self._done = asyncio.Event()
+        await self._done.wait()
 
     def abandon(self, comp: Computation) -> int:
         """Stop waiting on a not-yet-terminal computation (client cancel).
@@ -180,7 +196,7 @@ class Job:
             comp.jobs.remove(self)
             released += 1
         if released:
-            self._abandoned.add(id(comp))
+            self._abandoned = self._abandoned | {id(comp)}
             for _ in range(released):
                 self._computation_terminal()
         return released

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import itertools
 import json
 import logging
 import os
@@ -60,10 +61,15 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.ioutil import atomic_write_json
-from repro.jobs import ProgressLedger, load_ref_artifact, source_digest, \
-    store_ref_artifact
-from repro.scenario import ScenarioError, ScenarioSpec, expand_grid, get_scenario
-from repro.scenario.sweep import _execute_point_timed, point_ref, point_ref_name
+from repro.jobs import ProgressLedger, source_digest, store_ref_artifact
+from repro.scenario.presets import get_scenario
+from repro.scenario.spec import ScenarioError, ScenarioSpec
+from repro.scenario.sweep import (
+    _execute_point_timed,
+    expand_grid,
+    point_ref,
+    point_ref_name,
+)
 from repro.service.jobs import (
     JOB_STATES,
     SERVICE_LEDGER_NAME,
@@ -74,7 +80,7 @@ from repro.service.jobs import (
 from repro.service.journal import JOURNAL_DIR_NAME, JobJournal
 from repro.service.scheduler import FairShareQueue
 from repro.service.state import ServiceState
-from repro.store import RunArtifact, RunStore
+from repro.store import RunArtifact, RunStore, StoreError
 from repro.store.scrub import scrub_store
 from repro.store.store import DEFAULT_STORE_DIR
 from repro.telemetry import TELEMETRY
@@ -620,23 +626,38 @@ class RunService:
         # (zero fsyncs on a 100%-hit storm).
         journaled = n_new > 0
         self._transition("admit", journal=journaled, **record)
-        for digest in fresh:
-            self._queue.push(tenant, inflight[digest])
-        self._wake.set()
+        if fresh:
+            for digest in fresh:
+                self._queue.push(tenant, inflight[digest])
+            self._wake.set()  # only queued work needs the dispatcher
         return {
             "ok": True, "job": self._state.jobs[record["job"]],
             "journaled": journaled,
         }
 
     def _warm_lookup(self, digest: str) -> Optional[str]:
-        """Store lookup for one scenario digest -> its artifact digest."""
-        artifact, _status = load_ref_artifact(
-            self.store,
-            point_ref_name(digest, self._source_digest),
-            self._source_digest,
-            kind="sweep_point",
-        )
-        return None if artifact is None else artifact.digest()
+        """Store lookup for one scenario digest -> its artifact digest.
+
+        A hit is a ``sweep/`` ref keyed on this source digest whose object
+        is present; the artifact is neither read nor re-hashed.  Object
+        integrity is the store scrub's job (``serve --scrub-interval``,
+        ``repro-io store scrub``): it quarantines a corrupt object, so the
+        next submission of that scenario misses and recomputes it, and
+        ``store verify`` reports one.  An unreadable ref is a logged miss.
+        """
+        name = point_ref_name(digest, self._source_digest)
+        try:
+            entry = self.store.get_ref(name)
+        except StoreError as exc:
+            log.warning("corrupt cache ref %s (%s); re-executing", name, exc)
+            return None
+        if entry is None:
+            return None
+        if entry.get("meta", {}).get("source_digest") != self._source_digest:
+            log.warning("stale cache ref %s; re-executing", name)
+            return None
+        artifact = entry["digest"]
+        return artifact if self.store.has(artifact) else None
 
     # -- crash recovery ------------------------------------------------------
 
@@ -794,7 +815,7 @@ class RunService:
     @staticmethod
     async def _result(job: Job) -> Dict[str, Any]:
         """The finished job's document, once it is finished."""
-        await job.done_event.wait()
+        await job.wait()
         doc = job.document()
         doc["ok"] = job.state == "done"
         doc["latency"] = job.finished - job.submitted
@@ -934,8 +955,11 @@ class RunService:
         }
 
     def _write_ledger(self, finished: bool = False) -> None:
-        recent = list(self._jobs.values())[-LEDGER_MAX_JOBS:]
-        self._ledger.items = {j.job_id: j.summary() for j in recent}
+        # The newest LEDGER_MAX_JOBS, read from the end of the job table
+        # rather than copying all of it every tick.
+        newest = list(itertools.islice(reversed(self._jobs.values()),
+                                       LEDGER_MAX_JOBS))
+        self._ledger.items = {j.job_id: j.summary() for j in reversed(newest)}
         self._ledger.write(finished=finished)
         self._ledger_dirty = False
 

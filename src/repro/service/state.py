@@ -23,6 +23,7 @@ change nothing but a counter, so they are not transitions.
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -138,9 +139,14 @@ class ServiceState:
             if comp is None:
                 name = slot.get("name") or digest[:16]
                 if "state" in slot:  # born terminal
-                    comp = Computation(digest, "", name)
+                    # Interned: every warm hit on one scenario then shares
+                    # its digest and artifact strings.
+                    artifact = slot.get("artifact")
+                    comp = Computation(sys.intern(digest), "", name)
                     comp.resolve(
-                        slot["state"], artifact=slot.get("artifact"),
+                        slot["state"],
+                        artifact=None if artifact is None
+                        else sys.intern(artifact),
                         error=slot.get("error"), cached=bool(slot.get("cached")),
                     )
                 elif digest in self.inflight:

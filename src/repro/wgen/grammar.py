@@ -384,7 +384,7 @@ class Derivation:
 
     def scenario_spec(self, name: Optional[str] = None, seed: int = 0):
         """A complete runnable scenario (tiny platform) for this derivation."""
-        from repro.cluster.platform import tiny_spec
+        from repro.cluster.spec import tiny_spec
         from repro.scenario.spec import ScenarioSpec
 
         if name is None:

@@ -5,7 +5,8 @@ Every ``repro`` import points to its own layer or a lower one in
 has no cycle and every module imports cleanly as the first import of a
 fresh interpreter.  Every CLI call and service boot builds the CLI
 parser, and those and every pool worker import the store and the job
-layer, so none of them may load the simulator or its numeric stack.
+layer, so none of them may load the simulator or its numeric stack; nor
+may the run service or the scenario presets, which need only the specs.
 scipy is used only by the hypothesis tests in
 :mod:`repro.modeling.hypothesis_testing` and must load only when one of
 them runs.  Each budget check runs in a fresh interpreter, since this
@@ -185,6 +186,14 @@ def test_package_imports_first_in_fresh_interpreter(package, tmp_path):
     ids=["repro.store", "repro.jobs", "repro.cluster", "repro.pfs"],
 )
 def test_store_and_jobs_load_no_simulator(module, watch, tmp_path):
+    assert _loaded_after(f"import {module}", tmp_path, watch=watch) == []
+
+
+@pytest.mark.parametrize("module", ["repro.service", "repro.scenario.presets"])
+def test_service_and_presets_load_no_simulator(module, tmp_path):
+    # A warm submission and `scenario list` need only the specs: the
+    # simulator loads in a pool worker's first task, or when a scenario runs.
+    watch = ("numpy", "networkx", "repro.des", "repro.pfs")
     assert _loaded_after(f"import {module}", tmp_path, watch=watch) == []
 
 

@@ -198,3 +198,21 @@ def test_submit_reliable_survives_a_dropped_socket(tmp_path, monkeypatch):
             assert service.stats["jobs_submitted"] == 1
 
     asyncio.run(main())
+
+
+def test_responses_share_repeated_keys_and_strings(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_mod, "_run_computation_task", _fake_point_task)
+
+    async def main():
+        async with _service(tmp_path) as (service, client):
+            await client.submit("tiny", tenant="a")
+            return [await client.submit("tiny", tenant=t) for t in "bc"]
+
+    first, second = asyncio.run(main())
+    assert first["warm"] == second["warm"] == 1
+    assert list(first) == list(second)
+    assert all(a is b for a, b in zip(first, second))
+    assert first["schema"] is second["schema"]
+    a, b = first["tasks"][0], second["tasks"][0]
+    assert a["digest"] is b["digest"] and a["artifact"] is b["artifact"]
+    assert first["tenant"] == "b" and second["tenant"] == "c"

@@ -11,15 +11,17 @@ import contextlib
 import json
 import os
 import time
+import types
 
 import pytest
 
+import repro.jobs.ledger as ledger_mod
 import repro.service.server as server_mod
 from repro.jobs import store_ref_artifact
 from repro.scenario import get_scenario
 from repro.scenario.sweep import point_ref_name
 from repro.service import RunService, ServiceClient, ServiceConfig
-from repro.store import RunArtifact
+from repro.store import RunArtifact, RunStore, scrub_store
 
 SRC = "5" * 64  # pinned source digest: no tree scan, stable cache keys
 
@@ -436,3 +438,77 @@ def test_grid_with_a_repeated_value_is_a_bad_request(tmp_path):
     assert response["reason"] == "bad-request"
     assert "repeats value" in response["error"]
     assert service.stats["tasks_submitted"] == 0
+
+
+# -- warm-hit integrity and the ledger window ---------------------------------
+
+def test_warm_hit_is_served_from_the_ref_without_reading_the_object(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(server_mod, "_run_computation_task", _fake_point_task)
+
+    async def main():
+        async with _service(tmp_path) as (service, client):
+            first = await client.submit("tiny", tenant="alice")
+            with monkeypatch.context() as m:
+                def no_reads(self, digest):
+                    raise AssertionError("warm hit read the artifact")
+                m.setattr(RunStore, "get", no_reads)
+                second = await client.submit("tiny", tenant="bob")
+            assert second["ok"] and second["warm"] == 1
+            assert second["tasks"][0]["artifact"] == \
+                first["tasks"][0]["artifact"]
+
+    asyncio.run(main())
+
+
+def test_scrubbed_corrupt_object_is_recomputed_not_served_warm(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(server_mod, "_run_computation_task", _fake_point_task)
+
+    async def main():
+        async with _service(tmp_path) as (service, client):
+            first = await client.submit("tiny", tenant="alice")
+            artifact = first["tasks"][0]["artifact"]
+            service.store.object_path(artifact).write_bytes(b"not json")
+            report = scrub_store(service.store)
+            assert report["quarantined"] == 1
+            second = await client.submit("tiny", tenant="bob")
+            assert second["ok"] and second["warm"] == 0
+            assert second["tasks"][0]["cached"] is False
+            assert second["tasks"][0]["artifact"] == artifact
+            assert service.stats["computed"] == 2
+            assert service.store.verify() == []
+
+    asyncio.run(main())
+
+
+def test_ledger_window_equals_the_newest_slice_of_all_jobs(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(ledger_mod, "time", types.SimpleNamespace(
+        time=lambda: 1.0))
+    service = RunService(ServiceConfig(
+        store_dir=tmp_path / "store", source_digest=SRC,
+    ))
+    store_ref_artifact(
+        service.store,
+        point_ref_name(get_scenario("tiny").digest(), SRC),
+        RunArtifact.from_sweep_point({"duration": 1.0}),
+        meta={"source_digest": SRC},
+    )
+    n_jobs = server_mod.LEDGER_MAX_JOBS + 37
+    for i in range(n_jobs):
+        assert _admitted(service, tenant=f"t{i}")["ok"]
+    assert len(service._jobs) == n_jobs
+    service._write_ledger()
+    written = service.ledger_path.read_bytes()
+
+    recent = list(service._jobs.values())[-server_mod.LEDGER_MAX_JOBS:]
+    service._ledger.items = {j.job_id: j.summary() for j in recent}
+    service._ledger.write()
+    assert written == service.ledger_path.read_bytes()
+    rows = json.loads(written)["jobs"]
+    assert len(rows) == server_mod.LEDGER_MAX_JOBS
+    assert list(rows)[-1] == f"job-{n_jobs:05d}"
