@@ -12,6 +12,8 @@ Run:  python examples/scheduled_center.py
 
 from repro.cluster import BatchScheduler, tiny_cluster
 from repro.pfs import build_pfs
+from repro.simulate import launch_workload
+from repro.workloads import MdtestConfig, MdtestWorkload
 from repro.workloads.registry import make_preset
 
 
@@ -21,49 +23,27 @@ def run_day(policy: str):
     env = platform.env
     sched = BatchScheduler(env, total_nodes=4, policy=policy)
 
-    def body_for(preset, ranks):
-        """Job body: launch the workload's ranks and wait for them.
-
-        (``run_workload`` drives the event loop itself, which a job body
-        must not do -- the scheduler owns the clock -- so the ranks are
-        launched directly and awaited.)
-        """
-        setup, main = make_preset(preset, n_ranks=ranks)
+    def body(workloads, nodes=None):
+        """Job body: launch each workload's ranks and wait for them
+        (``run_workload`` would drive the clock itself, which a job body
+        must not do -- the scheduler owns it)."""
 
         def body_gen():
-            from repro.iostack.stack import IOStackBuilder
-            from repro.mpi.runtime import MPIRuntime, round_robin_nodes
-
-            for w in setup + [main]:
-                nodes = round_robin_nodes(
-                    [n.name for n in platform.compute_nodes], w.n_ranks
-                )
-                rt = MPIRuntime(env, platform.compute_fabric, nodes)
-                builder = IOStackBuilder(pfs, rt)
-                procs = rt.launch(w.program, io_factory=builder.io_factory)
-                yield env.all_of(procs)
+            for w in workloads:
+                yield env.all_of(launch_workload(platform, pfs, w, nodes))
 
         return body_gen
+
+    def body_for(preset, ranks):
+        setup, main = make_preset(preset, n_ranks=ranks)
+        return body(setup + [main])
 
     def mdtest_body(i):
         """Each mdtest job gets its own directory tree (no collisions)."""
-        from repro.workloads import MdtestConfig, MdtestWorkload
-
         w = MdtestWorkload(
             MdtestConfig(files_per_rank=32, dir_prefix=f"/mdtest{i}"), 1
         )
-
-        def body_gen():
-            from repro.iostack.stack import IOStackBuilder
-            from repro.mpi.runtime import MPIRuntime, round_robin_nodes
-
-            nodes = round_robin_nodes([platform.compute_nodes[0].name], 1)
-            rt = MPIRuntime(env, platform.compute_fabric, nodes)
-            builder = IOStackBuilder(pfs, rt)
-            procs = rt.launch(w.program, io_factory=builder.io_factory)
-            yield env.all_of(procs)
-
-        return body_gen
+        return body([w], [platform.compute_nodes[0].name])
 
     # The morning's submissions, arriving over time.
     def submissions(env):

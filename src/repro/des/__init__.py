@@ -27,7 +27,6 @@ event queue are broken by (time, priority, insertion sequence), so two runs
 of the same program produce identical event orderings.
 """
 
-from repro.des.cohort import MIN_VECTOR_BATCH
 from repro.des.engine import Environment, SimulationError
 from repro.des.events import (
     AllOf,
@@ -67,7 +66,6 @@ __all__ = [
     "Interrupt",
     "LOW",
     "LogicalProcess",
-    "MIN_VECTOR_BATCH",
     "NORMAL",
     "OptimisticExecutor",
     "OptimisticStats",

@@ -1,16 +1,15 @@
-"""Vectorized event-cohort helpers.
+"""Event-cohort helpers.
 
 A *cohort* is a homogeneous population of events scheduled (and often
 processed) together: per-rank phase arrivals of an SPMD round, per-link
-fair-share admissions, per-OST service completions.  The scalar engine
-pays one heap push, one float add and one validation branch per event;
-when the population is an array, all three vectorize.
+fair-share admissions, per-OST service completions.  When the population
+is an array, the scalar engine's per-event work vectorizes.
 
-This module centralises the numpy gating and the shared numeric kernels so
-the engine (:meth:`repro.des.engine.Environment.schedule_batch`), the
-bandwidth model (:meth:`repro.des.sharing.FairShareLink.transfer_batch`)
-and the scale-scenario cohort model (:mod:`repro.simulate.scalemodel`)
-agree on validation semantics and float behaviour.
+Two users share this module: the bandwidth model
+(:meth:`repro.des.sharing.FairShareLink.transfer_batch`) records its
+cohort admissions through :func:`observe_cohort`, and the scale-scenario
+cohort model (:mod:`repro.simulate.scalemodel`) also computes its
+fair-share completion times with :func:`fair_share_batch_times`.
 
 Exactness contract
 ------------------
@@ -25,43 +24,7 @@ min/max reductions (exact selections) and never uses ``np.sum`` on floats
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
-
-#: Below this population size the scalar loop beats array setup overhead;
-#: measured on the engine microbenchmarks (see ``benchmarks``).
-MIN_VECTOR_BATCH = 8
-
-
-def as_delay_array(delays: Sequence[float]):
-    """Validate a cohort of delays and return them as a float64 array.
-
-    Mirrors the scalar :meth:`Environment.schedule` checks -- negative and
-    NaN delays are rejected (NaN silently breaks the heap invariant) --
-    but performs both checks with two vector comparisons instead of two
-    branches per event.
-    """
-    arr = np.asarray(delays, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"delay cohort must be 1-D, got shape {arr.shape}")
-    # A single fused pass: NaN fails both comparisons, so ``>= 0`` is
-    # False for NaN and one reduction covers both rejection rules.
-    if not bool(np.all(arr >= 0.0)):
-        if bool(np.any(np.isnan(arr))):
-            raise ValueError("NaN delay in cohort")
-        raise ValueError("negative delay in cohort")
-    return arr
-
-
-def fire_times(now: float, delays) -> List[float]:
-    """``now + delay`` for each cohort member.
-
-    Elementwise float64 addition is bit-identical to the scalar engine's
-    ``self._now + delay``, so batch-scheduled events land on exactly the
-    heap keys scalar scheduling would have produced.
-    """
-    return (now + delays).tolist()
+from typing import Optional
 
 
 def observe_cohort(kind: str, size: int, now: Optional[float] = None) -> None:
@@ -102,10 +65,4 @@ def fair_share_batch_times(
     return admit_time + nbytes * population / rate
 
 
-__all__ = [
-    "MIN_VECTOR_BATCH",
-    "as_delay_array",
-    "fair_share_batch_times",
-    "fire_times",
-    "observe_cohort",
-]
+__all__ = ["fair_share_batch_times", "observe_cohort"]

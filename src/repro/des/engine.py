@@ -18,7 +18,7 @@ one ``callbacks is None`` check (local aliases for the queue and
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Generator, List, Optional, Sequence, Union
 
@@ -39,6 +39,13 @@ _INF = float("inf")
 
 # Pre-bound allocator for Environment.timeout (skips a method lookup per event).
 _new_timeout = Timeout.__new__
+
+
+def _check_delays(delays: Sequence[float]) -> None:
+    """Reject a cohort holding a negative or NaN delay before any member
+    is scheduled (``not d >= 0`` is true for both)."""
+    if any(not d >= 0 for d in delays):
+        raise ValueError("negative or NaN delay in cohort")
 
 
 class SimulationError(Exception):
@@ -119,44 +126,15 @@ class Environment:
     def timeout_batch(
         self, delays: Sequence[float], values: Optional[Sequence[Any]] = None
     ) -> List[Timeout]:
-        """Create one :class:`Timeout` per cohort member, vectorized.
+        """One :class:`Timeout` per cohort member, all delays checked first.
 
-        Semantically identical to ``[self.timeout(d) for d in delays]`` --
-        the events receive the same insertion-sequence numbers, the same
-        fire times (elementwise float64 addition matches the scalar
-        ``now + delay`` bit-for-bit) and the same heap keys, so a cohort
-        schedule is byte-identical to the scalar loop.  The win is
-        amortization: one vectorized validation pass, one fire-time array
-        op, and (for large cohorts) an O(queue + batch) ``heapify``
-        instead of ``batch`` O(log queue) sift-ups.
+        Otherwise exactly ``[self.timeout(d, v) for d, v in zip(delays,
+        values)]``: the same sequence numbers, fire times and heap keys.
         """
-        from repro.des.cohort import (
-            MIN_VECTOR_BATCH,
-            as_delay_array,
-            fire_times,
-            observe_cohort,
-        )
-
-        arr = as_delay_array(delays)
-        times = fire_times(self._now, arr)
-        plain = arr.tolist()
-        n = len(times)
-        seq = self._seq
-        events: List[Timeout] = []
-        entries = []
-        for i in range(n):
-            t = _new_timeout(Timeout)
-            t.env = self
-            t.callbacks = _NO_CALLBACKS
-            t._value = values[i] if values is not None else None
-            t._ok = True
-            t._delay = plain[i]
-            events.append(t)
-            entries.append((times[i], _KEY_NORMAL | seq(), t))
-        self._push_entries(entries, n)
-        if TELEMETRY.active:
-            observe_cohort("timeout", n, self._now)
-        return events
+        _check_delays(delays)
+        if values is None:
+            values = [None] * len(delays)
+        return [self.timeout(d, v) for d, v in zip(delays, values)]
 
     def schedule_batch(
         self,
@@ -164,45 +142,18 @@ class Environment:
         delays: Sequence[float],
         priority: int = NORMAL,
     ) -> None:
-        """Enqueue a cohort of events, vectorized.
+        """Enqueue a cohort of events, all delays checked first.
 
-        Equivalent to ``for ev, d in zip(events, delays): schedule(ev, d,
-        priority)`` -- same sequence numbers, same keys, same fire times --
-        with validation and fire-time arithmetic done in one array pass.
+        Otherwise exactly ``for ev, d in zip(events, delays): schedule(ev,
+        d, priority)``.
         """
-        from repro.des.cohort import as_delay_array, fire_times, observe_cohort
-
         if len(events) != len(delays):
             raise ValueError(
                 f"cohort mismatch: {len(events)} events, {len(delays)} delays"
             )
-        arr = as_delay_array(delays)
-        times = fire_times(self._now, arr)
-        seq = self._seq
-        key_base = priority << _PRIORITY_SHIFT
-        entries = [
-            (times[i], key_base | seq(), events[i]) for i in range(len(events))
-        ]
-        self._push_entries(entries, len(entries))
-        if TELEMETRY.active:
-            observe_cohort("schedule", len(entries), self._now)
-
-    def _push_entries(self, entries: list, n: int) -> None:
-        """Bulk heap insertion.
-
-        Heap *pop order* depends only on the entry keys (which are totally
-        ordered by the unique sequence number), never on the internal array
-        layout, so rebuilding via ``heapify`` yields exactly the event
-        order that individual sift-ups would have -- it is just cheaper
-        once the batch is a decent fraction of the queue.
-        """
-        queue = self._queue
-        if n >= 8 and n * 4 >= len(queue):
-            queue.extend(entries)
-            heapify(queue)
-        else:
-            for entry in entries:
-                heappush(queue, entry)
+        _check_delays(delays)
+        for event, delay in zip(events, delays):
+            self.schedule(event, delay, priority)
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start a new simulated process from ``generator``."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.iostack.hdf5 import H5File
 from repro.iostack.mpiio import MPIIOLayer
@@ -58,14 +58,13 @@ class IOStackBuilder:
     cb_nodes:
         Collective-buffering aggregator count (see
         :class:`~repro.iostack.mpiio.MPIIOLayer`).
-    read_cache_bytes:
-        Per-rank client read cache size.
-    rpc_timeout / rpc_retries / retry_backoff / retry_backoff_cap:
-        Client resilience knobs, forwarded to every rank's
-        :class:`~repro.pfs.client.PFSClient` (see there); left at their
-        defaults the clients are byte-identical to pre-resilience ones.
     observers:
         Observers attached to every layer of every rank (e.g. a tracer).
+    client_kwargs:
+        Client knobs (cache sizes, RPC resilience), forwarded to every
+        rank's :class:`~repro.pfs.client.PFSClient`, which documents and
+        validates them; left out, the clients run cache-less and without
+        resilience.
     """
 
     def __init__(
@@ -73,23 +72,13 @@ class IOStackBuilder:
         pfs: ParallelFileSystem,
         runtime: MPIRuntime,
         cb_nodes: Optional[int] = None,
-        read_cache_bytes: int = 0,
-        write_cache_bytes: int = 0,
-        rpc_timeout: float = 0.0,
-        rpc_retries: int = 0,
-        retry_backoff: float = 0.005,
-        retry_backoff_cap: float = 0.5,
         observers: Optional[List[Callable[[IORecord], None]]] = None,
+        **client_kwargs: Any,
     ):
         self.pfs = pfs
         self.runtime = runtime
         self.cb_nodes = cb_nodes
-        self.read_cache_bytes = read_cache_bytes
-        self.write_cache_bytes = write_cache_bytes
-        self.rpc_timeout = rpc_timeout
-        self.rpc_retries = rpc_retries
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_cap = retry_backoff_cap
+        self.client_kwargs = client_kwargs
         self.observers = list(observers or [])
         self._mpiio_registry = MPIIOLayer.make_shared_registry()
         self._h5_shared = H5File.make_shared_state()
@@ -99,15 +88,7 @@ class IOStackBuilder:
         """Build (or return) the stack for ``ctx``'s rank."""
         if ctx.rank in self.stacks:
             return self.stacks[ctx.rank]
-        client = self.pfs.client(
-            ctx.node, rank=ctx.rank,
-            read_cache_bytes=self.read_cache_bytes,
-            write_cache_bytes=self.write_cache_bytes,
-            rpc_timeout=self.rpc_timeout,
-            rpc_retries=self.rpc_retries,
-            retry_backoff=self.retry_backoff,
-            retry_backoff_cap=self.retry_backoff_cap,
-        )
+        client = self.pfs.client(ctx.node, rank=ctx.rank, **self.client_kwargs)
         posix = PosixLayer(client, rank=ctx.rank)
         mpiio = MPIIOLayer(
             posix,

@@ -35,6 +35,8 @@ RPC_HEADER = 128
 #: Local memory bandwidth used to cost cache hits (bytes/second).
 _MEM_BANDWIDTH = 10e9
 _CACHE_HIT_LATENCY = 1e-6
+#: Read-cache block granularity in bytes.
+CACHE_BLOCK = 1024 * 1024
 
 
 @dataclass
@@ -77,9 +79,11 @@ class PFSClient:
     rank:
         Default rank recorded on emitted records (overridable per call).
     read_cache_bytes:
-        Capacity of the local read cache (0 disables it).
-    cache_block:
-        Cache block granularity in bytes.
+        Capacity of the local read cache (0 disables it), cached in
+        :data:`CACHE_BLOCK` blocks.
+    write_cache_bytes:
+        Capacity of the local write-back cache (0 disables it); a write of
+        at most this size is absorbed at memory speed and flushed later.
     rpc_timeout:
         Per-data-RPC timeout in simulated seconds; an attempt still in
         flight after this long is abandoned (it keeps consuming server
@@ -104,15 +108,12 @@ class PFSClient:
         node: str,
         rank: int = 0,
         read_cache_bytes: int = 0,
-        cache_block: int = 1024 * 1024,
         write_cache_bytes: int = 0,
         rpc_timeout: float = 0.0,
         rpc_retries: int = 0,
         retry_backoff: float = 0.005,
         retry_backoff_cap: float = 0.5,
     ):
-        if cache_block <= 0:
-            raise ValueError("cache_block must be positive")
         if write_cache_bytes < 0:
             raise ValueError("write_cache_bytes must be non-negative")
         if rpc_timeout < 0 or rpc_retries < 0:
@@ -126,7 +127,6 @@ class PFSClient:
         self.node = node
         self.rank = rank
         self.read_cache_bytes = int(read_cache_bytes)
-        self.cache_block = int(cache_block)
         self._cache: OrderedDict[tuple, bool] = OrderedDict()
         self._layouts: Dict[str, StripeLayout] = {}
         # Write-back cache: per-path dirty extents in insertion order.
@@ -548,8 +548,8 @@ class PFSClient:
 
     # -- read cache ------------------------------------------------------------------
     def _block_range(self, offset: int, nbytes: int):
-        first = offset // self.cache_block
-        last = (offset + nbytes - 1) // self.cache_block
+        first = offset // CACHE_BLOCK
+        last = (offset + nbytes - 1) // CACHE_BLOCK
         return first, last
 
     def _cache_lookup(self, path: str, offset: int, nbytes: int):
@@ -572,14 +572,14 @@ class PFSClient:
         if run_start is not None:
             missing.append((run_start, last + 1))
         return [
-            (blk_start * self.cache_block, (blk_end - blk_start) * self.cache_block)
+            (blk_start * CACHE_BLOCK, (blk_end - blk_start) * CACHE_BLOCK)
             for blk_start, blk_end in missing
         ]
 
     def _cache_insert(self, path: str, offset: int, nbytes: int) -> None:
         if self.read_cache_bytes <= 0 or nbytes == 0:
             return
-        max_blocks = self.read_cache_bytes // self.cache_block
+        max_blocks = self.read_cache_bytes // CACHE_BLOCK
         if max_blocks == 0:
             return
         first, last = self._block_range(offset, nbytes)

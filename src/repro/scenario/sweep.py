@@ -266,7 +266,6 @@ def run_sweep(
     jobs: int = 1,
     use_cache: bool = True,
     cache_dir: Union[Path, str] = DEFAULT_CACHE_DIR,
-    seed: Optional[int] = None,
     manifest: bool = True,
     manifest_path: Optional[Union[Path, str]] = None,
     fail_fast: bool = False,
@@ -296,8 +295,6 @@ def run_sweep(
 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if seed is not None:
-        base = base.with_seed(seed)
     points = expand_grid(base, grid)
     cache_dir = Path(cache_dir)
     store = RunStore(cache_dir)

@@ -547,17 +547,20 @@ class RunService:
     ) -> Tuple[str, List[Tuple[str, ScenarioSpec]]]:
         """Turn a submit request into named, validated scenario specs."""
         scenario = req.get("scenario")
+        seed = req.get("seed")
+        # A preset is rebuilt at the seed, as ``scenario run --seed`` does
+        # (some presets derive more than ``ScenarioSpec.seed`` from it);
+        # an inline spec can only have its seed field replaced.
         if isinstance(scenario, str):
-            base = get_scenario(scenario)
+            base = get_scenario(scenario, 0 if seed is None else int(seed))
         elif isinstance(scenario, dict):
             base = ScenarioSpec.from_dict(scenario)
+            if seed is not None:
+                base = base.with_seed(int(seed))
         else:
             raise ScenarioError(
                 "submit needs 'scenario': a preset name or a spec object"
             )
-        seed = req.get("seed")
-        if seed is not None:
-            base = base.with_seed(int(seed))
         grid = req.get("grid") or {}
         if grid:
             points = expand_grid(base, grid)

@@ -9,7 +9,13 @@
   simulated storage system (Sec. IV-C-2, SynchroTrace [36] style).
 """
 
-from repro.simulate.execsim import ExperimentHarness, run_workload
+from repro.simulate.execsim import ExperimentHarness, launch_workload, run_workload
 from repro.simulate.tracesim import trace_to_workload, run_trace
 
-__all__ = ["ExperimentHarness", "run_trace", "run_workload", "trace_to_workload"]
+__all__ = [
+    "ExperimentHarness",
+    "launch_workload",
+    "run_trace",
+    "run_workload",
+    "trace_to_workload",
+]

@@ -1,9 +1,12 @@
 """Execution-driven simulation driver.
 
-``run_workload`` is the one-call entry point used by examples, tests and
-benchmarks: it places ranks on compute nodes, builds each rank's I/O stack,
-runs the workload program inside the simulator, and returns a
-:class:`~repro.workloads.base.WorkloadResult` with timings and volumes.
+``launch_workload`` is the one launch path: it places ranks on compute
+nodes, builds each rank's I/O stack and starts the workload program,
+leaving the clock to its caller.  ``run_workload`` -- the one-call entry
+point used by examples, tests and benchmarks -- launches, runs the clock
+to completion and returns a :class:`~repro.workloads.base.WorkloadResult`
+with timings and volumes; a batch-scheduler job body launches and yields
+on the ranks instead.
 
 :class:`ExperimentHarness` bundles a platform + file system and runs
 several workloads (sequentially or concurrently) against the same storage
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.cluster.platform import Platform
+from repro.des.process import Process
 from repro.mpi.runtime import MPIRuntime, round_robin_nodes
 from repro.ops import IORecord
 from repro.iostack.stack import IOStackBuilder
@@ -30,73 +34,70 @@ from repro.workloads.base import Workload, WorkloadResult
 log = logging.getLogger(__name__)
 
 
+def launch_workload(
+    platform: Platform,
+    pfs: ParallelFileSystem,
+    workload: Workload,
+    nodes: Optional[List[str]] = None,
+    observers: Optional[List[Callable[[IORecord], None]]] = None,
+    **stack: Any,
+) -> List[Process]:
+    """Start ``workload``'s ranks without running the clock.
+
+    Ranks are placed round-robin over ``nodes`` (default: every compute
+    node) and each gets its Fig. 2 stack from one
+    :class:`~repro.iostack.stack.IOStackBuilder`; ``observers`` and the
+    ``stack`` keywords (``cb_nodes`` plus the
+    :class:`~repro.pfs.client.PFSClient` knobs) go to that builder.  The
+    caller owns the clock: :func:`run_workload` runs it to completion, a
+    scheduler job body yields ``env.all_of(procs)``.
+    """
+    nodes = nodes or [n.name for n in platform.compute_nodes]
+    runtime = MPIRuntime(
+        platform.env, platform.compute_fabric,
+        round_robin_nodes(nodes, workload.n_ranks),
+    )
+    builder = IOStackBuilder(pfs, runtime, observers=observers, **stack)
+    return runtime.launch(workload.program, io_factory=builder.io_factory)
+
+
+def _finish_times(env, procs: List[Process]) -> List[float]:
+    """Each rank's completion time, indexed by rank, filled in as ranks
+    finish (the per-rank imbalance is what stragglers/interference studies
+    look at; the aggregate duration would hide it)."""
+    times = [0.0] * len(procs)
+    for i, proc in enumerate(procs):
+        proc.add_callback(lambda ev, i=i: times.__setitem__(i, env.now))
+    return times
+
+
 def run_workload(
     platform: Platform,
     pfs: ParallelFileSystem,
     workload: Workload,
     observers: Optional[List[Callable[[IORecord], None]]] = None,
-    read_cache_bytes: int = 0,
-    write_cache_bytes: int = 0,
-    cb_nodes: Optional[int] = None,
     compute_nodes: Optional[List[str]] = None,
-    rpc_timeout: float = 0.0,
-    rpc_retries: int = 0,
-    retry_backoff: float = 0.005,
-    retry_backoff_cap: float = 0.5,
+    **stack: Any,
 ) -> WorkloadResult:
     """Run one workload to completion inside the simulator.
 
-    Parameters
-    ----------
-    platform / pfs:
-        The simulated system (reuse across calls to model a persistent
-        center; build fresh ones for isolated measurements).
-    workload:
-        Any :class:`~repro.workloads.base.Workload`.
-    observers:
-        Monitoring callbacks attached to every stack layer of every rank.
-    read_cache_bytes / write_cache_bytes:
-        Per-rank client cache sizes.
-    cb_nodes:
-        Collective-buffering aggregator count.
-    compute_nodes:
-        Node names to place ranks on (defaults to all compute nodes).
-    rpc_timeout / rpc_retries / retry_backoff / retry_backoff_cap:
-        Client resilience knobs (see :class:`~repro.pfs.client.PFSClient`);
-        defaults leave resilience off.
+    ``platform``/``pfs`` are the simulated system (reuse them across calls
+    to model a persistent center; build fresh ones for isolated
+    measurements).  ``observers``, ``compute_nodes`` and ``stack`` are
+    passed to :func:`launch_workload`; the stack knobs default to a
+    cache-less, resilience-free client.
     """
-    nodes = compute_nodes or [n.name for n in platform.compute_nodes]
-    rank_nodes = round_robin_nodes(nodes, workload.n_ranks)
-    runtime = MPIRuntime(platform.env, platform.compute_fabric, rank_nodes)
-    builder = IOStackBuilder(
-        pfs,
-        runtime,
-        cb_nodes=cb_nodes,
-        read_cache_bytes=read_cache_bytes,
-        write_cache_bytes=write_cache_bytes,
-        rpc_timeout=rpc_timeout,
-        rpc_retries=rpc_retries,
-        retry_backoff=retry_backoff,
-        retry_backoff_cap=retry_backoff_cap,
-        observers=observers,
-    )
     env = platform.env
     start = env.now
     start_w = pfs.total_bytes_written()
     start_r = pfs.total_bytes_read()
     start_m = pfs.total_metadata_ops()
-
-    procs = runtime.launch(workload.program, io_factory=builder.io_factory)
-    # Record each rank's actual completion time (the per-rank imbalance is
-    # what stragglers/interference studies look at; filling every slot with
-    # the aggregate duration would hide it).
-    finish_times: List[float] = [0.0] * len(procs)
-    for i, proc in enumerate(procs):
-        proc.add_callback(lambda ev, i=i: finish_times.__setitem__(i, env.now))
-    done = env.all_of(procs)
-    env.run(until=done)
-
-    result = WorkloadResult(
+    procs = launch_workload(
+        platform, pfs, workload, compute_nodes, observers, **stack
+    )
+    finish_times = _finish_times(env, procs)
+    env.run(until=env.all_of(procs))
+    return WorkloadResult(
         name=workload.name,
         n_ranks=workload.n_ranks,
         duration=env.now - start,
@@ -105,7 +106,6 @@ def run_workload(
         bytes_read=pfs.total_bytes_read() - start_r,
         meta_ops=pfs.total_metadata_ops() - start_m,
     )
-    return result
 
 
 @dataclass
@@ -178,31 +178,24 @@ class ExperimentHarness:
             )
             slices = [all_nodes for _ in workloads]
 
-        starts = env.now
-        runs = []
-        rank_finish: List[List[float]] = []
-        for wi, (workload, nodes) in enumerate(zip(workloads, slices)):
-            rank_nodes = round_robin_nodes(nodes, workload.n_ranks)
-            runtime = MPIRuntime(env, self.platform.compute_fabric, rank_nodes)
-            builder = IOStackBuilder(self.pfs, runtime, **kwargs)
-            procs = runtime.launch(workload.program, io_factory=builder.io_factory)
-            finishes: List[float] = []
-            rank_finish.append(finishes)
-            for proc in procs:
-                proc.add_callback(lambda ev, f=finishes: f.append(env.now))
-            runs.append((workload, procs))
-
-        done = env.all_of([p for _, procs in runs for p in procs])
-        env.run(until=done)
+        start = env.now
+        procs: List[Process] = []
+        finishes: List[List[float]] = []
+        for workload, nodes in zip(workloads, slices):
+            launched = launch_workload(
+                self.platform, self.pfs, workload, nodes, **kwargs
+            )
+            finishes.append(_finish_times(env, launched))
+            procs.extend(launched)
+        env.run(until=env.all_of(procs))
 
         results = []
-        for (workload, procs), finishes in zip(runs, rank_finish):
-            end = max(finishes) if finishes else env.now
+        for workload, times in zip(workloads, finishes):
             result = WorkloadResult(
                 name=workload.name,
                 n_ranks=workload.n_ranks,
-                duration=end - starts,
-                per_rank_seconds=[t - starts for t in finishes],
+                duration=max(times) - start,
+                per_rank_seconds=[t - start for t in times],
             )
             if oversubscribed:
                 result.extra["nodes_shared_with"] = float(len(workloads) - 1)

@@ -1,4 +1,4 @@
-"""Vectorized cohort scheduling: bit-exact equivalence with the scalar path.
+"""Cohort scheduling: bit-exact equivalence with the scalar path.
 
 The contract under test (see :mod:`repro.des.cohort`): every batch entry
 point -- ``Environment.timeout_batch``, ``Environment.schedule_batch``,
@@ -12,11 +12,7 @@ import math
 import pytest
 
 from repro.des import Environment, Event, FairShareLink, SimulationError, URGENT
-from repro.des.cohort import (
-    as_delay_array,
-    fair_share_batch_times,
-    fire_times,
-)
+from repro.des.cohort import fair_share_batch_times
 
 
 # ---------------------------------------------------------------------------
@@ -237,31 +233,3 @@ def test_transfer_batch_then_scalar_interleave():
         return done
 
     assert run(batch=False) == run(batch=True)
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-def test_as_delay_array_validates():
-    with pytest.raises(ValueError):
-        as_delay_array([1.0, -2.0])
-    with pytest.raises(ValueError):
-        as_delay_array([float("nan")])
-    arr = as_delay_array([0.25, 0.5])
-    assert list(arr) == [0.25, 0.5]
-
-
-def test_as_delay_array_rejects_2d():
-    with pytest.raises(ValueError):
-        as_delay_array([[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_fire_times_bit_identical():
-    import random
-
-    rng = random.Random(7)
-    now = 1234.5678
-    delays = [rng.random() * 100 for _ in range(100)]
-    arr = as_delay_array(delays)
-    assert fire_times(now, arr) == [now + d for d in delays]

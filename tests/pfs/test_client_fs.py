@@ -163,7 +163,7 @@ def test_write_invalidates_cache(setup):
 
 def test_cache_eviction_lru(setup):
     platform, pfs, _ = setup
-    client = pfs.client("c1", read_cache_bytes=2 * MiB, cache_block=MiB)
+    client = pfs.client("c1", read_cache_bytes=2 * MiB)
 
     def work(env):
         yield from client.create("/f")

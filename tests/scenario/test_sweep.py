@@ -184,7 +184,7 @@ def test_run_sweep_manifest_provenance(tmp_path):
 
 def test_run_sweep_seed_rebases(tmp_path):
     results = run_sweep(
-        _base(), {"n_oss": (2,)}, seed=7,
+        _base().with_seed(7), {"n_oss": (2,)},
         cache_dir=tmp_path / "cache", manifest_path=tmp_path / "m.json",
     )
     assert results[0].outcome["seed"] == 7

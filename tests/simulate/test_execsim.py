@@ -6,10 +6,13 @@ import logging
 import pytest
 
 from repro.cluster.platform import tiny_spec
+from repro.ops import IOOp, OpKind
 from repro.scenario import ScenarioSpec, WorkloadSpec, build
-from repro.workloads.base import Workload
+from repro.simulate import run_workload
+from repro.workloads.base import OpStreamWorkload, Workload
 
 KiB = 1024
+MiB = 1024 * KiB
 
 
 class StaggeredWorkload(Workload):
@@ -88,3 +91,30 @@ def test_run_concurrently_durations_overlap():
     assert short.duration == pytest.approx(2.0)
     assert long_.duration == pytest.approx(4.0)
     assert harness.platform.env.now == pytest.approx(4.0)
+
+
+def _uneven_writers():
+    """Rank 0 writes 8 MiB, rank 1 writes 1 MiB: rank 1 finishes first."""
+    return OpStreamWorkload("uneven", [
+        [IOOp(OpKind.CREATE, f"/uneven{r}"),
+         IOOp(OpKind.WRITE, f"/uneven{r}", 0, size),
+         IOOp(OpKind.CLOSE, f"/uneven{r}")]
+        for r, size in enumerate((8 * MiB, MiB))
+    ])
+
+
+def test_run_concurrently_reports_per_rank_seconds_by_rank():
+    alone = _harness()
+    expected = run_workload(alone.platform, alone.pfs, _uneven_writers())
+    assert expected.per_rank_seconds[0] > expected.per_rank_seconds[1]
+    result, = _harness().run_concurrently([_uneven_writers()])
+    assert result.per_rank_seconds == expected.per_rank_seconds
+
+
+def test_misspelt_stack_knob_raises_before_any_event():
+    harness = _harness()
+    env = harness.platform.env
+    with pytest.raises(TypeError, match="read_cache_byte"):
+        harness.run(StaggeredWorkload(), read_cache_byte=MiB)
+    assert env.now == 0.0
+    assert env.events_processed == 0
