@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from repro.des.resources import Resource
 from repro.ops import StorageUnavailable
 
@@ -143,32 +141,6 @@ class BlockDevice:
         if self._head_position is None or offset != self._head_position:
             t += self.seek_time
         return t * self._degradation
-
-    def plan_service_times(self, offsets, sizes):
-        """Vectorized service times for a cohort of back-to-back accesses.
-
-        Computes, without advancing the simulation, the per-access service
-        time each access would take if the cohort ran sequentially on one
-        channel starting from the current head position -- seek detection
-        included (access ``i`` seeks unless it starts where access ``i-1``
-        ended).  Float-for-float identical to calling
-        :meth:`service_time` in a loop: elementwise float64 arithmetic in
-        the same operation order.  Used by the cohort scale tier to plan
-        per-OST completion cohorts without a per-access event cascade.
-        """
-        offs = np.asarray(offsets, dtype=np.int64)
-        ns = np.asarray(sizes, dtype=np.int64)
-        if offs.shape != ns.shape or offs.ndim != 1:
-            raise ValueError("offsets and sizes must be matching 1-D cohorts")
-        if offs.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        if bool((offs < 0).any()) or bool((ns < 0).any()):
-            raise ValueError("offsets and sizes must be non-negative")
-        base = self.op_overhead + ns / self.bandwidth
-        seeked = np.empty(offs.shape, dtype=bool)
-        seeked[0] = self._head_position is None or offs[0] != self._head_position
-        seeked[1:] = offs[1:] != offs[:-1] + ns[:-1]
-        return np.where(seeked, base + self.seek_time, base) * self._degradation
 
     def access(self, offset: int, nbytes: int, is_write: bool):
         """Simulated-process generator performing one access.

@@ -8,7 +8,7 @@ workhorse for large-scale I/O evaluation when no testbed is available):
   discrete-event simulation environment, in the spirit of SimPy.  Simulated
   processes are Python generators that ``yield`` events; the environment owns
   the virtual clock and the event queue.
-* :mod:`repro.des.resources` -- queueing primitives (resources, containers,
+* :mod:`repro.des.resources` -- queueing primitives (FIFO resources, containers,
   stores) used to model servers, devices and buffers.
 * :mod:`repro.des.sharing` -- a processor-sharing bandwidth resource used to
   model shared network links and storage devices with fair bandwidth
@@ -32,14 +32,13 @@ from repro.des.events import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Timeout,
     URGENT,
     NORMAL,
     LOW,
 )
 from repro.des.process import Process
-from repro.des.resources import Container, PriorityResource, Resource, Store
+from repro.des.resources import Container, Resource, Store
 from repro.des.sharing import FairShareLink
 from repro.des.rng import RandomStreams
 from repro.des.ross import (
@@ -53,7 +52,6 @@ from repro.des.partition import (
     PartitionPlan,
     PartitionStats,
     PartitionedExecutor,
-    fabric_islands,
 )
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "Environment",
     "Event",
     "FairShareLink",
-    "Interrupt",
     "LOW",
     "LogicalProcess",
     "NORMAL",
@@ -72,7 +69,6 @@ __all__ = [
     "PartitionPlan",
     "PartitionStats",
     "PartitionedExecutor",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",
@@ -83,5 +79,4 @@ __all__ = [
     "Store",
     "Timeout",
     "URGENT",
-    "fabric_islands",
 ]

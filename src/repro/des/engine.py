@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Generator, List, Optional, Sequence, Union
+from typing import Any, Generator, Union
 
 from repro.des.events import (
     AllOf,
@@ -39,13 +39,6 @@ _INF = float("inf")
 
 # Pre-bound allocator for Environment.timeout (skips a method lookup per event).
 _new_timeout = Timeout.__new__
-
-
-def _check_delays(delays: Sequence[float]) -> None:
-    """Reject a cohort holding a negative or NaN delay before any member
-    is scheduled (``not d >= 0`` is true for both)."""
-    if any(not d >= 0 for d in delays):
-        raise ValueError("negative or NaN delay in cohort")
 
 
 class SimulationError(Exception):
@@ -122,38 +115,6 @@ class Environment:
         t._delay = delay
         heappush(self._queue, (self._now + delay, _KEY_NORMAL | self._seq(), t))
         return t
-
-    def timeout_batch(
-        self, delays: Sequence[float], values: Optional[Sequence[Any]] = None
-    ) -> List[Timeout]:
-        """One :class:`Timeout` per cohort member, all delays checked first.
-
-        Otherwise exactly ``[self.timeout(d, v) for d, v in zip(delays,
-        values)]``: the same sequence numbers, fire times and heap keys.
-        """
-        _check_delays(delays)
-        if values is None:
-            values = [None] * len(delays)
-        return [self.timeout(d, v) for d, v in zip(delays, values)]
-
-    def schedule_batch(
-        self,
-        events: Sequence[Event],
-        delays: Sequence[float],
-        priority: int = NORMAL,
-    ) -> None:
-        """Enqueue a cohort of events, all delays checked first.
-
-        Otherwise exactly ``for ev, d in zip(events, delays): schedule(ev,
-        d, priority)``.
-        """
-        if len(events) != len(delays):
-            raise ValueError(
-                f"cohort mismatch: {len(events)} events, {len(delays)} delays"
-            )
-        _check_delays(delays)
-        for event, delay in zip(events, delays):
-            self.schedule(event, delay, priority)
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start a new simulated process from ``generator``."""

@@ -43,20 +43,6 @@ _PENDING = object()
 _NO_CALLBACKS: tuple = ()
 
 
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it.
-
-    The interrupt ``cause`` is available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"Interrupt({self.cause!r})"
-
-
 class Event:
     """A one-shot occurrence that processes can wait for.
 
@@ -154,14 +140,6 @@ class Event:
         )
         return self
 
-    def trigger(self, source: "Event") -> None:
-        """Copy the outcome of ``source`` onto this event and schedule it."""
-        if source._ok:
-            self.succeed(source._value)
-        else:
-            source.defused = True
-            self.fail(source._value)
-
     # -- callbacks ---------------------------------------------------------
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback(event)`` to run when the event is processed.
@@ -178,17 +156,6 @@ class Event:
             cbs.append(callback)
         else:  # second waiter: promote the single callable to a list
             self.callbacks = [cbs, callback]
-
-    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Unregister a previously-added callback (no-op if absent)."""
-        cbs = self.callbacks
-        if type(cbs) is list:
-            try:
-                cbs.remove(callback)
-            except ValueError:
-                pass
-        elif cbs is not None and cbs is not _NO_CALLBACKS and cbs == callback:
-            self.callbacks = _NO_CALLBACKS
 
     def __repr__(self) -> str:
         state = (

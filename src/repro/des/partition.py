@@ -60,8 +60,8 @@ class PartitionPlan:
     """Assignment of LP ids to partitions.
 
     ``assignment`` maps every LP id to a partition index in
-    ``[0, n_partitions)``.  Build one with :meth:`round_robin`,
-    :meth:`contiguous` or :meth:`from_islands`.
+    ``[0, n_partitions)``.  Build one with :meth:`round_robin` or
+    :meth:`contiguous`.
     """
 
     n_partitions: int
@@ -93,30 +93,6 @@ class PartitionPlan:
         per = -(-len(ids) // n)  # ceil division
         return cls(n, {lp: min(i // per, n - 1) for i, lp in enumerate(ids)})
 
-    @classmethod
-    def from_islands(
-        cls, islands: Sequence[Sequence[int]], n_partitions: Optional[int] = None
-    ) -> "PartitionPlan":
-        """Partition along pre-grouped islands (e.g. fabric islands).
-
-        Whole islands are assigned contiguously so intra-island traffic
-        never crosses a partition boundary; ``n_partitions`` defaults to
-        one partition per island.
-        """
-        if not islands:
-            raise ValueError("need at least one island")
-        n = len(islands) if n_partitions is None else min(n_partitions, len(islands))
-        n = max(1, n)
-        per = -(-len(islands) // n)
-        assignment: Dict[int, int] = {}
-        for i, members in enumerate(islands):
-            part = min(i // per, n - 1)
-            for lp in members:
-                if lp in assignment:
-                    raise ValueError(f"LP {lp} appears in multiple islands")
-                assignment[lp] = part
-        return cls(n, assignment)
-
     def members(self, partition: int) -> List[int]:
         return sorted(lp for lp, p in self.assignment.items() if p == partition)
 
@@ -126,31 +102,6 @@ class PartitionPlan:
             sizes[p] += 1
         return (f"{self.n_partitions} partition(s) over "
                 f"{len(self.assignment)} LP(s), sizes {sizes}")
-
-
-def fabric_islands(spec) -> List[Dict[str, Any]]:
-    """Group a :class:`~repro.cluster.platform.PlatformSpec` into islands.
-
-    Each OSS (with its OSTs) anchors one island -- the storage-side
-    "rack" -- and the compute nodes are dealt out contiguously across
-    islands, mirroring how rack-local traffic dominates on real fabrics.
-    Returns one dict per island: ``{"oss": name, "osts": [ids],
-    "compute": [names]}``.  The scenario layer and the scale model use
-    this to size LP populations and partition plans from the platform.
-    """
-    n_islands = max(1, spec.n_oss)
-    islands: List[Dict[str, Any]] = []
-    per_compute = -(-spec.n_compute // n_islands)
-    for i in range(n_islands):
-        lo = i * per_compute
-        hi = min(spec.n_compute, lo + per_compute)
-        islands.append({
-            "oss": f"oss{i}",
-            "osts": list(range(i * spec.osts_per_oss,
-                               (i + 1) * spec.osts_per_oss)),
-            "compute": [f"c{j}" for j in range(lo, hi)],
-        })
-    return islands
 
 
 # ---------------------------------------------------------------------------
@@ -316,5 +267,4 @@ __all__ = [
     "PartitionPlan",
     "PartitionStats",
     "PartitionedExecutor",
-    "fabric_islands",
 ]

@@ -16,9 +16,9 @@ directly.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
-from repro.des.events import Event, Interrupt, Timeout, _NO_CALLBACKS, URGENT
+from repro.des.events import Event, Timeout, _NO_CALLBACKS, URGENT
 
 # URGENT is priority 0, so the packed heap key is just the sequence number
 # (see the heap-entry layout note in events.py).
@@ -31,17 +31,16 @@ class Process(Event):
     Created via :meth:`repro.des.engine.Environment.process`.
     """
 
-    __slots__ = ("_generator", "_target", "_resume_cb", "_send", "_throw")
+    __slots__ = ("_generator", "_resume_cb", "_send", "_throw")
 
     def __init__(self, env, generator: Generator[Event, Any, Any]):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         # One bound method for the process's lifetime: registering a fresh
         # `self._resume` per yield would allocate a bound-method object each
-        # time (and remove_callback would need identity-equal objects).
+        # time.
         self._resume_cb = self._resume
         # Bound once: ``generator.send`` lookups are a measurable cost when
         # repeated every yield of every process.
@@ -55,37 +54,6 @@ class Process(Event):
         init.callbacks = self._resume_cb
         heappush(env._queue, (env._now, env._seq(), init))
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for (or None)."""
-        return self._target
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a terminated process raises ``RuntimeError``.  The
-        interrupted process stops waiting for its current target event (the
-        event itself is unaffected and may still fire).
-        """
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self._target is None:
-            raise RuntimeError(f"{self!r} is not yet waiting and cannot be interrupted")
-        interrupt_ev = Event(self.env)
-        interrupt_ev._ok = False
-        interrupt_ev._value = Interrupt(cause)
-        interrupt_ev.defused = True
-        # Stop listening on the old target; resume with the interrupt instead.
-        self._target.remove_callback(self._resume_cb)
-        self._target = None
-        interrupt_ev.add_callback(self._resume_cb)
-        self.env.schedule(interrupt_ev, delay=0.0, priority=URGENT)
-
     # -- engine plumbing ----------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
@@ -97,14 +65,12 @@ class Process(Event):
                 event.defused = True
                 next_target = self._throw(event._value)
         except StopIteration as stop:
-            self._target = None
             self._release()
             self._ok = True
             self._value = stop.value
             heappush(env._queue, (env._now, env._seq(), self))
             return
         except BaseException as exc:
-            self._target = None
             self._release()
             self._ok = False
             self._value = exc
@@ -118,7 +84,6 @@ class Process(Event):
                 f"process yielded a non-event: {next_target!r} "
                 "(yield Timeout/Event/Process/resource requests)"
             )
-            self._target = None
             self._release()
             self._ok = False
             self._value = err
@@ -126,7 +91,6 @@ class Process(Event):
             return
         if next_target.env is not env:
             raise RuntimeError("process yielded an event from another environment")
-        self._target = next_target
         # Inlined Event.add_callback (hot path).
         cbs = next_target.callbacks
         if cbs is _NO_CALLBACKS:  # first (usually only) waiter

@@ -9,8 +9,6 @@ free bytes in a burst buffer), and a :class:`Store` holds discrete items
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from itertools import count
 from typing import Any, Callable, Optional
 
 from repro.des.events import Event
@@ -40,17 +38,6 @@ class Request(Event):
         self.resource.release(self)
 
 
-class PriorityRequest(Request):
-    """A :class:`Request` with a priority (lower = served first)."""
-
-    __slots__ = ("priority", "enqueue_time")
-
-    def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource)
-        self.priority = priority
-        self.enqueue_time = resource.env.now
-
-
 class Resource:
     """A server with a fixed number of parallel slots and a FIFO queue.
 
@@ -61,8 +48,6 @@ class Resource:
     capacity:
         Number of requests that may hold the resource simultaneously.
     """
-
-    request_cls = Request
 
     def __init__(self, env, capacity: int = 1):
         if capacity <= 0:
@@ -84,9 +69,9 @@ class Resource:
         """Number of currently held slots."""
         return len(self.users)
 
-    def request(self, **kwargs) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event fires when the slot is granted."""
-        req = self.request_cls(self, **kwargs)
+        req = Request(self)
         now = self.env._now
         req._enqueued_at = now
         self.total_requests += 1
@@ -118,32 +103,13 @@ class Resource:
         if self.queue:
             self._trigger_pending()
 
-    def _sort_queue(self) -> None:
-        """Hook for priority disciplines; FIFO keeps insertion order."""
-
     def _trigger_pending(self) -> None:
-        self._sort_queue()
         while self.queue and len(self.users) < self._capacity:
             req = self.queue.pop(0)
             self.users.append(req)
             req.usage_since = self.env.now
             self.total_wait_time += self.env.now - req._enqueued_at
             req.succeed(req)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is served in priority order.
-
-    Ties are broken by enqueue time (FIFO within a priority level).
-    """
-
-    request_cls = PriorityRequest
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return super().request(priority=priority)
-
-    def _sort_queue(self) -> None:
-        self.queue.sort(key=lambda r: (r.priority, r.enqueue_time))
 
 
 class ContainerGet(Event):

@@ -57,7 +57,3 @@ class RandomStreams:
             )
             self._cache[name] = np.random.default_rng(seq)
         return self._cache[name]
-
-    def fork(self, salt: str) -> "RandomStreams":
-        """Derive an independent family of streams (e.g. per repetition)."""
-        return RandomStreams(self.root_seed ^ _name_to_entropy(salt) & 0x7FFFFFFF)

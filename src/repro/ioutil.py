@@ -58,17 +58,11 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def canonical_digest(payload: Any) -> str:
-    """SHA-256 over the canonical JSON bytes of ``payload``."""
-    return sha256_hex(canonical_json_bytes(payload))
-
-
 def atomic_write_json(
     payload: Any,
     path: PathLike,
     *,
     indent: Optional[int] = 1,
-    sort_keys: bool = False,
     trailing_newline: bool = False,
 ) -> Path:
     """Write ``payload`` as JSON so readers never see a partial file.
@@ -77,7 +71,14 @@ def atomic_write_json(
     directory (same filesystem, so the final :func:`os.replace` is atomic)
     and renamed over ``path``.  Parent directories are created on demand;
     the temp file is removed on any failure.
+
+    Serialized with one :func:`json.dumps` call: with ``indent=None`` that
+    runs the C encoder (``json.dump`` always runs the pure-Python one), so
+    large documents rewritten often, like the progress ledgers, pass it.
     """
+    text = json.dumps(payload, indent=indent)
+    if trailing_newline:
+        text += "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
@@ -85,9 +86,7 @@ def atomic_write_json(
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=indent, sort_keys=sort_keys)
-            if trailing_newline:
-                fh.write("\n")
+            fh.write(text)
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -119,6 +119,6 @@ class ProgressLedger:
         """Atomically rewrite the ledger; best-effort (progress must
         never kill the work it describes)."""
         try:
-            atomic_write_json(self.to_doc(finished), self.path)
+            atomic_write_json(self.to_doc(finished), self.path, indent=None)
         except OSError as exc:  # pragma: no cover - progress is best-effort
             log.warning("could not write progress ledger %s: %s", self.path, exc)

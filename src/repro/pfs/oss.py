@@ -107,23 +107,6 @@ class ObjectStorageServer:
         """Bring the server back into service."""
         self._available = True
 
-    def plan_rpc_times(self, ost_id: int, offsets, sizes):
-        """Vectorized service times for a cohort of same-OST data RPCs.
-
-        Per-RPC software overhead plus the device's cohort plan
-        (:meth:`repro.cluster.devices.BlockDevice.plan_service_times`),
-        excluding thread-pool queueing.  A pure planner: nothing advances.
-        """
-        device = self.osts.get(ost_id)
-        if device is None:
-            raise KeyError(f"OST {ost_id} is not attached to {self.name}")
-        if not self._available:
-            raise StorageUnavailable(f"OSS {self.name} is down")
-        planned = device.plan_service_times(offsets, sizes)
-        if isinstance(planned, list):  # numpy unavailable
-            return [self.op_time + t for t in planned]
-        return self.op_time + planned
-
     def serve_data(self, ost_id: int, object_offset: int, nbytes: int, is_write: bool):
         """Simulated-process generator serving one data RPC.
 

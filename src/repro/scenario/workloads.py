@@ -146,7 +146,7 @@ class ScaleWriteWorkload(Workload):
     :class:`~repro.simulate.scalemodel.ScaleConfig` (minus ``ranks`` and
     ``seed``, which come from the workload spec and scenario seed);
     ``islands`` defaults to the platform's OSS count (one fabric island
-    per OSS group, see :func:`repro.des.partition.fabric_islands`).
+    per OSS group).
     """
 
     name = "scale_write"

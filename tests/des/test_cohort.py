@@ -1,152 +1,15 @@
 """Cohort scheduling: bit-exact equivalence with the scalar path.
 
-The contract under test (see :mod:`repro.des.cohort`): every batch entry
-point -- ``Environment.timeout_batch``, ``Environment.schedule_batch``,
-``FairShareLink.transfer_batch`` -- produces *byte-identical* simulations
-to the equivalent scalar loop: same completion times, same values, same
-event ordering, same final clock.  Not "close": identical.
+The contract under test (see :mod:`repro.des.cohort`):
+``FairShareLink.transfer_batch`` produces *byte-identical* simulations
+to the equivalent loop of scalar transfers: same completion times, same
+values, same event ordering, same final clock.  Not "close": identical.
 """
-
-import math
 
 import pytest
 
-from repro.des import Environment, Event, FairShareLink, SimulationError, URGENT
+from repro.des import Environment, FairShareLink
 from repro.des.cohort import fair_share_batch_times
-
-
-# ---------------------------------------------------------------------------
-# timeout_batch
-# ---------------------------------------------------------------------------
-
-def _run_timeout_scalar(delays, values):
-    env = Environment()
-    log = []
-
-    def proc(env):
-        events = [env.timeout(d, v) for d, v in zip(delays, values)]
-        for ev in events:
-            yield ev
-            log.append((env.now, ev.value))
-
-    env.process(proc(env))
-    env.run()
-    return log, env.now, env.events_processed
-
-
-def _run_timeout_batch(delays, values):
-    env = Environment()
-    log = []
-
-    def proc(env):
-        events = env.timeout_batch(delays, values=values)
-        for ev in events:
-            yield ev
-            log.append((env.now, ev.value))
-
-    env.process(proc(env))
-    env.run()
-    return log, env.now, env.events_processed
-
-
-def test_timeout_batch_matches_scalar_loop():
-    # Irregular float delays, including duplicates and zero, to exercise
-    # tie-breaking by insertion sequence.
-    delays = [0.3, 0.1, 0.1, 0.0, 2.5, 0.7, 1 / 3, 0.1 + 0.2, 1e-9, 5.0]
-    values = list(range(len(delays)))
-    assert _run_timeout_scalar(delays, values) == _run_timeout_batch(delays, values)
-
-
-def test_timeout_batch_small_cohort_matches():
-    # Below MIN_VECTOR_BATCH the engine uses per-event pushes; results must
-    # be identical either way.
-    delays = [0.5, 0.25]
-    values = ["a", "b"]
-    assert _run_timeout_scalar(delays, values) == _run_timeout_batch(delays, values)
-
-
-def test_timeout_batch_default_values_none():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        for ev in env.timeout_batch([0.1, 0.2]):
-            yield ev
-            seen.append(ev.value)
-
-    env.process(proc(env))
-    env.run()
-    assert seen == [None, None]
-
-
-def test_timeout_batch_rejects_negative_delay():
-    env = Environment()
-    with pytest.raises(ValueError):
-        env.timeout_batch([0.1, -0.5, 0.2])
-
-
-def test_timeout_batch_rejects_nan_delay():
-    env = Environment()
-    with pytest.raises(ValueError):
-        env.timeout_batch([0.1, math.nan])
-
-
-def test_timeout_batch_delay_values_are_plain_floats():
-    # np.float64 leaking into Timeout._delay would change repr()s and
-    # downstream arithmetic types; the batch path must unbox.
-    env = Environment()
-    events = env.timeout_batch([0.1] * 10)
-    assert all(type(ev._delay) is float for ev in events)
-
-
-# ---------------------------------------------------------------------------
-# schedule_batch
-# ---------------------------------------------------------------------------
-
-def test_schedule_batch_matches_scalar_schedule():
-    def run(batch):
-        env = Environment()
-        fired = []
-        events = []
-        for i in range(12):
-            ev = Event(env)
-            ev._ok = True
-            ev._value = i
-            ev.callbacks = (lambda e, i=i: fired.append((env.now, i)))
-            events.append(ev)
-        delays = [0.1 * ((i * 7) % 5) for i in range(12)]
-        if batch:
-            env.schedule_batch(events, delays)
-        else:
-            for ev, d in zip(events, delays):
-                env.schedule(ev, delay=d)
-        env.run()
-        return fired, env.now
-
-    assert run(batch=False) == run(batch=True)
-
-
-def test_schedule_batch_priority_ordering():
-    # URGENT cohort members must still sort ahead of NORMAL singletons at
-    # the same timestamp.
-    env = Environment()
-    order = []
-    urgent = Event(env)
-    urgent._ok = True
-    urgent.callbacks = lambda e: order.append("urgent")
-    normal = Event(env)
-    normal._ok = True
-    normal.callbacks = lambda e: order.append("normal")
-    env.schedule(normal, delay=1.0)
-    env.schedule_batch([urgent], [1.0], priority=URGENT)
-    env.run()
-    assert order == ["urgent", "normal"]
-
-
-def test_schedule_batch_length_mismatch():
-    env = Environment()
-    with pytest.raises(ValueError):
-        env.schedule_batch([Event(env)], [0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import telemetry
-from repro.des import Environment, Event, Interrupt, SimulationError, Timeout
+from repro.des import Environment, Event, SimulationError, Timeout
 from repro.des.engine import EmptySchedule
 from repro.telemetry import TELEMETRY
 
@@ -274,37 +274,6 @@ def test_all_of_empty_fires_immediately():
     p = env.process(proc(env))
     env.run()
     assert p.value == {}
-
-
-def test_interrupt_reaches_waiting_process():
-    env = Environment()
-
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as i:
-            return (env.now, i.cause)
-
-    def attacker(env, target):
-        yield env.timeout(3.0)
-        target.interrupt(cause="preempted")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert v.value == (3.0, "preempted")
-
-
-def test_interrupting_dead_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
 
 
 def test_events_processed_counter():

@@ -10,7 +10,7 @@ a ``Request``.
 import contextlib
 import gc
 
-from repro.des import Environment, PriorityResource, Resource
+from repro.des import Environment, Resource
 from repro.des.process import Process
 from repro.des.resources import Request
 from repro.scenario import get_scenario, run_scenario
@@ -33,7 +33,7 @@ def _cyclic(garbage):
 
 def _des_run():
     env = Environment()
-    res, prio = Resource(env, capacity=1), PriorityResource(env, capacity=1)
+    res = Resource(env, capacity=1)
     served = []
 
     def user(env, resource, hold):
@@ -45,7 +45,6 @@ def _des_run():
 
     def parent(env):
         children = [env.process(user(env, res, h)) for h in (1.0, 2.0, 3.0)]
-        children.append(env.process(user(env, prio, 0.5)))
         yield env.all_of(children)
         served.append(env.now)
 
@@ -59,7 +58,7 @@ def test_des_run_leaves_no_process_or_request_in_a_cycle():
         served = _des_run()
         gc.collect()
         assert _cyclic(garbage) == []
-    assert served == [0.5, 1.0, 2.0, 3.0, 6.0]
+    assert served == [1.0, 2.0, 3.0, 6.0]
 
 
 def test_scenario_run_leaves_no_process_or_request_in_a_cycle():

@@ -17,9 +17,7 @@ from repro.des import (
     RossKernel,
     SequentialExecutor,
     SimulationError,
-    fabric_islands,
 )
-from repro.cluster.platform import PLATFORM_PRESETS
 
 
 # ---------------------------------------------------------------------------
@@ -87,32 +85,9 @@ def test_plan_caps_partitions_at_lp_count():
     assert plan.n_partitions == 2
 
 
-def test_from_islands_keeps_islands_whole():
-    plan = PartitionPlan.from_islands([[0, 1], [2, 3], [4, 5], [6, 7]], 2)
-    assert plan.assignment[0] == plan.assignment[1]
-    assert plan.assignment[2] == plan.assignment[3]
-    assert plan.assignment[0] != plan.assignment[7]
-
-
-def test_from_islands_rejects_duplicates():
-    with pytest.raises(ValueError):
-        PartitionPlan.from_islands([[0, 1], [1, 2]])
-
-
 def test_plan_rejects_out_of_range_assignment():
     with pytest.raises(ValueError):
         PartitionPlan(2, {0: 0, 1: 5})
-
-
-def test_fabric_islands_from_platform_spec():
-    spec = PLATFORM_PRESETS["tiny"]()
-    islands = fabric_islands(spec)
-    assert len(islands) == spec.n_oss
-    # Every compute node and OST appears in exactly one island.
-    computes = [c for isl in islands for c in isl["compute"]]
-    assert len(computes) == spec.n_compute == len(set(computes))
-    osts = [o for isl in islands for o in isl["osts"]]
-    assert len(osts) == spec.n_oss * spec.osts_per_oss == len(set(osts))
 
 
 # ---------------------------------------------------------------------------

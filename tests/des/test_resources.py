@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Container, Environment, PriorityResource, Resource, Store
+from repro.des import Container, Environment, Resource, Store
 
 
 def test_resource_capacity_validation():
@@ -64,29 +64,6 @@ def test_resource_in_use_and_stats():
     assert res.in_use == 0
     assert res.total_requests == 2
     assert res.total_wait_time == 2.0  # second user waited 2s
-
-
-def test_priority_resource_serves_lowest_priority_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    served = []
-
-    def holder(env):
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(10.0)
-
-    def user(env, name, prio, start):
-        yield env.timeout(start)
-        with res.request(priority=prio) as req:
-            yield req
-            served.append(name)
-
-    env.process(holder(env))
-    env.process(user(env, "low", 5, 1.0))
-    env.process(user(env, "high", 1, 2.0))
-    env.run()
-    assert served == ["high", "low"]
 
 
 def test_container_levels():

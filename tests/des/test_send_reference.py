@@ -11,8 +11,8 @@ queueing.  This module keeps the straightforward forms as the reference:
   succeeding a fresh ``Event``;
 * :class:`RefFabric` -- ``send`` resumes after the latency ``Timeout``,
   then waits on an ``AllOf`` over the three leg events;
-* :class:`RefResource` / :class:`RefPriorityResource` -- every request
-  queues and every release re-runs the grant loop.
+* :class:`RefResource` -- every request queues and every release re-runs
+  the grant loop.
 
 Hypothesis draws message mixes on a small fabric (zero-byte and
 intra-node messages, zero and positive latency, overlapping senders, a
@@ -31,8 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.network import NetworkFabric
-from repro.des import Environment, FairShareLink, PriorityResource, Resource
+from repro.des import Environment, FairShareLink, Resource
 from repro.des.events import URGENT, Event
+from repro.des.resources import Request
 
 
 # -- reference implementations ---------------------------------------------------
@@ -188,8 +189,8 @@ class RefFabric(NetworkFabric):
 class RefResource(Resource):
     """Every request queues; every release re-runs the grant loop."""
 
-    def request(self, **kwargs):
-        req = self.request_cls(self, **kwargs)
+    def request(self):
+        req = Request(self)
         req._enqueued_at = self.env.now
         self.total_requests += 1
         self.queue.append(req)
@@ -204,13 +205,9 @@ class RefResource(Resource):
         self._trigger_pending()
 
 
-class RefPriorityResource(RefResource, PriorityResource):
-    pass
-
-
 IMPLEMENTATIONS = {
-    "fused": (NetworkFabric, FairShareLink, Resource, PriorityResource),
-    "reference": (RefFabric, RefLink, RefResource, RefPriorityResource),
+    "fused": (NetworkFabric, FairShareLink, Resource),
+    "reference": (RefFabric, RefLink, RefResource),
 }
 
 
@@ -249,17 +246,16 @@ scenarios = st.fixed_dictionaries({
     "link_limit": st.sampled_from([1, 2, 3]),
     "link_users": st.lists(st.tuples(_TIMES, _SIZES), max_size=5),
     "capacity": st.sampled_from([1, 2]),
-    # (at, hold, priority): a zero hold releases at once.
+    # (at, hold): a zero hold releases at once.
     "resource_users": st.lists(
-        st.tuples(_TIMES, st.sampled_from([0.0, 0.5, 1.0]),
-                  st.sampled_from([0, 1, 2])),
+        st.tuples(_TIMES, st.sampled_from([0.0, 0.5, 1.0])),
         max_size=6,
     ),
 })
 
 
 def simulate(kind: str, sc: dict) -> dict:
-    fabric_cls, link_cls, resource_cls, priority_cls = IMPLEMENTATIONS[kind]
+    fabric_cls, link_cls, resource_cls = IMPLEMENTATIONS[kind]
     env = Environment()
     fabric = fabric_cls(
         env, "f", nic_bandwidth=sc["nic"], core_bandwidth=sc["core"],
@@ -271,7 +267,6 @@ def simulate(kind: str, sc: dict) -> dict:
     fabric.core.concurrency_limit = sc["core_limit"]
     link = link_cls(env, 128.0, concurrency_limit=sc["link_limit"])
     fifo = resource_cls(env, capacity=sc["capacity"])
-    prio = priority_cls(env, capacity=1)
     log = []
 
     def sender(i, msgs):
@@ -293,15 +288,14 @@ def simulate(kind: str, sc: dict) -> dict:
         value = yield link.transfer(nbytes)
         log.append(("link", i, env.now, value))
 
-    def resource_user(name, res, i, at, hold, priority):
+    def resource_user(i, at, hold):
         yield env.timeout(at)
-        req = res.request(priority=priority) if res is prio else res.request()
-        with req:
+        with fifo.request() as req:
             yield req
-            log.append((name, i, "granted", env.now))
+            log.append(("fifo", i, "granted", env.now))
             if hold:
                 yield env.timeout(hold)
-        log.append((name, i, "released", env.now))
+        log.append(("fifo", i, "released", env.now))
 
     def watcher():
         # Started first, so at a tie it wakes before any NORMAL event
@@ -321,19 +315,15 @@ def simulate(kind: str, sc: dict) -> dict:
         env.process(degrader(at, where, factor))
     for i, (at, nbytes) in enumerate(sc["link_users"]):
         env.process(link_user(i, at, nbytes))
-    for i, (at, hold, priority) in enumerate(sc["resource_users"]):
-        env.process(resource_user("fifo", fifo, i, at, hold, priority))
-        env.process(resource_user("prio", prio, i, at, hold, priority))
+    for i, (at, hold) in enumerate(sc["resource_users"]):
+        env.process(resource_user(i, at, hold))
     env.run()
     return {
         "log": log,
         "now": env.now,
         "links": [(ln.bytes_transferred, ln.busy_time) for ln in links],
-        "resources": [
-            (res.total_requests, res.total_wait_time, len(res.users),
-             len(res.queue))
-            for res in (fifo, prio)
-        ],
+        "resource": (fifo.total_requests, fifo.total_wait_time,
+                     len(fifo.users), len(fifo.queue)),
         "fabric": (fabric.stats.messages, fabric.stats.bytes),
     }
 
