@@ -8,7 +8,8 @@ storage cluster, and the storage servers with their block devices.
 * :mod:`repro.cluster.devices` -- block device models (disk with seek
   penalty, SSD with channel parallelism).
 * :mod:`repro.cluster.topology` -- fat-tree and dragonfly interconnect
-  graphs (networkx) with hop-count routing.
+  graphs (networkx) with hop-count routing; the only module that loads
+  networkx, imported when a spec sets ``ib_topology``.
 * :mod:`repro.cluster.network` -- the fluid fabric model: per-NIC and
   aggregate processor-sharing bandwidth plus per-hop latency.
 * :mod:`repro.cluster.node` -- node records (compute, I/O, storage).

@@ -21,12 +21,14 @@ therefore sits where it sat in the three-event form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.des.engine import Environment
 from repro.des.events import Event
 from repro.des.sharing import FairShareLink
-from repro.cluster.topology import Topology
+
+if TYPE_CHECKING:  # a topology is built (and networkx loaded) only on request
+    from repro.cluster.topology import Topology
 
 
 @dataclass

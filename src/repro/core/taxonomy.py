@@ -28,9 +28,6 @@ class TaxonomyNode:
         for child in self.children:
             yield from child.walk()
 
-    def leaf_ids(self) -> List[str]:
-        return [n.id for n in self.walk() if not n.children]
-
 
 def _n(id, title, modules=(), children=()):
     return TaxonomyNode(id=id, title=title, modules=tuple(modules), children=tuple(children))

@@ -24,7 +24,10 @@ for n transfers instead of O(n^2).
 Every flow-set change re-arms the link's completion timer: a slotted
 :class:`_Timer` pushed straight onto the event queue at URGENT priority.
 The link remembers only the timer it armed last; any other timer that
-fires is stale and does nothing.
+fires is stale and does nothing.  Each timer holds a fresh bound
+``_on_timer`` rather than one the link caches, so an idle link (no armed
+timer) is in no reference cycle and a finished run is freed by reference
+counting alone.
 
 A flow completes by calling ``target.succeed(now)``.  The target is a
 fresh :class:`~repro.des.events.Event` unless the caller passes its own
@@ -99,7 +102,6 @@ class FairShareLink:
         self._last_update = env.now
         #: The armed completion timer (``None`` while idle).
         self._timer: Optional[_Timer] = None
-        self._on_timer_cb = self._on_timer
         self._seq = 0
         # Statistics
         self.bytes_transferred = 0.0
@@ -250,7 +252,7 @@ class FairShareLink:
         if delay < 0.0:
             delay = 0.0
         env = self.env
-        timer = self._timer = _Timer(self._on_timer_cb)
+        timer = self._timer = _Timer(self._on_timer)
         # URGENT is priority 0: the heap key is the bare sequence number.
         heappush(env._queue, (env._now + delay, env._seq(), timer))
 

@@ -88,9 +88,9 @@ def _goodput(run) -> float:
     -- and "goodput under failure" is exactly what the barrier hides.
     """
     return sum(
-        c.stats.bytes_written / c.stats.write_time
-        for c in run.harness.pfs.clients
-        if c.stats.write_time > 0
+        st.bytes_written / st.write_time
+        for st in run.harness.pfs.client_stats
+        if st.write_time > 0
     )
 
 

@@ -96,9 +96,6 @@ class FileCounters:
     def seq_write_fraction(self) -> float:
         return self.seq_writes / self.writes if self.writes else 0.0
 
-    def avg_read_size(self) -> float:
-        return self.bytes_read / self.reads if self.reads else 0.0
-
     def avg_write_size(self) -> float:
         return self.bytes_written / self.writes if self.writes else 0.0
 

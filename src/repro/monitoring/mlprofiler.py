@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.ops import IORecord, OpKind
 
 
@@ -95,11 +93,6 @@ class MLIOProfiler:
 
     def steps_in_epoch(self, epoch: int) -> int:
         return sum(1 for (e, _s) in self._steps if e == epoch)
-
-    def step_read_times(self, epoch: int) -> np.ndarray:
-        """Per-step read times of one epoch, in step order."""
-        keys = sorted(k for k in self._steps if k[0] == epoch)
-        return np.array([self._steps[k][2] for k in keys])
 
     def stall_fraction(self, epoch: int, wall_time: Optional[float] = None) -> float:
         """Fraction of epoch wall time spent waiting on reads.

@@ -106,11 +106,6 @@ class ServerStatsCollector:
     def servers(self) -> List[str]:
         return sorted({s.server for s in self.samples})
 
-    def timeline(self, server: str, field: str) -> np.ndarray:
-        """(time, value) array of one field for one server."""
-        rows = [(s.time, getattr(s, field)) for s in self.for_server(server)]
-        return np.array(rows, dtype=float)
-
     def throughput_timeline(self, server: str) -> np.ndarray:
         """(time, bytes/second) computed from cumulative byte counters."""
         rows = self.for_server(server)

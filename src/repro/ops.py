@@ -16,7 +16,7 @@ the file system, monitoring and modeling interoperate without import cycles.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Optional
 
@@ -131,10 +131,6 @@ class IOOp:
         d["rank"] = rank
         d["duration"] = duration
         d["meta"] = {} if meta is _FRESH_META else meta
-
-    def with_rank(self, rank: int) -> "IOOp":
-        """Copy of this op re-targeted at another rank."""
-        return replace(self, rank=rank)
 
     def signature(self) -> tuple:
         """Content identity ignoring rank (used by trace compression).

@@ -21,7 +21,7 @@ DEVICE_CLASSES: Dict[str, Type[BlockDevice]] = {
     "disk": DiskDevice,
     "ssd": SSDDevice,
 }
-from repro.pfs.client import PFSClient
+from repro.pfs.client import ClientStats, PFSClient
 from repro.pfs.layout import StripeLayout
 from repro.pfs.mds import MetadataServer
 from repro.pfs.namespace import Namespace
@@ -106,9 +106,11 @@ class ParallelFileSystem:
         self.replicas = int(replicas)
         if self.replicas == 2 and self.n_osts < 2:
             raise ValueError("replicas=2 needs at least 2 OSTs")
-        #: Every client created via :meth:`client`, for aggregate
-        #: resilience counters (retries/timeouts/failovers).
-        self.clients: list[PFSClient] = []
+        #: The counters of every client created via :meth:`client`, for
+        #: aggregate resilience counters (retries/timeouts/failovers).  The
+        #: stats, not the clients: a client points back at the file system,
+        #: and a list of clients would keep each run's graph in a cycle.
+        self.client_stats: list[ClientStats] = []
 
     @classmethod
     def from_spec(cls, platform: Platform, storage) -> "ParallelFileSystem":
@@ -206,7 +208,7 @@ class ParallelFileSystem:
         if not self.fabric.has_endpoint(node):
             raise KeyError(f"node {node!r} is not attached to the storage fabric")
         client = PFSClient(self, node, **kwargs)
-        self.clients.append(client)
+        self.client_stats.append(client.stats)
         return client
 
     # -- aggregate statistics -----------------------------------------------------------
@@ -214,11 +216,11 @@ class ParallelFileSystem:
         """Summed client resilience counters (retries/timeouts/failovers)."""
         out = {"retries": 0, "rpc_timeouts": 0, "failovers": 0,
                "degraded_writes": 0}
-        for c in self.clients:
-            out["retries"] += c.stats.retries
-            out["rpc_timeouts"] += c.stats.rpc_timeouts
-            out["failovers"] += c.stats.failovers
-            out["degraded_writes"] += c.stats.degraded_writes
+        for st in self.client_stats:
+            out["retries"] += st.retries
+            out["rpc_timeouts"] += st.rpc_timeouts
+            out["failovers"] += st.failovers
+            out["degraded_writes"] += st.degraded_writes
         return out
 
     def total_bytes_written(self) -> int:

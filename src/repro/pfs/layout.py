@@ -92,10 +92,6 @@ class StripeLayout:
     def stripe_count(self) -> int:
         return len(self.ost_ids)
 
-    @property
-    def replicated(self) -> bool:
-        return bool(self.replica_ost_ids)
-
     def replica_of(self, ost_index: int):
         """Mirror OST for stripe index ``ost_index`` (``None`` if none)."""
         if not self.replica_ost_ids:

@@ -135,6 +135,3 @@ class Namespace:
         inode = self.lookup(path)
         inode.size = max(inode.size, new_end)
         inode.mtime = now
-
-    def touch_atime(self, path: str, now: float) -> None:
-        self.lookup(path).atime = now

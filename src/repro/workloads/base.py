@@ -72,14 +72,6 @@ class Workload(ABC):
             f"{type(self).__name__} does not expose a static op stream"
         )
 
-    def has_op_stream(self) -> bool:
-        """Whether :meth:`ops` is available."""
-        try:
-            iter(self.ops(0))
-            return True
-        except NotImplementedError:
-            return False
-
     def program(self, ctx: RankContext):
         """Run this workload's rank ``ctx.rank`` (execution-driven path).
 

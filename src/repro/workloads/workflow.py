@@ -8,10 +8,11 @@ small-transaction reads and writes" [73].
 A workflow is a DAG of :class:`WorkflowTask` nodes.  Tasks communicate
 through files: each task stats and reads the files its predecessors wrote,
 computes, and writes its own outputs.  Execution proceeds in topological
-generations; within a generation, ready tasks are distributed round-robin
-over the ranks (a simple workflow-manager model), with a barrier between
-generations.  The file-per-edge communication is exactly what makes these
-workloads metadata-intensive (claim C4).
+generations (Kahn's algorithm, one sorted generation per round, so the
+module needs no graph library); within a generation, ready tasks are
+distributed round-robin over the ranks (a simple workflow-manager model),
+with a barrier between generations.  The file-per-edge communication is
+exactly what makes these workloads metadata-intensive (claim C4).
 
 :func:`montage_like_workflow` builds a DAG shaped like the Montage mosaic
 pipeline, the standard exemplar in the workflow characterisation
@@ -21,9 +22,7 @@ literature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
-
-import networkx as nx
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.ops import IOOp, OpKind
 from repro.workloads.base import Workload
@@ -90,18 +89,29 @@ class WorkflowWorkload(Workload):
             if t.name in self.tasks:
                 raise ValueError(f"duplicate task name {t.name!r}")
             self.tasks[t.name] = t
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(self.tasks)
+        succ: Dict[str, Set[str]] = {name: set() for name in self.tasks}
         for a, b in edges:
             if a not in self.tasks or b not in self.tasks:
                 raise ValueError(f"edge references unknown task: {(a, b)}")
-            self.graph.add_edge(a, b)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            raise ValueError("workflow graph has a cycle")
+            succ[a].add(b)  # a repeated edge is one dependency
+        indegree = dict.fromkeys(self.tasks, 0)
+        for children in succ.values():
+            for b in children:
+                indegree[b] += 1
         #: Topological generations: lists of task names runnable in parallel.
-        self.generations: List[List[str]] = [
-            sorted(gen) for gen in nx.topological_generations(self.graph)
-        ]
+        self.generations: List[List[str]] = []
+        gen = sorted(name for name, d in indegree.items() if d == 0)
+        while gen:
+            self.generations.append(gen)
+            ready = []
+            for a in gen:
+                for b in succ[a]:
+                    indegree[b] -= 1
+                    if indegree[b] == 0:
+                        ready.append(b)
+            gen = sorted(ready)
+        if sum(map(len, self.generations)) != len(self.tasks):
+            raise ValueError("workflow graph has a cycle")
 
     # -- structure metrics ---------------------------------------------------
     @property
@@ -111,9 +121,6 @@ class WorkflowWorkload(Workload):
     @property
     def critical_path_length(self) -> int:
         return len(self.generations)
-
-    def total_intermediate_bytes(self) -> int:
-        return sum(n for t in self.tasks.values() for _, n in t.outputs)
 
     def metadata_op_estimate(self) -> int:
         """Expected metadata ops (create/open/stat/close per file touched)."""

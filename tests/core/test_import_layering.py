@@ -9,8 +9,10 @@ layer, so none of them may load the simulator or its numeric stack; nor
 may the run service or the scenario presets, which need only the specs.
 scipy is used only by the hypothesis tests in
 :mod:`repro.modeling.hypothesis_testing` and must load only when one of
-them runs.  Each budget check runs in a fresh interpreter, since this
-test process has long since imported everything.
+them runs; networkx only by :mod:`repro.cluster.topology`, which loads
+only when a platform asks for a fat-tree or dragonfly fabric.  Each
+budget check runs in a fresh interpreter, since this test process has
+long since imported everything.
 """
 
 from __future__ import annotations
@@ -233,6 +235,51 @@ def test_cli_parser_loads_no_simulator(tmp_path):
 )
 def test_runtime_paths_load_no_scipy(code, tmp_path):
     assert _loaded_after(code, tmp_path, watch=("scipy",)) == []
+
+
+_SYNTHESIZE_ONE = """
+    from repro.monitoring import RecorderTracer
+    from repro.scenario import run_scenario
+    from repro.wgen import default_grammar, sample, synthesize, target_ops
+    grammar = default_grammar()
+    derivation = sample(grammar, seed=3, n_ranks=2)
+    tracer = RecorderTracer()
+    run_scenario(derivation.scenario_spec(seed=0), observers=[tracer])
+    ops = target_ops(tracer.archive.at_layer("posix"))
+    assert synthesize(ops, grammar=grammar, n_ranks=2).ok
+"""
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro.experiments",
+        """
+        from repro.scenario import get_scenario, run_scenario
+        run_scenario(get_scenario("c4-workflow"))
+        """,
+        """
+        from repro.experiments.runner import run_experiments
+        results = run_experiments(["C2", "C4", "C6"], seeds=[0], jobs=1, use_cache=False)
+        assert all(r.record is not None for r in results)
+        """,
+        _SYNTHESIZE_ONE,
+    ],
+    ids=["experiments", "run-workflow-scenario", "run-experiments", "wgen-synthesize"],
+)
+def test_runtime_paths_load_no_networkx(code, tmp_path):
+    assert _loaded_after(code, tmp_path, watch=("networkx",)) == []
+
+
+def test_requested_topology_loads_networkx(tmp_path):
+    code = """
+        import dataclasses
+        from repro.cluster import Platform, tiny_spec
+        spec = dataclasses.replace(tiny_spec(), ib_topology="fat_tree")
+        platform = Platform(spec)
+        assert platform.compute_fabric.topology is not None
+    """
+    assert _loaded_after(code, tmp_path, watch=("networkx",)) == ["networkx"]
 
 
 def test_public_names_still_resolve(tmp_path):

@@ -1,19 +1,37 @@
-"""Finished processes and released requests are freed without the cyclic GC.
+"""Finished runs are freed without the cyclic GC.
 
 A process drops its bound ``_resume`` when its generator ends, and a
 released request drops itself as its own value, so neither is left in a
-reference cycle.  ``gc.DEBUG_SAVEALL`` keeps every object the collector
-finds unreachable in ``gc.garbage``; none of them may be a ``Process`` or
-a ``Request``.
+reference cycle.  An idle link holds no timer callback, and the file
+system keeps its clients' counters rather than the clients, so a finished
+run's platform graph is not in a cycle either.  ``gc.DEBUG_SAVEALL`` keeps
+every object the collector finds unreachable in ``gc.garbage``; none of
+them may be a ``Process``, a ``Request`` or a platform object.
 """
 
 import contextlib
 import gc
 
+import pytest
+
+from repro.cluster.devices import BlockDevice
+from repro.cluster.network import NetworkFabric
+from repro.cluster.platform import Platform
 from repro.des import Environment, Resource
 from repro.des.process import Process
 from repro.des.resources import Request
+from repro.des.sharing import FairShareLink
+from repro.pfs.client import PFSClient
+from repro.pfs.filesystem import ParallelFileSystem
+from repro.pfs.mds import MetadataServer
+from repro.pfs.oss import ObjectStorageServer
 from repro.scenario import get_scenario, run_scenario
+
+#: The objects of a run's platform graph.
+PLATFORM_TYPES = (
+    Platform, NetworkFabric, FairShareLink, PFSClient, ParallelFileSystem,
+    ObjectStorageServer, MetadataServer, BlockDevice,
+)
 
 
 @contextlib.contextmanager
@@ -68,3 +86,26 @@ def test_scenario_run_leaves_no_process_or_request_in_a_cycle():
         del run
         gc.collect()
         assert _cyclic(garbage) == []
+
+
+def _garbage_of_run(name):
+    """Types of the objects one run of preset ``name`` leaves in cycles."""
+    run_scenario(get_scenario("tiny"))  # warm-up: first-run caches are not garbage
+    with _saved_garbage() as garbage:
+        run = run_scenario(get_scenario(name))
+        assert run.results
+        del run
+        gc.collect()
+        return [type(obj) for obj in garbage]
+
+
+@pytest.mark.parametrize(
+    "name", ["tiny", "c4-workflow", "c10-shared", "r2-ior-degraded"]
+)
+def test_scenario_run_leaves_no_platform_object_in_a_cycle(name):
+    types = _garbage_of_run(name)
+    assert [t.__name__ for t in types if issubclass(t, PLATFORM_TYPES)] == []
+
+
+def test_tiny_run_leaves_no_cyclic_garbage():
+    assert _garbage_of_run("tiny") == []

@@ -92,6 +92,18 @@ def test_experiment_records_are_byte_identical(pinned):
     assert _mismatches(record_digests(), pinned["records"]) == []
 
 
+def test_records_through_a_process_pool_are_byte_identical(pinned, tmp_path):
+    from repro.experiments import ALL_EXPERIMENTS
+    from repro.experiments.runner import run_experiments
+
+    results = run_experiments(
+        sorted(ALL_EXPERIMENTS), seeds=[0], jobs=2, use_cache=False,
+        manifest=False, cache_dir=tmp_path,
+    )
+    got = {r.experiment_id: _digest(r.record.to_dict()) for r in results}
+    assert _mismatches(got, pinned["records"]) == []
+
+
 def test_preset_runs_are_byte_identical(pinned):
     assert _mismatches(preset_digests(), pinned["presets"]) == []
 

@@ -1,6 +1,9 @@
 """Unit tests for BT-IO, workflows, skeletons and proxy apps."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import tiny_cluster
 from repro.ops import OpKind
@@ -115,6 +118,60 @@ class TestWorkflow:
         assign = wf.assignment()
         gen0 = wf.generations[0]
         assert [assign[t] for t in gen0] == [0, 1, 0, 1]
+
+
+@st.composite
+def _digraphs(draw, acyclic):
+    """(task names, edges) on up to 12 tasks; repeated edges allowed.
+
+    With ``acyclic``, every edge points forward in a random task order;
+    otherwise any pair is an edge, self-loops included.
+    """
+    n = draw(st.integers(1, 12))
+    names = draw(st.permutations([f"t{i}" for i in range(n)]))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=30))
+    if acyclic:
+        edges = [(min(i, j), max(i, j)) for i, j in edges if i != j]
+    return names, [(names[i], names[j]) for i, j in edges]
+
+
+def _nx_graph(names, edges):
+    g = nx.DiGraph(edges)
+    g.add_nodes_from(names)
+    return g
+
+
+def _nx_generations(g):
+    return [sorted(gen) for gen in nx.topological_generations(g)]
+
+
+class TestWorkflowGenerations:
+    """The workflow's own topological sort agrees with networkx."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_digraphs(acyclic=True))
+    def test_generations_match_networkx(self, graph):
+        names, edges = graph
+        wf = WorkflowWorkload([WorkflowTask(n) for n in names], edges, 2)
+        assert wf.generations == _nx_generations(_nx_graph(names, edges))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_digraphs(acyclic=False))
+    def test_cycles_raise_and_dags_match(self, graph):
+        names, edges = graph
+        tasks = [WorkflowTask(n) for n in names]
+        g = _nx_graph(names, edges)
+        if nx.is_directed_acyclic_graph(g):
+            assert WorkflowWorkload(tasks, edges, 2).generations == _nx_generations(g)
+        else:
+            with pytest.raises(ValueError, match="cycle"):
+                WorkflowWorkload(tasks, edges, 2)
+
+    def test_self_loop_is_a_cycle(self):
+        tasks = [WorkflowTask("a"), WorkflowTask("b")]
+        with pytest.raises(ValueError, match="cycle"):
+            WorkflowWorkload(tasks, [("a", "b"), ("b", "b")], 2)
 
 
 class TestSkeleton:
