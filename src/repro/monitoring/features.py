@@ -3,7 +3,8 @@
 The paper's feedback loop (Fig. 4) feeds monitoring output back into
 evaluation-tool input; this module is the monitoring-side half of that
 edge.  :func:`access_features` reduces any operation stream -- intended
-ops (:class:`~repro.ops.IOOp`), observed trace records
+ops (:class:`~repro.ops.IOOp`), blocks of them (:class:`~repro.ops.OpRun`,
+what the DSL compiles to and synthesis scores), observed trace records
 (:class:`~repro.ops.IORecord`, timing dropped) or a whole
 :class:`~repro.monitoring.tracer.TraceArchive` -- to a fixed, order-
 insensitive feature vector: op-kind mix, read/write volumes, a
@@ -14,7 +15,10 @@ two such vectors (plus loop structure) and
 
 Every feature is a float and the dict always contains exactly
 :data:`FEATURE_NAMES`, so vectors from different traces line up
-positionally for modeling code.
+positionally for modeling code.  Ops and records are read as runs of one
+(:func:`~repro.ops.as_runs`), and a run stream's features equal its
+expanded op stream's exactly: counts and integer sums do not depend on
+how the ops are grouped.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from repro.ops import (
     IOOp,
     IORecord,
     OpKind,
+    OpRun,
+    as_runs,
     size_bucket,
 )
 
@@ -43,15 +49,19 @@ FEATURE_NAMES = (
 )
 
 
-def access_features(stream: Iterable[Union[IOOp, IORecord]]) -> Dict[str, float]:
-    """Reduce an op/record stream to a fixed access-pattern feature vector.
+def access_features(
+    stream: Iterable[Union[IOOp, IORecord, OpRun]]
+) -> Dict[str, float]:
+    """Reduce an op/record/run stream to a fixed access-pattern feature vector.
 
-    Accepts any iterable of :class:`IOOp` and/or :class:`IORecord` (mixed
-    is fine; records are read as ops, ignoring timing).  An empty
-    stream yields the all-zero vector.  Fractions are in [0, 1]; byte
-    totals are raw; ``rank_balance_cv`` is the coefficient of variation
-    of per-rank op counts (0 = perfectly balanced).  One pass over the
-    stream.
+    Accepts any iterable of :class:`IOOp`, :class:`IORecord` and/or
+    :class:`OpRun` (mixed is fine; records are read as ops, ignoring
+    timing; a run counts as its expanded ops).  An empty stream yields the
+    all-zero vector.  Fractions are in [0, 1]; byte totals are raw;
+    ``rank_balance_cv`` is the coefficient of variation of per-rank op
+    counts (0 = perfectly balanced).  One pass over the stream, one step
+    per run: every feature is a count or a sum, so a run adds its op
+    count times what one of its ops would add.
     """
     features = dict.fromkeys(FEATURE_NAMES, 0.0)
     kind_counts = dict.fromkeys(OpKind, 0)
@@ -68,16 +78,11 @@ def access_features(stream: Iterable[Union[IOOp, IORecord]]) -> Dict[str, float]
     # starts exactly where that stream's previous op on the file ended.
     cursors: Dict[tuple, int] = {}
 
-    for op in stream:
-        if not isinstance(op, (IORecord, IOOp)):
-            raise TypeError(
-                f"expected IOOp or IORecord, got {type(op).__name__}"
-            )
-        kind = op.kind
-        rank = op.rank
-        path = op.path
-        kind_counts[kind] += 1
-        rank_counts[rank] = rank_counts.get(rank, 0) + 1
+    for run in as_runs(stream):
+        kind, path, rank, nbytes, _duration, _meta, offsets = run
+        n = len(offsets)
+        kind_counts[kind] += n
+        rank_counts[rank] = rank_counts.get(rank, 0) + n
         if path:
             files.add(path)
             if kind not in MARKER_KINDS:
@@ -87,18 +92,29 @@ def access_features(stream: Iterable[Union[IOOp, IORecord]]) -> Dict[str, float]
                 else:
                     ranks.add(rank)
         if kind in DATA_KINDS:
-            nbytes = op.nbytes
-            offset = op.offset
-            transfer_total += nbytes
-            size_hist[size_bucket(nbytes)] += 1
+            volume = n * nbytes
+            transfer_total += volume
+            size_hist[size_bucket(nbytes)] += n
             if kind is OpKind.READ:
-                bytes_read += nbytes
+                bytes_read += volume
             else:
-                bytes_written += nbytes
+                bytes_written += volume
             key = (path, kind, rank)
-            if cursors.get(key) == offset:
+            if cursors.get(key) == offsets[0]:
                 n_sequential += 1
-            cursors[key] = offset + nbytes
+            if n > 1:
+                # Each later op is sequential when it starts where the
+                # previous one (in this run) ended.
+                if type(offsets) is range:
+                    if offsets.step == nbytes:
+                        n_sequential += n - 1
+                else:
+                    prev = offsets[0]
+                    for offset in offsets[1:]:
+                        if offset - prev == nbytes:
+                            n_sequential += 1
+                        prev = offset
+            cursors[key] = offsets[-1] + nbytes
 
     if not rank_counts:
         return features

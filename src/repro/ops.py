@@ -8,6 +8,9 @@ Every layer of the toolkit speaks in terms of these types:
   (the IOWA-style "workload produce" stream, paper Sec. IV-B-4 / [20]).
 * :class:`IORecord` -- an *observed* operation, as captured by monitoring
   (a trace record with timestamps; paper Sec. IV-A-2).
+* :class:`OpRun` -- a block of equal-size intended operations (the DSL
+  compiler's output unit); :func:`as_runs` reads any op, record or run
+  stream as runs and :func:`expand_runs` turns runs back into ops.
 
 Keeping these in one dependency-free module lets workloads, the I/O stack,
 the file system, monitoring and modeling interoperate without import cycles.
@@ -18,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 
 class StorageUnavailable(RuntimeError):
@@ -202,6 +205,65 @@ class IORecord:
             end=d["end"],
             extra=d.get("extra", {}),
         )
+
+
+#: The offsets of a run of one operation that has no data offset (a
+#: metadata op or a marker), shared: offsets are never mutated.
+NO_OFFSET = (0,)
+
+
+class OpRun(NamedTuple):
+    """A block of equal-size operations: one :class:`IOOp` per offset.
+
+    Everything but the offset is shared: ``kind``, ``path``, ``rank``,
+    ``nbytes`` (the transfer size), ``duration`` and ``meta``.  ``offsets``
+    is a ``range`` for a sequential block, a list for a permuted one, and
+    a one-tuple for a single operation; it is never empty.  Expanding a
+    run (:meth:`ops`) gives each op its own copy of ``meta``, as
+    :class:`IOOp` does.  Shape functions read runs without expanding them.
+    """
+
+    kind: OpKind
+    path: str
+    rank: int
+    nbytes: int
+    duration: float
+    meta: Dict[str, Any]
+    offsets: Sequence[int]
+
+    def ops(self) -> List[IOOp]:
+        """The run's operations, in offset order."""
+        kind, path, rank, nbytes, duration, meta, offsets = self
+        return [IOOp(kind, path, offset, nbytes, rank, duration, dict(meta))
+                for offset in offsets]
+
+
+def _lift(item: Any) -> OpRun:
+    """An op or a record as a run of one; a record is read as its
+    :meth:`IORecord.to_op` projection (timing and ``extra`` dropped)."""
+    if isinstance(item, IOOp):
+        return OpRun(item.kind, item.path, item.rank, item.nbytes,
+                     item.duration, item.meta, (item.offset,))
+    if isinstance(item, IORecord):
+        return OpRun(item.kind, item.path, item.rank, item.nbytes, 0.0, {},
+                     (item.offset,))
+    raise TypeError(
+        f"expected IOOp or IORecord (or OpRun), got {type(item).__name__}"
+    )
+
+
+def as_runs(stream: Iterable[Any]) -> List[OpRun]:
+    """Read an op, record or run stream (mixed is fine) as a run list:
+    runs as they are, each op or record as a run of one."""
+    return [item if type(item) is OpRun else _lift(item) for item in stream]
+
+
+def expand_runs(runs: Iterable[OpRun]) -> List[IOOp]:
+    """The op stream a run stream stands for."""
+    out: List[IOOp] = []
+    for run in runs:
+        out += run.ops()
+    return out
 
 
 #: Size-histogram bucket upper bounds (bytes), mirroring Darshan's buckets.

@@ -42,6 +42,14 @@ bytes into its own block at ``rank * size`` (IOR-style); ``fpp`` targets
 ``<path>.<rank>`` starting at that file's running cursor.  ``random``
 permutes the transfer order within the block (seeded).
 
+The compiler's unit is the *run* (:class:`~repro.ops.OpRun`): each
+executed data statement becomes one run of equal-size transfers whose
+offsets are a ``range`` (sequential) or the seeded permutation
+(``random``), and every other statement a run of one.
+:func:`compile_runs` returns the per-rank runs -- what synthesis scores,
+without building an op per transfer -- and :func:`parse_workload`
+expands them into the runnable op streams.
+
 Example::
 
     workload checkpoint {
@@ -61,11 +69,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.ops import IOOp, OpKind
+from repro.ops import NO_OFFSET, OpKind, OpRun, expand_runs
 from repro.workloads.base import OpStreamWorkload
 
 _SIZE_RE = re.compile(r"^(\d+(?:\.\d+)?)(B|KB|MB|GB)?$", re.IGNORECASE)
@@ -122,6 +131,13 @@ def _tokenize(text: str) -> List[_Token]:
         else:
             raise DSLError(f"line {line}: unterminated string")
     return tokens
+
+
+def _parse_int(token: _Token, what: str) -> int:
+    try:
+        return int(token.value)
+    except ValueError:
+        raise DSLError(f"line {token.line}: {what} must be an integer")
 
 
 def _parse_size(token: _Token) -> int:
@@ -196,17 +212,14 @@ class _Parser:
         self.next(expect="{")
         self.next(expect="ranks")
         ranks_tok = self.next_kind("word")
-        try:
-            ranks = int(ranks_tok.value)
-        except ValueError:
-            raise DSLError(f"line {ranks_tok.line}: ranks must be an integer")
+        ranks = _parse_int(ranks_tok, "ranks")
         if ranks <= 0:
             raise DSLError(f"line {ranks_tok.line}: ranks must be positive")
         self.next(expect=";")
         seed = 0
         if self.peek() and self.peek().value == "seed":
             self.next()
-            seed = int(self.next_kind("word").value)
+            seed = _parse_int(self.next_kind("word"), "seed")
             self.next(expect=";")
         body = self.parse_block()
         if self.peek() is not None:
@@ -230,10 +243,7 @@ class _Parser:
         op = tok.value
         if op == "loop":
             count_tok = self.next_kind("word")
-            try:
-                count = int(count_tok.value)
-            except ValueError:
-                raise DSLError(f"line {count_tok.line}: loop count must be an integer")
+            count = _parse_int(count_tok, "loop count")
             if count <= 0:
                 raise DSLError(f"line {count_tok.line}: loop count must be positive")
             var = None
@@ -273,7 +283,7 @@ class _Parser:
             stmt = _Simple(line=tok.line, op="create", path=path, mode=mode)
             if self.peek() and self.peek().value == "stripe":
                 self.next()
-                stmt.stripe = int(self.next_kind("word").value)
+                stmt.stripe = _parse_int(self.next_kind("word"), "stripe")
             self.next(expect=";")
             return stmt
         if op in ("write", "read"):
@@ -318,21 +328,39 @@ _META_STMT_KINDS = {
 }
 
 
+@lru_cache(maxsize=1024)
+def _permutation(seed: int, n: int) -> Tuple[int, ...]:
+    """The transfer order of a ``pattern random`` block.
+
+    Memoised: a block's seed depends only on the program seed, the rank
+    and the statement's line, so loops and the many programs a synthesis
+    search compiles ask for the same few orders again and again.
+    """
+    return tuple(np.random.default_rng(seed).permutation(n).tolist())
+
+
 class _Compiler:
+    """Walks the program once, emitting every rank's runs side by side.
+
+    Ranks differ only in fpp path suffixes, shared-block offsets, the
+    seeded permutations and which rank issues shared creates/mkdirs, so
+    each statement is resolved once and then emitted per rank.  A data
+    cursor advances by the same amount on every rank, so one cursor per
+    (unsuffixed path, mode) serves all of them.
+    """
+
     def __init__(self, name: str, n_ranks: int, seed: int):
         self.name = name
         self.n_ranks = n_ranks
         self.seed = seed
+        self._suffixes = [f".{rank:08d}" for rank in range(n_ranks)]
         self._cursors: dict = {}
 
-    def compile(self, body: List[_Stmt]) -> OpStreamWorkload:
-        per_rank: List[List[IOOp]] = []
-        for rank in range(self.n_ranks):
-            self._cursors = {}
-            ops: List[IOOp] = []
-            self._emit_block(body, rank, {}, ops)
-            per_rank.append(ops)
-        return OpStreamWorkload(self.name, per_rank)
+    def compile(self, body: List[_Stmt]) -> List[List[OpRun]]:
+        per_rank: List[List[OpRun]] = [[] for _ in range(self.n_ranks)]
+        self._cursors = {}
+        self._emit_block(body, {}, per_rank)
+        return per_rank
 
     @staticmethod
     def _subst(path: str, env: dict, line: int) -> str:
@@ -343,18 +371,19 @@ class _Compiler:
         for name, value in env.items():
             out = out.replace("${" + name + "}", str(value))
         if "${" in out:
-            missing = out[out.index("${") : out.index("}", out.index("${")) + 1]
-            raise DSLError(f"line {line}: unbound variable {missing} in path")
+            start = out.index("${")
+            end = out.find("}", start)
+            if end < 0:
+                raise DSLError(
+                    f"line {line}: unterminated variable {out[start:]} in path"
+                )
+            raise DSLError(
+                f"line {line}: unbound variable {out[start:end + 1]} in path"
+            )
         return out
 
-    def _path_for(self, stmt: _Simple, rank: int, env: dict) -> str:
-        path = self._subst(stmt.path, env, stmt.line)
-        if stmt.mode == "fpp":
-            return f"{path}.{rank:08d}"
-        return path
-
-    def _emit_block(self, body: List[_Stmt], rank: int, env: dict,
-                    out: List[IOOp]) -> None:
+    def _emit_block(self, body: List[_Stmt], env: dict,
+                    outs: List[List[OpRun]]) -> None:
         for stmt in body:
             if isinstance(stmt, _LoopStmt):
                 for i in range(stmt.count):
@@ -362,74 +391,105 @@ class _Compiler:
                     if stmt.var is not None:
                         inner = dict(env)
                         inner[stmt.var] = i
-                    self._emit_block(stmt.body, rank, inner, out)
+                    self._emit_block(stmt.body, inner, outs)
                 continue
-            self._emit_simple(stmt, rank, env, out)
+            self._emit_simple(stmt, env, outs)
 
-    def _emit_simple(self, stmt: _Simple, rank: int, env: dict,
-                     out: List[IOOp]) -> None:
+    def _emit_simple(self, stmt: _Simple, env: dict,
+                     outs: List[List[OpRun]]) -> None:
         # Branches in order of frequency in generated programs.
         op = stmt.op
         if op == "write" or op == "read":
-            path = self._path_for(stmt, rank, env)
+            path = self._subst(stmt.path, env, stmt.line)
             kind = OpKind.WRITE if op == "write" else OpKind.READ
+            shared = stmt.mode == "shared"
             cursor_key = (path, stmt.mode)
             base = self._cursors.get(cursor_key, 0)
-            if stmt.mode == "shared":
-                start = base + rank * stmt.size
-            else:
-                start = base
+            size = stmt.size
             transfer = stmt.transfer
-            n_transfers = stmt.size // transfer
-            if stmt.pattern == "random":
-                rng = np.random.default_rng(self.seed + rank * 9973 + stmt.line)
-                order = rng.permutation(n_transfers).tolist()
-            else:
-                order = range(n_transfers)
-            out += [IOOp(kind, path, start + i * transfer, transfer, rank)
-                    for i in order]
-            if stmt.mode == "shared":
-                self._cursors[cursor_key] = base + self.n_ranks * stmt.size
-            else:
-                self._cursors[cursor_key] = base + stmt.size
+            shuffled = stmt.pattern == "random"
+            for rank, out in enumerate(outs):
+                if shared:
+                    start = base + rank * size
+                    rank_path = path
+                else:
+                    start = base
+                    rank_path = path + self._suffixes[rank]
+                if shuffled:
+                    order = _permutation(self.seed + rank * 9973 + stmt.line,
+                                         size // transfer)
+                    offsets = [start + i * transfer for i in order]
+                else:
+                    offsets = range(start, start + size, transfer)
+                out.append(OpRun(kind, rank_path, rank, transfer, 0.0, {},
+                                 offsets))
+            self._cursors[cursor_key] = base + (
+                self.n_ranks * size if shared else size)
         elif op == "create":
-            path = self._path_for(stmt, rank, env)
-            meta = {}
-            if stmt.stripe is not None:
-                meta["stripe_count"] = stmt.stripe
-            if stmt.mode == "fpp" or rank == 0:
-                out.append(IOOp(OpKind.CREATE, path, rank=rank, meta=meta))
-            out.append(IOOp(OpKind.BARRIER, rank=rank))
+            path = self._subst(stmt.path, env, stmt.line)
+            fpp = stmt.mode == "fpp"
+            for rank, out in enumerate(outs):
+                if fpp or rank == 0:
+                    meta = {}
+                    if stmt.stripe is not None:
+                        meta["stripe_count"] = stmt.stripe
+                    out.append(OpRun(
+                        OpKind.CREATE,
+                        path + self._suffixes[rank] if fpp else path, rank,
+                        0, 0.0, meta, NO_OFFSET))
+                out.append(OpRun(OpKind.BARRIER, "", rank, 0, 0.0, {},
+                                 NO_OFFSET))
         elif op in _META_STMT_KINDS:
             # Metadata statements accept an optional shared|fpp mode; fpp
             # targets this rank's file, the default targets the literal path.
-            if stmt.mode == "fpp":
-                path = self._path_for(stmt, rank, env)
-            else:
-                path = self._subst(stmt.path, env, stmt.line)
-            out.append(IOOp(_META_STMT_KINDS[op], path, rank=rank))
+            path = self._subst(stmt.path, env, stmt.line)
+            kind = _META_STMT_KINDS[op]
+            fpp = stmt.mode == "fpp"
+            for rank, out in enumerate(outs):
+                out.append(OpRun(
+                    kind, path + self._suffixes[rank] if fpp else path, rank,
+                    0, 0.0, {}, NO_OFFSET))
         elif op == "barrier":
-            out.append(IOOp(OpKind.BARRIER, rank=rank))
+            for rank, out in enumerate(outs):
+                out.append(OpRun(OpKind.BARRIER, "", rank, 0, 0.0, {},
+                                 NO_OFFSET))
         elif op == "compute":
-            out.append(IOOp(OpKind.COMPUTE, duration=stmt.seconds, rank=rank))
+            for rank, out in enumerate(outs):
+                out.append(OpRun(OpKind.COMPUTE, "", rank, 0, stmt.seconds,
+                                 {}, NO_OFFSET))
         elif op == "mkdir":
-            if rank == 0:
-                out.append(IOOp(
-                    OpKind.MKDIR, self._subst(stmt.path, env, stmt.line),
-                    rank=rank, meta={"exist_ok": True},
-                ))
-            out.append(IOOp(OpKind.BARRIER, rank=rank))
+            path = self._subst(stmt.path, env, stmt.line)
+            for rank, out in enumerate(outs):
+                if rank == 0:
+                    out.append(OpRun(OpKind.MKDIR, path, rank, 0, 0.0,
+                                     {"exist_ok": True}, NO_OFFSET))
+                out.append(OpRun(OpKind.BARRIER, "", rank, 0, 0.0, {},
+                                 NO_OFFSET))
         else:  # pragma: no cover - parser guarantees exhaustiveness
             raise DSLError(f"line {stmt.line}: unknown op {op!r}")
 
 
-def parse_workload(text: str) -> OpStreamWorkload:
-    """Parse a DSL description into a runnable workload.
+def compile_runs(text: str) -> Tuple[str, List[List[OpRun]]]:
+    """Parse a DSL description into its name and per-rank run lists.
 
-    Raises :class:`DSLError` with a line number on any problem.
+    One :class:`~repro.ops.OpRun` per executed statement: a data
+    statement is one run of its transfers (a ``range`` of offsets, or the
+    seeded permutation for ``pattern random``), every other statement a
+    run of one.  Raises :class:`DSLError` with a line number on any
+    problem.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise DSLError("empty workload description")
     name, ranks, seed, body = _Parser(tokens).parse()
-    return _Compiler(name, ranks, seed).compile(body)
+    return name, _Compiler(name, ranks, seed).compile(body)
+
+
+def parse_workload(text: str) -> OpStreamWorkload:
+    """Parse a DSL description into a runnable workload.
+
+    The :func:`compile_runs` runs, expanded to per-rank op lists.  Raises
+    :class:`DSLError` with a line number on any problem.
+    """
+    name, per_rank = compile_runs(text)
+    return OpStreamWorkload(name, [expand_runs(runs) for runs in per_rank])

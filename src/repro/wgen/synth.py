@@ -23,6 +23,14 @@ there instead of replaying the prefix from the start symbol.  A
 completion seen before in the same search reuses its distance; a new one
 costs one compile and one shape.  Nothing is cached across calls.
 
+A completion is scored as text -> runs -> shape: the DSL compiles it to
+op runs (:func:`~repro.wgen.dsl.compile_runs`, one
+:class:`~repro.ops.OpRun` per executed statement), :func:`normalize_ops`
+projects the runs, and the shape functions read them directly -- no
+:class:`~repro.ops.IOOp` is built for a candidate, and the shape equals
+the one the expanded ops would give, exactly.  The target enters as runs
+of one.
+
 :func:`store_synthesis` persists the result into the content-addressed
 store as a ``synthesis`` artifact (with the grammar as a ``grammar``
 artifact) and refs ``synthesis/<source digest>`` / ``grammar/<name>``,
@@ -46,8 +54,17 @@ from repro.modeling.trace_distance import (
     shape_distance,
     trace_shape,
 )
-from repro.ops import MARKER_KINDS, IOOp, IORecord, OpKind
-from repro.wgen.dsl import DSLError, parse_workload
+from repro.ops import (
+    MARKER_KINDS,
+    NO_OFFSET,
+    IOOp,
+    IORecord,
+    OpKind,
+    OpRun,
+    as_runs,
+    expand_runs,
+)
+from repro.wgen.dsl import DSLError, compile_runs
 from repro.wgen.grammar import (
     Derivation,
     GrammarError,
@@ -65,13 +82,15 @@ from repro.wgen.grammar import (
 SIZE_PENALTY = 1e-4
 
 
+def derivation_runs(derivation: Derivation) -> List[OpRun]:
+    """Compile a derivation into its run stream, rank 0 first."""
+    _name, per_rank = compile_runs(derivation.text)
+    return [run for runs in per_rank for run in runs]
+
+
 def derivation_ops(derivation: Derivation) -> List[IOOp]:
     """Compile a derivation and flatten its per-rank op streams."""
-    workload = parse_workload(derivation.text)
-    ops: List[IOOp] = []
-    for rank in range(workload.n_ranks):
-        ops.extend(workload.ops(rank))
-    return ops
+    return expand_runs(derivation_runs(derivation))
 
 
 def target_ops(stream: Iterable[Union[IOOp, IORecord]]) -> List[IOOp]:
@@ -93,8 +112,10 @@ def target_ops(stream: Iterable[Union[IOOp, IORecord]]) -> List[IOOp]:
 _LAZY_OPEN_KINDS = frozenset((OpKind.WRITE, OpKind.READ, OpKind.FSYNC))
 
 
-def normalize_ops(ops: Iterable[IOOp]) -> List[IOOp]:
-    """Project an op stream onto the observable posix-layer dialect.
+def normalize_ops(
+    stream: Iterable[Union[IOOp, IORecord, OpRun]]
+) -> List[OpRun]:
+    """Project a stream onto the observable posix-layer dialect, as runs.
 
     Intended streams (DSL compilations) and observed traces (posix-layer
     records) speak different dialects, and scoring must not punish the
@@ -107,38 +128,45 @@ def normalize_ops(ops: Iterable[IOOp]) -> List[IOOp]:
     path is a no-op, and descriptors still open at the end are closed
     (``close_all``).  Applied to an already-observed stream it is
     (almost) the identity, so both sides meet in the middle.
+
+    Reads runs (ops and records enter as runs of one) and returns runs:
+    the output expands to what the same projection gives the expanded
+    input op by op.  Injected opens and closes are runs of one.
     """
-    out: List[IOOp] = []
+    out: List[OpRun] = []
     append = out.append
     open_files: set = set()  # (rank, path) with a live descriptor
-    for op in ops:
-        kind = op.kind
+    for run in as_runs(stream):
+        kind = run.kind
         if kind in MARKER_KINDS:
             continue
-        key = (op.rank, op.path)
+        key = (run.rank, run.path)
         if kind is OpKind.CREATE:
-            append(IOOp(OpKind.OPEN, op.path, op.offset, op.nbytes, op.rank,
-                        op.duration, {}))
+            append(OpRun(OpKind.OPEN, run.path, run.rank, run.nbytes,
+                         run.duration, {}, run.offsets))
             open_files.add(key)
         elif kind is OpKind.OPEN:
-            append(op)
+            append(run)
             open_files.add(key)
         elif kind in _LAZY_OPEN_KINDS:
             if key not in open_files:
-                append(IOOp(OpKind.OPEN, op.path, rank=op.rank))
+                append(OpRun(OpKind.OPEN, run.path, run.rank, 0, 0.0, {},
+                             NO_OFFSET))
                 open_files.add(key)
-            append(op)
+            append(run)
         elif kind is OpKind.CLOSE:
+            # Only the first close of a run finds the descriptor open.
             if key in open_files:
                 open_files.discard(key)
-                append(op)
+                append(run if len(run.offsets) == 1
+                       else run._replace(offsets=run.offsets[:1]))
         elif kind is OpKind.UNLINK:
             open_files.discard(key)
-            append(op)
+            append(run)
         else:
-            append(op)
+            append(run)
     for rank, path in sorted(open_files):
-        append(IOOp(OpKind.CLOSE, path, rank=rank))
+        append(OpRun(OpKind.CLOSE, path, rank, 0, 0.0, {}, NO_OFFSET))
     return out
 
 
@@ -247,13 +275,13 @@ def synthesize(
         key = tuple(completion.choices)
         if key not in distances:
             try:
-                ops = normalize_ops(derivation_ops(
+                runs = normalize_ops(derivation_runs(
                     completion.derivation(name, n_ranks)))
             except (GrammarError, DSLError):
                 distances[key] = None
             else:
                 distances[key] = shape_distance(target_shape,
-                                                trace_shape(ops))
+                                                trace_shape(runs))
         dist = distances[key]
         if dist is None:
             return None

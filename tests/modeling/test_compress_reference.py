@@ -2,9 +2,12 @@
 
 ``_reference_compress`` is the previous implementation, kept as the
 oracle: every folding pass rebuilt each node's nested tuple key and
-compared key slices.  The interned-id fold must produce equal node
-structures (same runs, loops, bodies and counts), and ``decompress``
-must still round-trip.
+compared key slices, and ``_ref_collapse_runs`` scanned op by op.  The
+interned-id fold must produce equal node structures (same runs, loops,
+bodies and counts), and ``decompress`` must still round-trip.  The run
+collapse (:func:`collapse`, which reads :class:`OpRun` blocks) must give
+the nodes the op-by-op scan gives the expanded ops -- across run
+boundaries, inside permuted blocks and for runs of one.
 """
 
 from dataclasses import replace
@@ -16,10 +19,15 @@ from repro.modeling.trace_compress import (
     Loop,
     OpNode,
     Run,
+    collapse,
     compress_ops,
     decompress,
+    fold,
 )
-from repro.ops import IOOp, OpKind
+from repro.modeling.trace_distance import structure_signature
+from repro.ops import IOOp, OpKind, OpRun, expand_runs
+from repro.wgen import parse_workload
+from repro.wgen.dsl import compile_runs
 
 
 def _ref_meta_key(meta):
@@ -183,3 +191,94 @@ def test_loops_with_different_counts_do_not_fold_together():
     ct = compress_ops(ops, max_pattern=2)
     assert ct.nodes == _reference_compress(ops, max_pattern=2)
     assert decompress(ct) == ops
+
+
+# -- the run collapse ------------------------------------------------------------
+
+
+@st.composite
+def _run_block(draw, previous):
+    """One run: a run of one, a sequential block, a permuted block, or a
+    block continuing the previous run's last stride."""
+    shape = draw(st.sampled_from(["one", "block", "permuted", "continue"]))
+    if shape == "continue" and previous is not None:
+        offsets = previous.offsets
+        stride = offsets[-1] - offsets[-2] if len(offsets) > 1 else 64
+        start = offsets[-1] + stride
+        n = draw(st.integers(1, 4))
+        if stride and draw(st.booleans()):
+            new = range(start, start + n * stride, stride)
+        else:
+            new = [start + i * stride for i in range(n)]
+        return previous._replace(offsets=new)
+    op = draw(_op)
+    if shape == "one":
+        return OpRun(op.kind, op.path, op.rank, op.nbytes, op.duration,
+                     op.meta, (op.offset,))
+    step = draw(st.sampled_from([64, 128, -64]))
+    n = draw(st.integers(2, 6))
+    block = range(op.offset, op.offset + n * step, step)
+    if shape == "permuted":
+        # permutations of a block hold accidental arithmetic triples
+        block = draw(st.permutations(list(block)))
+    return OpRun(op.kind, op.path, op.rank, op.nbytes, op.duration, op.meta,
+                 block)
+
+
+@st.composite
+def _run_stream(draw):
+    runs = []
+    for _ in range(draw(st.integers(0, 10))):
+        runs.append(draw(_run_block(runs[-1] if runs else None)))
+    # repeat a stretch, so folds see equal runs
+    if runs and draw(st.booleans()):
+        runs += runs[-draw(st.integers(1, len(runs))):] * draw(
+            st.integers(1, 3))
+    return runs
+
+
+def _nodes_of(runs):
+    """The run collapse and fold, as nodes of the expanded ops."""
+    ops = expand_runs(runs)
+    interned = {}
+    spans, ids = collapse(runs, interned)
+    nodes = [Run(op=ops[pos], count=count, stride=stride) if count >= 3
+             else OpNode(op=ops[pos]) for pos, count, stride in spans]
+    collapsed = list(nodes)
+    return ops, collapsed, fold(nodes, ids, interned)
+
+
+@settings(max_examples=400, deadline=None)
+@given(runs=_run_stream())
+def test_run_collapse_matches_the_op_by_op_scan(runs):
+    ops, collapsed, folded = _nodes_of(runs)
+    assert collapsed == _ref_collapse_runs(ops)
+    assert folded == _reference_compress(ops)
+    assert folded == compress_ops(ops).nodes
+    assert structure_signature(runs) == structure_signature(ops)
+
+
+def test_adjacent_runs_continue_one_stride():
+    """loop 8 of one 256 KiB shared write at 2 ranks: eight runs of one
+    per rank, one Run of 8 with a 512 KiB stride."""
+    text = """workload seg { ranks 2;
+      loop 8 { write shared "/seg" size 256KB transfer 256KB; } }"""
+    _name, per_rank = compile_runs(text)
+    workload = parse_workload(text)
+    for rank, runs in enumerate(per_rank):
+        assert len(runs) == 8
+        ops, collapsed, folded = _nodes_of(runs)
+        assert ops == list(workload.ops(rank))
+        assert folded == [Run(op=ops[0], count=8, stride=512 * 1024)]
+        assert folded == _reference_compress(ops)
+
+
+def test_permuted_block_folds_its_arithmetic_triple():
+    """[3 0 1 2 5 4] x 64: the op-by-op scan folds 0, 64, 128 into a Run."""
+    runs = [OpRun(OpKind.READ, "/d", 0, 64, 0.0, {},
+                  [192, 0, 64, 128, 320, 256])]
+    ops, collapsed, folded = _nodes_of(runs)
+    assert collapsed == _ref_collapse_runs(ops)
+    assert [type(node).__name__ for node in collapsed] == \
+        ["OpNode", "Run", "OpNode", "OpNode"]
+    assert collapsed[1] == Run(op=ops[1], count=3, stride=64)

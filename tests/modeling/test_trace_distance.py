@@ -18,7 +18,7 @@ from repro.modeling.trace_distance import (
     trace_shape,
 )
 from repro.monitoring.features import access_features
-from repro.ops import IOOp, IORecord, OpKind
+from repro.ops import IOOp, IORecord, OpKind, expand_runs
 from repro.wgen.grammar import default_grammar, sample
 from repro.wgen.synth import derivation_ops, normalize_ops
 
@@ -46,7 +46,9 @@ def test_compress_round_trips_grammar_streams_exactly(seed):
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_compress_round_trips_normalized_streams_exactly(seed):
-    ops = normalize_ops(derivation_ops(sample(default_grammar(), seed=seed)))
+    # normalize_ops returns runs; compression takes their ops.
+    ops = expand_runs(
+        normalize_ops(derivation_ops(sample(default_grammar(), seed=seed))))
     assert decompress(compress_ops(ops)) == ops
 
 
@@ -138,11 +140,15 @@ def test_trace_distance_is_shape_distance_of_shapes(sa, sb, weight):
     a = normalize_ops(derivation_ops(sample(g, seed=sa, n_ranks=2)))
     b = derivation_ops(sample(g, seed=sb, n_ranks=3))
     # bit-for-bit, not approximately: synthesis scores with the split form
-    for left in (a, _as_records(a)):
+    ops = expand_runs(a)  # normalize_ops returns runs
+    for left in (ops, _as_records(ops)):
         want = _reference_distance(left, b, weight)
         assert trace_distance(left, b, structure_weight=weight) == want
         assert shape_distance(trace_shape(left), trace_shape(b),
                               structure_weight=weight) == want
+    # the runs score exactly as their ops do
+    assert trace_distance(a, b, structure_weight=weight) == \
+        _reference_distance(ops, b, weight)
 
 
 def test_trace_shape_is_features_and_signature():

@@ -4,6 +4,9 @@
 the oracle: over random mixed :class:`IOOp`/:class:`IORecord` streams
 (markers, file-per-process paths, meta annotations, repeated cursors)
 the one-pass version must return an ``==`` dict, key order included.
+Fed :class:`OpRun` blocks (runs of one, sequential blocks, permuted
+blocks, blocks continuing the previous one), it must return the
+reference's dict of the expanded ops.
 """
 
 from collections import defaultdict
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitoring.features import FEATURE_NAMES, access_features
-from repro.ops import SIZE_BUCKETS, IOOp, IORecord, OpKind
+from repro.ops import SIZE_BUCKETS, IOOp, IORecord, OpKind, OpRun, expand_runs
 
 
 def _reference_size_bucket(nbytes):
@@ -143,3 +146,49 @@ def test_one_pass_matches_two_pass_reference(stream):
 @given(stream=_stream())
 def test_generator_input_matches_list_input(stream):
     assert access_features(iter(stream)) == access_features(stream)
+
+
+@st.composite
+def _run(draw, previous):
+    """A run of one, a sequential or permuted block, or a block that
+    continues ``previous`` where it ended (sequential across runs)."""
+    shape = draw(st.sampled_from(["one", "block", "permuted", "continue"]))
+    if shape == "continue" and previous is not None:
+        start = previous.offsets[-1] + previous.nbytes
+        step = previous.nbytes or 1
+        n = draw(st.integers(1, 4))
+        return previous._replace(
+            offsets=range(start, start + n * step, step))
+    item = draw(_item())
+    op = item.to_op() if isinstance(item, IORecord) else item
+    if shape == "one":
+        offsets = (op.offset,)
+    else:
+        step = draw(st.sampled_from([op.nbytes or 1, 2 * KiB, 100]))
+        offsets = range(op.offset, op.offset + draw(st.integers(2, 5)) * step,
+                        step)
+        if shape == "permuted":
+            offsets = draw(st.permutations(list(offsets)))
+    return OpRun(op.kind, op.path, op.rank, op.nbytes, op.duration, op.meta,
+                 offsets)
+
+
+@st.composite
+def _runs(draw):
+    runs = []
+    for _ in range(draw(st.integers(0, 12))):
+        runs.append(draw(_run(runs[-1] if runs else None)))
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=_runs(), stream=_stream())
+def test_runs_match_the_reference_on_their_ops(runs, stream):
+    ops = expand_runs(runs)
+    got = access_features(runs)
+    assert got == _reference_access_features(ops)
+    assert list(got) == list(FEATURE_NAMES)
+    # mixed streams: runs, ops and records interleaved
+    mixed = runs + stream
+    assert access_features(mixed) == \
+        _reference_access_features(ops + list(stream))

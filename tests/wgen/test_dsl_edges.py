@@ -50,6 +50,12 @@ def test_unbound_variable_names_the_culprit():
         _ops(src)
 
 
+def test_unterminated_variable_is_a_dsl_error():
+    src = 'workload t { ranks 1; loop 2 as i { stat "/f${i"; } }'
+    with pytest.raises(DSLError, match=r"line 1: unterminated variable \$\{i"):
+        _ops(src)
+
+
 def test_variable_outside_any_loop_is_unbound():
     with pytest.raises(DSLError, match="unbound variable"):
         _ops('workload t { ranks 1; stat "/s/${i}"; }')

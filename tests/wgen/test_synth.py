@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.monitoring import RecorderTracer
-from repro.ops import IOOp, OpKind
+from repro.ops import IOOp, IORecord, OpKind
 from repro.scenario import run_scenario
 from repro.store import RunArtifact, RunStore
 from repro.wgen.grammar import GrammarError, default_grammar, expand, sample
@@ -129,7 +129,8 @@ def test_synthesize_is_deterministic():
 #: ``synthesize(...).to_dict()`` of the grammar-synth benchmark corpus
 #: (derivation seeds 0-5 of the default grammar at 2 ranks, simulated at
 #: seed 0 and traced at the posix layer).  A speed-up of the search must
-#: leave its choices, candidate count and exact distances unchanged.
+#: leave the whole document unchanged: choices, candidate count, exact
+#: distances, source digest, program and scenario.
 SYNTH_GOLDEN = json.loads(
     (Path(__file__).parent / "synth_golden_seed0.json").read_text()
 )
@@ -153,6 +154,38 @@ def test_synthesize_matches_golden_corpus(golden):
     assert doc["choices"] == want["choices"]
     assert doc["n_candidates"] == want["n_candidates"]
     assert doc["distance"] == want["distance"]  # exact, not approximate
+    assert doc == want
+
+
+def _count_op_inits(monkeypatch):
+    calls = [0]
+    init = IOOp.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IOOp, "__init__", counting_init)
+    return calls
+
+
+def test_scoring_candidates_builds_no_ops(monkeypatch):
+    """Candidates are scored from runs: synthesizing from an op target
+    builds no IOOp at all, and from a record target only the target's
+    own ops (one per record)."""
+    g = default_grammar()
+    ops = derivation_ops(sample(g, seed=4, n_ranks=2))
+    records = [
+        IORecord("posix", op.kind, op.path, op.offset, op.nbytes, op.rank,
+                 start=float(i), end=i + 0.5)
+        for i, op in enumerate(ops)
+    ]
+    calls = _count_op_inits(monkeypatch)
+    result = synthesize(ops, grammar=g)
+    assert result.n_candidates > 10
+    assert calls[0] == 0
+    synthesize(records, grammar=g)
+    assert calls[0] == len(records)
 
 
 def test_result_to_dict_carries_provenance():
