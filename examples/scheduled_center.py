@@ -13,8 +13,16 @@ Run:  python examples/scheduled_center.py
 from repro.cluster import BatchScheduler, tiny_cluster
 from repro.pfs import build_pfs
 from repro.simulate import launch_workload
-from repro.workloads import MdtestConfig, MdtestWorkload
-from repro.workloads.registry import make_preset
+from repro.workloads import (
+    CheckpointConfig,
+    CheckpointWorkload,
+    H5BenchConfig,
+    H5BenchWorkload,
+    MdtestConfig,
+    MdtestWorkload,
+)
+
+MiB = 1024 * 1024
 
 
 def run_day(policy: str):
@@ -34,9 +42,6 @@ def run_day(policy: str):
 
         return body_gen
 
-    def body_for(preset, ranks):
-        setup, main = make_preset(preset, n_ranks=ranks)
-        return body(setup + [main])
 
     def mdtest_body(i):
         """Each mdtest job gets its own directory tree (no collisions)."""
@@ -47,11 +52,21 @@ def run_day(policy: str):
 
     # The morning's submissions, arriving over time.
     def submissions(env):
+        checkpoint = CheckpointWorkload(
+            CheckpointConfig(bytes_per_rank=16 * MiB, steps=3,
+                             compute_seconds=0.5, fsync=False),
+            n_ranks=4,
+        )
         sched.submit("checkpoint", n_nodes=4, runtime_estimate=8.0,
-                     body=body_for("checkpoint", 4))
+                     body=body([checkpoint]))
         yield env.timeout(0.5)
+        h5bench = H5BenchWorkload(
+            H5BenchConfig(dims=(256 * 4, 64), steps=2, mode="write+read",
+                          compute_seconds=0.1),
+            n_ranks=4,
+        )
         sched.submit("h5bench", n_nodes=4, runtime_estimate=6.0,
-                     body=body_for("h5bench", 4))
+                     body=body([h5bench]))
         yield env.timeout(0.5)
         for i in range(3):
             sched.submit(f"mdtest-{i}", n_nodes=1, runtime_estimate=2.0,

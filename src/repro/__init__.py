@@ -21,14 +21,14 @@ implements that ecosystem as one coherent library:
 * :mod:`repro.monitoring` -- Darshan-like profiling, DXT segments,
   Recorder-like multi-level tracing, server-side statistics, metadata event
   monitoring, end-to-end correlation (paper Sec. IV-A).
-* :mod:`repro.modeling` -- statistics, regression, Markov models, an MLP and
+* :mod:`repro.modeling` -- statistics, regression, an MLP and
   a random forest built from scratch, replay-based modeling, suffix-array
   trace compression, trace extrapolation, prediction-driven prefetching
   (paper Sec. IV-B).
-* :mod:`repro.wgen` -- workload generation: a CODES-like I/O DSL, an
-  IOWA-like source/consumer abstraction, profile- and trace-driven
-  synthesis (paper Sec. IV-B-4).
-* :mod:`repro.replay` -- trace replay and fidelity verification.
+* :mod:`repro.wgen` -- workload generation: a CODES-like I/O DSL, a
+  workload grammar, profile- and trace-driven synthesis (paper
+  Sec. IV-B-4).
+* :mod:`repro.replay` -- trace replay fidelity verification.
 * :mod:`repro.simulate` -- trace-driven and execution-driven simulation
   drivers (paper Sec. IV-C).
 * :mod:`repro.survey` -- the paper's own 51-article corpus and taxonomy,

@@ -50,8 +50,7 @@ _MEASUREMENT = _n(
                 _n("workloads.metadata", "Metadata benchmarks",
                    ("repro.workloads.mdtest",)),
                 _n("workloads.replication", "Workload & I/O replication",
-                   ("repro.workloads.proxy", "repro.workloads.skeleton",
-                    "repro.replay")),
+                   ("repro.workloads.proxy", "repro.replay")),
                 _n("workloads.simulation", "Simulation frameworks",
                    ("repro.des", "repro.simulate")),
             ),
@@ -83,8 +82,7 @@ _MODELING = _n(
         _n(
             "modeling.analysis",
             "Statistics & analysis",
-            ("repro.modeling.statistics", "repro.modeling.markov",
-             "repro.modeling.hypothesis_testing"),
+            ("repro.modeling.statistics", "repro.modeling.hypothesis_testing"),
             children=(
                 _n("modeling.analysis.application", "Application-level analysis",
                    ("repro.monitoring.profiler",)),
@@ -99,7 +97,7 @@ _MODELING = _n(
            ("repro.modeling.replay_model", "repro.modeling.trace_compress",
             "repro.modeling.extrapolate")),
         _n("modeling.generation", "Workload generation",
-           ("repro.wgen.dsl", "repro.wgen.from_profile", "repro.wgen.iowa")),
+           ("repro.wgen.dsl", "repro.wgen.from_profile")),
     ),
 )
 

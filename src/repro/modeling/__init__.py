@@ -4,8 +4,7 @@ The four sub-categories of the paper's taxonomy:
 
 1. *Statistics and analysis* -- :mod:`repro.modeling.statistics` (descriptive
    statistics, CDFs, variability), :mod:`repro.modeling.regression` (linear
-   models with diagnostics), :mod:`repro.modeling.markov` (Markov-chain
-   models of request streams), :mod:`repro.modeling.hypothesis_testing`
+   models with diagnostics), :mod:`repro.modeling.hypothesis_testing`
    (Welch t and two-sample KS; scipy is imported on their first call, so
    importing this package does not load it).
 2. *Predictive analytics* -- :mod:`repro.modeling.mlp` (a NumPy multi-layer
@@ -32,7 +31,6 @@ from repro.modeling.statistics import (
     pearson_correlation,
 )
 from repro.modeling.regression import LinearModel, polynomial_features
-from repro.modeling.markov import MarkovChain
 from repro.modeling.hypothesis_testing import TestResult, ks_test, t_test
 from repro.modeling.features import profile_features, workload_features
 from repro.modeling.mlp import MLPRegressor
@@ -63,7 +61,6 @@ __all__ = [
     "LinearModel",
     "Loop",
     "MLPRegressor",
-    "MarkovChain",
     "ModelComparison",
     "PerformancePredictor",
     "RandomForestRegressor",

@@ -10,12 +10,11 @@
 """
 
 from repro.simulate.execsim import ExperimentHarness, launch_workload, run_workload
-from repro.simulate.tracesim import trace_to_workload, run_trace
+from repro.simulate.tracesim import trace_to_workload
 
 __all__ = [
     "ExperimentHarness",
     "launch_workload",
-    "run_trace",
     "run_workload",
     "trace_to_workload",
 ]

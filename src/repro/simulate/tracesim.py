@@ -13,11 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.cluster.platform import Platform
 from repro.ops import IOOp, IORecord, OpKind
-from repro.pfs.filesystem import ParallelFileSystem
-from repro.simulate.execsim import run_workload
-from repro.workloads.base import OpStreamWorkload, WorkloadResult
+from repro.workloads.base import OpStreamWorkload
 
 
 def trace_to_workload(
@@ -82,21 +79,3 @@ def trace_to_workload(
         ops.append(stream)
     return OpStreamWorkload(name, ops)
 
-
-def run_trace(
-    platform: Platform,
-    pfs: ParallelFileSystem,
-    records: Iterable[IORecord],
-    **kwargs,
-) -> WorkloadResult:
-    """Replay a trace against a (possibly different) simulated system.
-
-    Extra keyword arguments are split between :func:`trace_to_workload`
-    (``preserve_think_time``, ``layer``, ``n_ranks``) and
-    :func:`~repro.simulate.execsim.run_workload` (the rest).
-    """
-    convert_keys = {"preserve_think_time", "layer", "n_ranks", "name"}
-    convert_kwargs = {k: v for k, v in kwargs.items() if k in convert_keys}
-    run_kwargs = {k: v for k, v in kwargs.items() if k not in convert_keys}
-    workload = trace_to_workload(list(records), **convert_kwargs)
-    return run_workload(platform, pfs, workload, **run_kwargs)

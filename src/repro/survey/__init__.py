@@ -21,7 +21,6 @@ from repro.survey.corpus import (
 from repro.survey.analysis import (
     distribution_by_publisher,
     distribution_by_type,
-    distribution_by_year,
     taxonomy_coverage,
 )
 from repro.survey.figures import (
@@ -39,7 +38,6 @@ __all__ = [
     "articles_by_category",
     "distribution_by_publisher",
     "distribution_by_type",
-    "distribution_by_year",
     "fig1_platform",
     "fig2_stack",
     "fig3_distribution",

@@ -1,7 +1,7 @@
 """Survey-corpus analysis (the numbers behind paper Fig. 3).
 
-Percentage distributions of the 51 included articles by paper type,
-publisher and year, plus the taxonomy-coverage cross-tabulation that the
+Percentage distributions of the 51 included articles by paper type and
+publisher, plus the taxonomy-coverage cross-tabulation that the
 paper's Sec. IV survey tables correspond to.
 """
 
@@ -36,12 +36,6 @@ def distribution_by_publisher(
         raise ValueError("empty corpus")
     counts = Counter(a.publisher.value for a in corpus)
     return _percentages(counts, len(corpus))
-
-
-def distribution_by_year(corpus: Optional[List[Article]] = None) -> Dict[int, int]:
-    """Article counts per publication year (2015-2020)."""
-    corpus = corpus if corpus is not None else CORPUS
-    return dict(sorted(Counter(a.year for a in corpus).items()))
 
 
 def taxonomy_coverage(corpus: Optional[List[Article]] = None) -> Dict[str, int]:

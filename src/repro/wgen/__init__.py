@@ -2,18 +2,17 @@
 
 "Three major sources of workload information can be distinguished": I/O
 trace workloads, synthetic I/O workloads, and I/O characterization
-workloads.  All three are implemented, behind an IOWA-style [20]
-producer/consumer abstraction:
+workloads.  All three are implemented, and each produces a
+:class:`~repro.workloads.base.Workload` that
+:func:`repro.simulate.execsim.run_workload` runs:
 
 * :mod:`repro.wgen.dsl` -- a CODES-I/O-language-like [59] domain-specific
   language for describing synthetic workloads ("manually designed I/O
   behavior descriptions").
 * :mod:`repro.wgen.from_profile` -- synthesis of representative workloads
-  from Darshan-like characterization profiles (the IOWA paper's novel
-  technique).
+  from Darshan-like characterization profiles (the IOWA paper's [20]
+  novel technique).
 * Trace workloads come from :func:`repro.simulate.tracesim.trace_to_workload`.
-* :mod:`repro.wgen.iowa` -- the source/consumer registry tying them
-  together.
 * :mod:`repro.wgen.grammar` -- a frozen, digest-identified context-free
   grammar over I/O patterns whose seeded derivations compile (through the
   DSL) to runnable scenarios: unbounded what-if exploration from a few
@@ -35,13 +34,6 @@ from repro.wgen.grammar import (
     expand,
     sample,
 )
-from repro.wgen.iowa import (
-    IOWA,
-    ProfileSource,
-    SimulationConsumer,
-    SyntheticSource,
-    TraceSource,
-)
 from repro.wgen.synth import (
     SynthesisResult,
     normalize_ops,
@@ -55,14 +47,9 @@ __all__ = [
     "Derivation",
     "GrammarError",
     "GrammarSpec",
-    "IOWA",
     "Production",
-    "ProfileSource",
     "Rule",
-    "SimulationConsumer",
-    "SyntheticSource",
     "SynthesisResult",
-    "TraceSource",
     "default_grammar",
     "expand",
     "normalize_ops",

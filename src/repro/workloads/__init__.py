@@ -4,7 +4,7 @@ Traditional synthetic benchmarks and the emerging workloads the paper
 argues they fail to represent:
 
 * :mod:`repro.workloads.base` -- the workload abstraction: a workload is
-  either an op-stream source (IOWA-style) or an SPMD program, and every
+  either an op-stream source or an SPMD program, and every
   op-stream source is automatically runnable as a program.
 * :mod:`repro.workloads.ior` -- IOR-like synthetic benchmark [76]
   (sequential/strided/random, shared-file vs file-per-process, POSIX or
@@ -20,8 +20,6 @@ argues they fail to represent:
   (Sec. V-C).
 * :mod:`repro.workloads.facility` -- observational-facility ingest streams
   (Sec. V-A's electron microscopy / photon source example).
-* :mod:`repro.workloads.skeleton` -- Skel-like I/O skeletons generated from
-  a declarative application model [14].
 * :mod:`repro.workloads.proxy` -- phase-structured proxy applications [10].
 """
 
@@ -39,13 +37,11 @@ from repro.workloads.workflow import (
 )
 from repro.workloads.facility import FacilityConfig, FacilityIngestWorkload
 from repro.workloads.h5bench import H5BenchConfig, H5BenchWorkload
-from repro.workloads.skeleton import AppModel, IOSkeleton, VariableSpec
 from repro.workloads.proxy import Phase, PhasedProxyApp
 
 __all__ = [
     "AnalyticsConfig",
     "AnalyticsWorkload",
-    "AppModel",
     "BTIOConfig",
     "BTIOWorkload",
     "CheckpointConfig",
@@ -58,13 +54,11 @@ __all__ = [
     "H5BenchWorkload",
     "IORConfig",
     "IORWorkload",
-    "IOSkeleton",
     "MdtestConfig",
     "MdtestWorkload",
     "OpStreamWorkload",
     "Phase",
     "PhasedProxyApp",
-    "VariableSpec",
     "Workload",
     "WorkloadResult",
     "WorkflowTask",

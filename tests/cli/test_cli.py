@@ -1,5 +1,7 @@
 """Unit tests for the repro-io command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -37,12 +39,6 @@ def test_taxonomy(capsys):
     assert "repro." in out
 
 
-def test_corpus(capsys):
-    code, out, _ = run_cli(capsys, "corpus")
-    assert code == 0
-    assert "by type" in out and "IEEE" in out
-
-
 def test_experiment_single(capsys):
     code, out, _ = run_cli(capsys, "experiment", "E3")
     assert code == 0
@@ -68,36 +64,40 @@ def test_experiment_json_output(capsys, tmp_path):
     assert out_path.exists()
 
 
+def dsl_scenario(tmp_path, program, n_ranks=2):
+    """A scenario JSON file running one ``dsl`` workload."""
+    path = tmp_path / "dsl.json"
+    path.write_text(json.dumps({
+        "name": "dsl-demo",
+        "workloads": [{"kind": "dsl", "n_ranks": n_ranks,
+                       "params": {"program": program}}],
+    }))
+    return str(path)
+
+
 def test_run_dsl(capsys, tmp_path):
-    dsl = tmp_path / "w.wdsl"
-    dsl.write_text(
+    spec = dsl_scenario(
+        tmp_path,
         'workload demo { ranks 2; create shared "/x"; '
-        'write shared "/x" size 2MB transfer 1MB; close "/x"; }'
+        'write shared "/x" size 2MB transfer 1MB; close "/x"; }',
     )
-    code, out, _ = run_cli(capsys, "run-dsl", str(dsl))
+    code, out, _ = run_cli(capsys, "scenario", "run", spec)
     assert code == 0
-    assert "demo" in out
-    assert "total bytes" in out  # the profile report
+    assert "dsl-demo" in out
+    assert "demo: " in out and "W 4.2 MB" in out
 
 
 def test_run_dsl_missing_file(capsys):
-    code, _, err = run_cli(capsys, "run-dsl", "/nonexistent.wdsl")
+    code, _, err = run_cli(capsys, "scenario", "run", "/nonexistent.json")
     assert code == 2
-    assert "cannot read" in err
+    assert "cannot read scenario" in err
 
 
 def test_run_dsl_bad_syntax(capsys, tmp_path):
-    dsl = tmp_path / "bad.wdsl"
-    dsl.write_text("workload broken { ranks 0; }")
-    code, _, err = run_cli(capsys, "run-dsl", str(dsl))
+    spec = dsl_scenario(tmp_path, "workload broken { ranks 0; }")
+    code, _, err = run_cli(capsys, "scenario", "run", spec)
     assert code == 2
-    assert "DSL error" in err
-
-
-def test_cycle(capsys):
-    code, out, _ = run_cli(capsys, "cycle", "--iterations", "1")
-    assert code == 0
-    assert "cycle iteration 0" in out
+    assert "scenario error" in err
 
 
 def test_scenario_run_engine_and_metrics(capsys, tmp_path):
@@ -161,7 +161,6 @@ def test_unreachable_service_exits_2(argv, capsys, monkeypatch):
         ["grammar", "sample", "--ranks", "0"],
         ["grammar", "sample", "--count", "-1"],
         ["grammar", "expand", "0", "--ranks", "0"],
-        ["run-workload", "ior", "--ranks", "0"],
         ["watch", "--interval", "-1"],
         ["watch", "--interval", "0"],
         ["serve", "--workers", "0"],

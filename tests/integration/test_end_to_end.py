@@ -7,7 +7,7 @@ way a downstream user would chain them.
 import pytest
 
 from repro.cluster import medium_cluster, tiny_cluster
-from repro.modeling import MarkovChain, ReplayModel, describe, t_test
+from repro.modeling import ReplayModel, describe, t_test
 from repro.monitoring import (
     DarshanProfiler,
     DXTTracer,
@@ -18,16 +18,14 @@ from repro.monitoring import (
 )
 from repro.ops import OpKind
 from repro.pfs import build_pfs
-from repro.replay import Replayer, verify_fidelity
-from repro.simulate import run_trace, run_workload
-from repro.wgen import IOWA, ProfileSource, SimulationConsumer, TraceSource
+from repro.replay import verify_fidelity
+from repro.simulate import run_workload, trace_to_workload
+from repro.wgen import synthesize_from_profile
 from repro.workloads import (
     DLIOConfig,
     DLIOWorkload,
     IORConfig,
     IORWorkload,
-    MdtestConfig,
-    MdtestWorkload,
     OpStreamWorkload,
 )
 
@@ -51,13 +49,17 @@ def test_trace_record_persist_replay_verify(tmp_path):
 
     platform2 = tiny_cluster()
     pfs2 = build_pfs(platform2)
-    outcome = Replayer(preserve_think_time=False).replay(loaded, platform2, pfs2)
-    report = verify_fidelity(original, outcome.records)
+    replay_tracer = RecorderTracer()
+    run_workload(platform2, pfs2,
+                 trace_to_workload(loaded, preserve_think_time=False),
+                 observers=[replay_tracer])
+    replayed = [r for r in replay_tracer.records if r.layer == "posix"]
+    report = verify_fidelity(original, replayed)
     assert report.op_count_match and report.bytes_match and report.offsets_match
 
 
 def test_profile_to_iowa_to_simulation():
-    """profile a DL job -> IOWA profile source -> simulate the synthesis."""
+    """profile a DL job -> IOWA-style [20] synthesis -> simulate it."""
     platform = tiny_cluster()
     pfs = build_pfs(platform)
     dlio = DLIOWorkload(
@@ -73,29 +75,9 @@ def test_profile_to_iowa_to_simulation():
 
     sim_platform = tiny_cluster()
     sim_pfs = build_pfs(sim_platform)
-    iowa = IOWA()
-    iowa.register_source("dlio-profile", ProfileSource(profile, include_think_time=False))
-    iowa.register_consumer("sim", SimulationConsumer(sim_platform, sim_pfs))
-    synth = iowa.run("dlio-profile", "sim")
+    synthetic = synthesize_from_profile(profile, include_think_time=False)
+    synth = run_workload(sim_platform, sim_pfs, synthetic)
     assert synth.bytes_read == original.bytes_read
-
-
-def test_markov_model_of_traced_op_stream():
-    """trace -> op-kind sequence -> Markov fit -> plausible generation."""
-    platform = tiny_cluster()
-    pfs = build_pfs(platform)
-    tracer = RecorderTracer()
-    w = MdtestWorkload(MdtestConfig(files_per_rank=16), 2)
-    run_workload(platform, pfs, w, observers=[tracer])
-    seq = [
-        r.kind.value
-        for r in tracer.archive.at_layer("posix").for_rank(0).sorted_by_time()
-    ]
-    chain = MarkovChain(smoothing=0.1).fit(seq)
-    # mdtest alternates create-ish and close: the chain should capture it.
-    assert chain.transition_probability("open", "close") > 0.4
-    generated = chain.generate(100)
-    assert set(generated) <= set(seq)
 
 
 def test_replay_model_predicts_bigger_machine():
@@ -117,7 +99,8 @@ def test_replay_model_predicts_bigger_machine():
     assert predicted.bytes_written == tiny_result.bytes_written
 
 
-def test_run_trace_convenience_wrapper():
+def test_trace_replay_writes_the_original_bytes():
+    """A whole multi-layer trace replays its posix layer on a fresh system."""
     platform = tiny_cluster()
     pfs = build_pfs(platform)
     tracer = RecorderTracer()
@@ -126,8 +109,9 @@ def test_run_trace_convenience_wrapper():
 
     platform2 = tiny_cluster()
     pfs2 = build_pfs(platform2)
-    replayed = run_trace(
-        platform2, pfs2, tracer.records, preserve_think_time=False
+    replayed = run_workload(
+        platform2, pfs2,
+        trace_to_workload(tracer.records, preserve_think_time=False),
     )
     assert replayed.bytes_written == original.bytes_written
 

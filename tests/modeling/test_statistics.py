@@ -1,11 +1,10 @@
-"""Unit tests for statistics, regression, Markov chains and tests."""
+"""Unit tests for statistics, regression and hypothesis tests."""
 
 import numpy as np
 import pytest
 
 from repro.modeling import (
     LinearModel,
-    MarkovChain,
     coefficient_of_variation,
     describe,
     ecdf,
@@ -114,48 +113,6 @@ class TestLinearModel:
         assert list(out[0]) == [2.0, 3.0, 4.0, 9.0, 8.0, 27.0]
         with pytest.raises(ValueError):
             polynomial_features(X, degree=0)
-
-
-class TestMarkovChain:
-    def test_fit_and_transition_probabilities(self):
-        chain = MarkovChain().fit(["w", "w", "r", "w", "w", "r"])
-        # After w: 2x w, 2x r -> 0.5 each; after r: always w.
-        assert chain.transition_probability("w", "w") == pytest.approx(0.5)
-        assert chain.transition_probability("r", "w") == pytest.approx(1.0)
-        assert chain.transition_probability("r", "zzz") == 0.0
-
-    def test_stationary_distribution_sums_to_one(self):
-        chain = MarkovChain().fit(list("abab" * 10))
-        dist = chain.stationary_distribution()
-        assert sum(dist.values()) == pytest.approx(1.0)
-        assert dist["a"] == pytest.approx(0.5, abs=0.05)
-
-    def test_generate_reproducible_and_valid(self):
-        chain = MarkovChain().fit(list("aabbaabb"))
-        rng1 = np.random.default_rng(5)
-        rng2 = np.random.default_rng(5)
-        s1 = chain.generate(50, rng1)
-        s2 = chain.generate(50, rng2)
-        assert s1 == s2
-        assert set(s1) <= {"a", "b"}
-
-    def test_log_likelihood(self):
-        chain = MarkovChain(smoothing=0.1).fit(list("ababab"))
-        ll_good = chain.log_likelihood(list("abab"))
-        ll_bad = chain.log_likelihood(list("aabb"))
-        assert ll_good > ll_bad
-
-    def test_unseen_transition_without_smoothing(self):
-        chain = MarkovChain().fit(list("abab"))
-        assert chain.log_likelihood(list("aa")) == float("-inf")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MarkovChain().fit(["x"])
-        with pytest.raises(RuntimeError):
-            MarkovChain().generate(5)
-        with pytest.raises(ValueError):
-            MarkovChain(smoothing=-1)
 
 
 class TestHypothesisTests:

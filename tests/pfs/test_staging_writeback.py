@@ -5,11 +5,8 @@ import pytest
 from repro.cluster import BurstBuffer, tiny_cluster
 from repro.pfs import build_pfs
 from repro.pfs.staging import StagingClient
-from repro.replay import concurrency_profile, remap_ranks
-from repro.ops import IORecord, OpKind
 
 MiB = 1024 * 1024
-KiB = 1024
 
 
 def make_staging(bb_capacity=256 * MiB):
@@ -228,39 +225,3 @@ class TestWriteBackCache:
         assert pfs.total_bytes_written() == MiB
         assert client.stats.buffered_writes == 0
 
-
-class TestRankRemap:
-    def recs(self, n_ranks, per_rank=3):
-        out = []
-        for r in range(n_ranks):
-            for i in range(per_rank):
-                out.append(IORecord(
-                    "posix", OpKind.WRITE, f"/f.{r}", i * KiB, KiB, r,
-                    float(i), i + 0.1,
-                ))
-        return out
-
-    def test_scale_down_concatenates(self):
-        remapped = remap_ranks(self.recs(8), target=2)
-        profile = concurrency_profile(remapped)
-        assert set(profile) == {0, 1}
-        assert profile[0] == profile[1] == 12
-
-    def test_identity_remap(self):
-        recs = self.recs(4)
-        assert concurrency_profile(remap_ranks(recs, 4)) == concurrency_profile(recs)
-
-    def test_scale_up_leaves_surplus_idle(self):
-        remapped = remap_ranks(self.recs(2), target=8)
-        profile = concurrency_profile(remapped)
-        assert set(profile) == {0, 1}  # ranks 2..7 idle
-
-    def test_validation_and_empty(self):
-        with pytest.raises(ValueError):
-            remap_ranks([], target=0)
-        assert remap_ranks([], target=4) == []
-
-    def test_bytes_preserved(self):
-        recs = self.recs(6)
-        remapped = remap_ranks(recs, target=2)
-        assert sum(r.nbytes for r in remapped) == sum(r.nbytes for r in recs)

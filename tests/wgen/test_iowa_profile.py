@@ -1,20 +1,11 @@
-"""Unit tests for profile-driven synthesis and the IOWA registry."""
-
-import pytest
+"""Unit tests for profile-driven synthesis and IOWA's [20] workload sources."""
 
 from repro.cluster import tiny_cluster
 from repro.monitoring import DarshanProfiler, RecorderTracer
 from repro.ops import OpKind
 from repro.pfs import build_pfs
-from repro.simulate import run_workload
-from repro.wgen import (
-    IOWA,
-    ProfileSource,
-    SimulationConsumer,
-    SyntheticSource,
-    TraceSource,
-    synthesize_from_profile,
-)
+from repro.simulate import run_workload, trace_to_workload
+from repro.wgen import parse_workload, synthesize_from_profile
 from repro.workloads import IORConfig, IORWorkload
 
 MiB = 1024 * 1024
@@ -93,39 +84,28 @@ class TestProfileSynthesis:
 
 
 class TestIOWA:
+    """IOWA's trace, profile and synthetic sources each produce a workload
+    that the simulation consumes through ``run_workload``."""
+
     def test_trace_source_to_simulation_consumer(self):
         _, records, original = profiled_ior(read=False)
         platform = tiny_cluster()
         pfs = build_pfs(platform)
-        iowa = IOWA()
-        iowa.register_source("trace", TraceSource(records, preserve_think_time=False))
-        iowa.register_consumer("sim", SimulationConsumer(platform, pfs))
-        result = iowa.run("trace", "sim")
+        workload = trace_to_workload(records, preserve_think_time=False)
+        result = run_workload(platform, pfs, workload)
         assert result.bytes_written == original.bytes_written
 
     def test_profile_and_synthetic_sources(self):
         profile, _, _ = profiled_ior(read=False)
         platform = tiny_cluster()
         pfs = build_pfs(platform)
-        iowa = IOWA()
-        iowa.register_source("profile", ProfileSource(profile, include_think_time=False))
-        iowa.register_source(
-            "dsl",
-            SyntheticSource('workload x { ranks 2; write shared "/x" size 1MB; }'),
+        r1 = run_workload(
+            platform, pfs,
+            synthesize_from_profile(profile, include_think_time=False),
         )
-        iowa.register_consumer("sim", SimulationConsumer(platform, pfs))
-        assert iowa.sources() == ["dsl", "profile"]
-        r1 = iowa.run("profile", "sim")
-        r2 = iowa.run("dsl", "sim")
+        r2 = run_workload(
+            platform, pfs,
+            parse_workload('workload x { ranks 2; write shared "/x" size 1MB; }'),
+        )
         assert r1.bytes_written == profile.job.bytes_written
         assert r2.bytes_written == 2 * MiB
-
-    def test_registry_errors(self):
-        iowa = IOWA()
-        iowa.register_source("a", SyntheticSource("workload t { ranks 1; barrier; }"))
-        with pytest.raises(ValueError):
-            iowa.register_source("a", SyntheticSource("workload t { ranks 1; barrier; }"))
-        with pytest.raises(KeyError):
-            iowa.run("nope", "sim")
-        with pytest.raises(KeyError):
-            iowa.run("a", "nope")

@@ -1,4 +1,4 @@
-"""Unit tests for BT-IO, workflows, skeletons and proxy apps."""
+"""Unit tests for BT-IO, workflows and proxy apps."""
 
 import networkx as nx
 import pytest
@@ -11,20 +11,16 @@ from repro.pfs import build_pfs
 from repro.pfs.extents import total_bytes as ext_bytes
 from repro.simulate import run_workload
 from repro.workloads import (
-    AppModel,
     BTIOConfig,
     BTIOWorkload,
-    IOSkeleton,
     OpStreamWorkload,
     Phase,
     PhasedProxyApp,
-    VariableSpec,
     WorkflowTask,
     WorkflowWorkload,
     montage_like_workflow,
 )
 from repro.workloads.npb import _block_decompose
-from repro.workloads.skeleton import OutputGroup
 from repro.workloads.workflow import workflow_bootstrap_ops
 
 MiB = 1024 * 1024
@@ -172,65 +168,6 @@ class TestWorkflowGenerations:
         tasks = [WorkflowTask("a"), WorkflowTask("b")]
         with pytest.raises(ValueError, match="cycle"):
             WorkflowWorkload(tasks, [("a", "b"), ("b", "b")], 2)
-
-
-class TestSkeleton:
-    def make_model(self, **kw):
-        defaults = dict(
-            name="xgc",
-            steps=4,
-            compute_per_step=0.1,
-            groups=[
-                OutputGroup("restart", [VariableSpec("field", 2 * MiB)], every_steps=2),
-                OutputGroup("diag", [VariableSpec("hist", 64 * KiB)], every_steps=1),
-            ],
-        )
-        defaults.update(kw)
-        return AppModel(**defaults)
-
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            AppModel("x", steps=0, compute_per_step=0, groups=[]).validate()
-        with pytest.raises(ValueError):
-            self.make_model(groups=[]).validate()
-        with pytest.raises(ValueError):
-            self.make_model(
-                groups=[OutputGroup("g", [], every_steps=1)]
-            ).validate()
-
-    def test_variable_size_fn(self):
-        v = VariableSpec("irregular", size_fn=lambda r, n: (r + 1) * KiB)
-        assert v.size(0, 4) == KiB
-        assert v.size(3, 4) == 4 * KiB
-        with pytest.raises(ValueError):
-            VariableSpec("none").size(0, 4)
-
-    def test_total_bytes_accounting(self):
-        skel = IOSkeleton(self.make_model(), n_ranks=2)
-        # restart: 2 dumps x 2 ranks x 2MiB; diag: 4 dumps x 2 ranks x 64KiB.
-        assert skel.total_bytes() == 2 * 2 * 2 * MiB + 4 * 2 * 64 * KiB
-
-    def test_skeleton_runs_and_writes_volume(self):
-        platform, pfs = make_system()
-        skel = IOSkeleton(self.make_model(), n_ranks=2)
-        result = run_workload(platform, pfs, skel)
-        assert result.bytes_written == skel.total_bytes()
-        assert result.duration >= 4 * 0.1  # compute per step
-
-    def test_shared_file_offsets_disjoint(self):
-        model = self.make_model(
-            groups=[
-                OutputGroup(
-                    "irr",
-                    [VariableSpec("v", size_fn=lambda r, n: (r + 1) * KiB)],
-                    every_steps=1,
-                )
-            ]
-        )
-        skel = IOSkeleton(model, n_ranks=3)
-        assert skel._group_offset(model.groups[0], 0) == 0
-        assert skel._group_offset(model.groups[0], 1) == KiB
-        assert skel._group_offset(model.groups[0], 2) == 3 * KiB
 
 
 class TestProxy:

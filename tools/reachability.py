@@ -7,10 +7,10 @@ Usage::
 
 The dynamic half runs the entry points CI runs -- the CLI smokes,
 ``experiment all``, every scenario preset except ``scale-100k``, every
-example, sweep/watch/store/grammar, the run service with chaos-kill, a
-``kill -9`` restart and a drain, the perfbench smokes (one with
-``--trace 1``) and the legacy scale and grammar smokes -- in a scratch
-directory.  A ``sitecustomize`` module on ``PYTHONPATH`` records every
+example, sweep/watch/store/grammar, the run service with a cancelled
+queued job, a ping, chaos-kill, a ``kill -9`` restart and a drain, the
+perfbench smokes (one with ``--trace 1``) and the legacy scale and
+grammar smokes -- in a scratch directory.  A ``sitecustomize`` module on ``PYTHONPATH`` records every
 code object under ``src/repro`` that any Python process of the run enters
 (``sys.setprofile`` plus ``threading.setprofile``) and writes its records
 at exit and on ``os._exit``, so process-pool workers and the server count.
@@ -199,9 +199,16 @@ def sweep_store_grammar(s: Session) -> None:
             if line.startswith("  experiment-")]
     if len(runs) >= 2:
         s.run("repro-io", "store", "diff", runs[0], runs[1])
+    if runs:
+        s.run("repro-io", "store", "show", runs[0])
+        s.run("repro-io", "store", "export", runs[0], "-o", "bundle.json")
     for cmd in (("verify",), ("gc", "--dry-run"), ("table",), ("scrub",)):
         s.run("repro-io", "store", *cmd)
+    s.run("repro-io", "grammar", "show")
     s.run("repro-io", "grammar", "sample", "--seed", "0", "--count", "5", "--run")
+    sampled = s.run("repro-io", "grammar", "sample", "--seed", "0", "--json")
+    choices = json.loads(sampled.stdout or "{}").get("choices", [])
+    s.run("repro-io", "grammar", "expand", ",".join(map(str, choices)), "--json")
     s.run("repro-io", "grammar", "synth", "grammar-tiny", "--seed", "0",
           "--rerun", "--check", "--store-dir", "grammar-store", "--text")
     s.run("repro-io", "store", "--store-dir", "grammar-store", "ls")
@@ -223,6 +230,18 @@ async def burst():
 asyncio.run(burst())
 """
 
+PING = """
+import asyncio
+from repro.service import ServiceClient, load_discovery
+
+async def ping():
+    doc = load_discovery("results", require_live=True)
+    async with await ServiceClient.connect(doc["host"], doc["port"]) as client:
+        assert (await client.ping())["ok"]
+
+asyncio.run(ping())
+"""
+
 CONVERGE = """
 import asyncio
 from repro.service import ServiceClient, load_discovery
@@ -241,6 +260,22 @@ asyncio.run(converge())
 """
 
 
+def queue_cancel_show(s: Session) -> None:
+    """More distinct cold jobs than workers; cancel the queued last one,
+    show and wait on it (both exit 1: it is not done), wait on the rest."""
+    slow = ("block_size=1073741824", "transfer_size=65536")
+    jobs = []
+    for seed, grid in ((1, slow), (2, slow), (3, ()), (4, ())):
+        out = s.run("repro-io", "submit", "tiny", *grid, "--seed", seed,
+                    "--tenant", "queue", "--no-wait").stdout
+        jobs.append(out.split()[1] if out.startswith("job ") else "?")
+    s.run("repro-io", "jobs", "cancel", jobs[-1])
+    s.run("repro-io", "jobs", "show", jobs[-1], check=False)
+    s.run("repro-io", "jobs", "show", jobs[-1], "--wait", check=False)
+    for job in jobs[:-1]:
+        s.run("repro-io", "jobs", "show", job, "--wait")
+
+
 def service(s: Session) -> None:
     serve = ("repro-io", "serve", "--workers", "2", "--enable-chaos",
              "--fsync-interval", "0.01")
@@ -252,6 +287,8 @@ def service(s: Session) -> None:
         s.run("repro-io", "submit", "tiny", "--tenant", "warm")
         s.run("repro-io", "loadgen", "tiny", "--tenants", "40",
               "--connections", "4", "--json", "load.json")
+        queue_cancel_show(s)
+        s.run("python", "-c", PING)
         s.run("repro-io", "jobs", "chaos-kill")
         s.run("repro-io", "submit", "tiny", "n_oss=2", "--tenant", "after-chaos")
         s.run("repro-io", "jobs", "list")
@@ -381,10 +418,14 @@ def analyse(root: Path, records: Path, package: str = "repro") -> dict:
         fn["refs"] = callers[fn["name"]]
         fn["test_refs"] = tests[fn["name"]]
     unreached = [fn for fn in functions if not fn["reached"]]
+    modules: Dict[str, bool] = {}
+    for fn in functions:
+        modules[fn["module"]] = modules.get(fn["module"], False) or fn["reached"]
     return {
         "functions": len(functions),
         "reached": len(functions) - len(unreached),
         "unreached_lines": sum(fn["lines"] for fn in unreached),
+        "unreached_modules": sorted(m for m, hit in modules.items() if not hit),
         "unreached": unreached,
     }
 
@@ -399,6 +440,9 @@ def markdown(report: dict) -> str:
         f"{report['unreached_lines']} lines.  `refs` counts references in "
         f"{', '.join(CALLER_DIRS)} (the definition itself is not one); "
         f"`test refs` counts them in tests.",
+        f"Modules with no reached function: "
+        f"{len(report['unreached_modules'])} "
+        f"({', '.join(report['unreached_modules']) or 'none'}).",
         "",
     ]
     for failure in report.get("failures", []):
