@@ -21,7 +21,8 @@ The kernel baseline file has three timing sets:
 :mod:`repro.simulate.scalemodel` -- the 100k-rank bulk-synchronous write
 workload under the sequential fast path (one coroutine per rank, millions
 of events) and the vectorized cohort model on every executor (sequential,
-conservative, partitioned) -- verifies all arms produce bit-identical
+partitioned on one partition -- the ``conservative`` arm -- and on
+``SCALE_WORKERS`` partitions) -- verifies all arms produce bit-identical
 result digests, sweeps rank counts for the partitioned-vs-sequential
 crossover, writes ``BENCH_PR6.json``, and gates against
 ``benchmarks/BENCH_SCALE_BASELINE.json``.  At full scale the gate
@@ -192,9 +193,9 @@ def _scale_arms() -> Dict[str, Callable]:
     return {
         "sequential_fast_path": lambda c: run_scale(c, engine="sequential"),
         "cohort_sequential": run_cohort_sequential,
-        "conservative": lambda c: run_cohort(c, engine="conservative"),
+        "conservative": lambda c: run_cohort(c, workers=1),
         "partitioned_serial": lambda c: run_cohort(
-            c, engine="partitioned", workers=min(SCALE_WORKERS, c.islands)
+            c, workers=min(SCALE_WORKERS, c.islands)
         ),
     }
 

@@ -63,7 +63,7 @@ def test_cohort_sequential(benchmark, config):
 def test_conservative(benchmark, config):
     from repro.simulate.scalemodel import run_cohort
 
-    result = _once(benchmark, lambda: run_cohort(config, engine="conservative"))
+    result = _once(benchmark, lambda: run_cohort(config, workers=1))
     assert result.stats["windows"] > 0
 
 
@@ -73,7 +73,7 @@ def test_partitioned(benchmark, config):
     workers = min(WORKERS, config.islands)
     result = _once(
         benchmark,
-        lambda: run_cohort(config, engine="partitioned", workers=workers),
+        lambda: run_cohort(config, workers=workers),
     )
     if workers > 1:
         assert result.stats["exchanged"] > 0  # halos crossed partitions
@@ -89,10 +89,8 @@ def test_all_arms_bit_identical(config):
     digests = {
         run_scale(config, engine="sequential").digest,
         run_cohort_sequential(config).digest,
-        run_cohort(config, engine="conservative").digest,
-        run_cohort(
-            config, engine="partitioned", workers=min(WORKERS, config.islands)
-        ).digest,
+        run_cohort(config, workers=1).digest,
+        run_cohort(config, workers=min(WORKERS, config.islands)).digest,
     }
     assert len(digests) == 1
 
@@ -110,7 +108,7 @@ def test_partitioned_beats_sequential_at_scale(config, scale):
     workers = min(WORKERS, config.islands)
 
     def partitioned():
-        return run_cohort(config, engine="partitioned", workers=workers)
+        return run_cohort(config, workers=workers)
 
     partitioned()  # warm imports and numpy caches
     start = time.perf_counter()

@@ -28,7 +28,7 @@ def register(sub) -> None:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", help="write the scenario outcome JSON here")
     sp.add_argument(
-        "--engine", choices=["sequential", "conservative", "partitioned"],
+        "--engine", choices=["sequential", "partitioned"],
         help="override the scenario's DES engine (default: as declared)",
     )
     sp.add_argument(

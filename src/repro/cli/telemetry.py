@@ -220,9 +220,9 @@ def _sparkline(values, width: int = 32) -> str:
     span = (hi - lo) or 1.0
     out = []
     n = len(values)
-    for b in range(min(width, n)):
-        chunk = values[b * n // width: max(b * n // width + 1,
-                                           (b + 1) * n // width)]
+    buckets = min(width, n)
+    for b in range(buckets):
+        chunk = values[b * n // buckets:(b + 1) * n // buckets]
         mean = sum(chunk) / len(chunk)
         idx = int((mean - lo) / span * (len(_SPARK_CHARS) - 1))
         out.append(_SPARK_CHARS[idx])

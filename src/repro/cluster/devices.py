@@ -41,10 +41,6 @@ class DeviceStats:
     def bytes_total(self) -> int:
         return self.bytes_read + self.bytes_written
 
-    def seek_ratio(self) -> float:
-        """Fraction of accesses that required a seek."""
-        return self.seeks / self.ops if self.ops else 0.0
-
 
 class BlockDevice:
     """A byte-addressable storage device with seek-aware service times.
@@ -105,11 +101,6 @@ class BlockDevice:
     def queue_length(self) -> int:
         """Number of requests waiting for a service channel."""
         return len(self._channels.queue)
-
-    @property
-    def degradation(self) -> float:
-        """Current service-time multiplier (1.0 = healthy)."""
-        return self._degradation
 
     def set_degradation(self, factor: float) -> None:
         """Inject a slowdown: every access takes ``factor``x its time.

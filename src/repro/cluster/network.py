@@ -227,7 +227,3 @@ class NetworkFabric:
         elif lat > 0:
             yield env.timeout(lat)
         return env._now - start
-
-    def core_utilization(self) -> float:
-        """Fraction of time the core link was busy."""
-        return self.core.utilization

@@ -102,9 +102,6 @@ class SchedulerLog:
     def jobs(self) -> List[JobRecord]:
         return sorted(self._jobs.values(), key=lambda j: j.job_id)
 
-    def running_at(self, time: float) -> List[JobRecord]:
-        return [j for j in self.jobs() if j.overlaps(time, time)]
-
     def concurrent_with(self, job_id: int) -> List[JobRecord]:
         """Other jobs that overlapped this one in time (interference suspects)."""
         me = self.job(job_id)
@@ -114,16 +111,3 @@ class SchedulerLog:
             for j in self.jobs()
             if j.job_id != job_id and j.overlaps(me.start_time, end)
         ]
-
-    def utilization_nodes(self, total_nodes: int, t0: float, t1: float) -> float:
-        """Node-hours used / node-hours available in a window."""
-        if t1 <= t0 or total_nodes <= 0:
-            raise ValueError("need t1 > t0 and positive node count")
-        used = 0.0
-        for j in self.jobs():
-            end = j.end_time if j.end_time is not None else t1
-            lo = max(j.start_time, t0)
-            hi = min(end, t1)
-            if hi > lo:
-                used += (hi - lo) * j.n_nodes
-        return used / ((t1 - t0) * total_nodes)

@@ -121,10 +121,6 @@ class ResultsCollector:
     def __len__(self) -> int:
         return len(self.records)
 
-    def all_supported(self) -> bool:
-        evaluated = [r for r in self.records.values() if r.supported is not None]
-        return bool(evaluated) and all(r.supported for r in evaluated)
-
     def table(self) -> str:
         """Markdown table of every record."""
         lines = [

@@ -148,10 +148,6 @@ def find_node(node_id: str) -> TaxonomyNode:
     raise KeyError(f"no taxonomy node {node_id!r}")
 
 
-def all_leaf_ids() -> List[str]:
-    return [n.id for n in TAXONOMY.walk() if not n.children]
-
-
 def render_tree(node: Optional[TaxonomyNode] = None, show_modules: bool = False) -> str:
     """Pretty-print the taxonomy tree."""
     node = node or TAXONOMY

@@ -156,6 +156,24 @@ class Environment:
             raise EmptySchedule()
         self._loop(_INF, queue[0][2])
 
+    def close(self) -> None:
+        """Drop every queued event: the run's owner is done with it.
+
+        A process waiting on a queued event -- a fault timeline that
+        outlasts the workload, say -- will never resume.  The event refers
+        to the process and the process back to this environment, so without
+        this a stopped run is freed only by the cyclic garbage collector.
+        :meth:`run` keeps its queue, because callers continue a run with a
+        later call; the clock and counters stay readable after closing.
+        """
+        queue, self._queue = self._queue, []
+        for _, _, event in queue:
+            cbs = event.callbacks
+            for cb in cbs if isinstance(cbs, (list, tuple)) else (cbs,):
+                waiter = getattr(cb, "__self__", None)
+                if isinstance(waiter, Process):
+                    waiter._release()
+
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
 

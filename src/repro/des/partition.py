@@ -4,7 +4,8 @@ Each round computes the lower bound on timestamps (LBTS) of all pending
 events, and every LP processes its pending events below ``LBTS +
 lookahead``; messages carry at least ``lookahead`` of delay, so none can
 land inside the window that generated it.  One partition is the plain
-conservative executor (ablation A1, the ``"conservative"`` scale engine).
+conservative executor (ablation A1, and the ``"partitioned"`` scale
+engine run with ``--engine-workers 1``).
 
 The executor runs every window on one core, directly on the kernel's own
 LPs.  A :class:`PartitionPlan` (ideally along fabric islands -- racks /
@@ -93,9 +94,6 @@ class PartitionPlan:
         per = -(-len(ids) // n)  # ceil division
         return cls(n, {lp: min(i // per, n - 1) for i, lp in enumerate(ids)})
 
-    def members(self, partition: int) -> List[int]:
-        return sorted(lp for lp, p in self.assignment.items() if p == partition)
-
     def describe(self) -> str:
         sizes = [0] * self.n_partitions
         for p in self.assignment.values():
@@ -128,11 +126,6 @@ class PartitionStats(ExecutionStats):
         if not self.occupied_partitions:
             return 0.0
         return sum(self.occupied_partitions) / len(self.occupied_partitions)
-
-    @property
-    def exchange_fraction(self) -> float:
-        """Share of all events that crossed partitions."""
-        return self.exchanged / self.events if self.events else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -124,11 +124,6 @@ class FairShareLink:
             busy += self.env.now - self._last_update
         return min(1.0, busy / elapsed)
 
-    @property
-    def degradation(self) -> float:
-        """Current rate-division factor (1.0 = healthy)."""
-        return self._base_rate / self.rate
-
     def set_degradation(self, factor: float) -> None:
         """Inject a slowdown: the link serves at ``base_rate / factor``.
 

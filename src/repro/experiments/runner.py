@@ -60,7 +60,7 @@ from repro.core.experiment import (
     record_payload,  # noqa: F401  (re-export: canonical home is repro.core)
 )
 from repro.jobs import CachedResult, run_cached, source_digest  # re-exported
-from repro.jobs.execution import key_seed, seed_globals, timed
+from repro.jobs.execution import seed_globals, timed
 from repro.store import RunArtifact, RunStore, host_reference
 from repro.store.store import DEFAULT_STORE_DIR
 from repro.telemetry import TELEMETRY, build_manifest, write_manifest
@@ -74,11 +74,6 @@ DEFAULT_CACHE_DIR = DEFAULT_STORE_DIR
 
 
 # -- cache keying ------------------------------------------------------------
-
-def task_seed(experiment_id: str, seed: int) -> int:
-    """Deterministic 64-bit seed for one (experiment, seed) task."""
-    return key_seed(f"{experiment_id}:{seed}")
-
 
 def record_ref_name(experiment_id: str, seed: int, digest: str) -> str:
     """Store ref key for one cached (experiment, seed, source digest) task."""

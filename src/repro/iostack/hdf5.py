@@ -150,16 +150,6 @@ class Dataset:
             out.append((self.data_offset + linear * self.chunk_nbytes, self.chunk_nbytes))
         return coalesce(out)
 
-    def chunks_touched(self, start, count) -> int:
-        """Number of chunks a selection intersects."""
-        if self.chunks is None:
-            raise ValueError("dataset is not chunked")
-        self._validate_selection(tuple(start), tuple(count))
-        n = 1
-        for s, ct, c in zip(start, count, self.chunks):
-            n *= (s + ct - 1) // c - s // c + 1
-        return n
-
 
 class _SharedH5State:
     """Dataset registry shared by all ranks that opened one HDF5 file."""

@@ -76,17 +76,6 @@ class ContextModel:
                 return counter.most_common(1)[0][0]
         return None
 
-    def predict_distribution(self) -> Dict[Hashable, float]:
-        """Probability distribution at the longest matching context."""
-        h = self._history
-        for k in range(min(self.order, len(h)), -1, -1):
-            ctx = tuple(h[len(h) - k :])
-            counter = self._counts[k].get(ctx)
-            if counter:
-                total = sum(counter.values())
-                return {s: c / total for s, c in counter.items()}
-        return {}
-
     def evaluate(self, symbols: Sequence[Hashable]) -> float:
         """Online accuracy: fraction of symbols predicted before observing.
 

@@ -7,14 +7,13 @@ period from monitoring data enables burst prediction and scheduling
 (Dorier et al. [55] and the burst-buffer sizing literature).
 
 :func:`detect_period` estimates the dominant period of an event-time
-series by autocorrelation of the binned activity signal;
-:func:`burstiness_profile` summarises how bursty the stream is.
+series by autocorrelation of the binned activity signal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,26 +88,3 @@ def detect_period(
     return PeriodEstimate(
         period=best_lag * bin_width, confidence=best_val, n_events=int(arr.size)
     )
-
-
-def burstiness_profile(
-    times: Sequence[float], bin_seconds: float = 1.0
-) -> Tuple[float, float]:
-    """(coefficient of variation of inter-arrivals, peak-to-mean bin rate).
-
-    cv ~ 0 for a metronome, ~1 for Poisson, >1 for bursts; peak-to-mean
-    measures how much faster the storage system must absorb than the
-    average demands -- the burst-buffer sizing input.
-    """
-    arr = np.sort(np.asarray(list(times), dtype=float))
-    if arr.size < 3:
-        raise ValueError("need at least 3 events")
-    gaps = np.diff(arr)
-    mean_gap = gaps.mean()
-    cv = float(gaps.std() / mean_gap) if mean_gap > 0 else 0.0
-    span = arr[-1] - arr[0]
-    n_bins = max(1, int(np.ceil(span / bin_seconds)))
-    counts, _ = np.histogram(arr, bins=n_bins)
-    mean_rate = counts.mean()
-    peak_to_mean = float(counts.max() / mean_rate) if mean_rate > 0 else 0.0
-    return cv, peak_to_mean

@@ -96,9 +96,6 @@ class FileCounters:
     def seq_write_fraction(self) -> float:
         return self.seq_writes / self.writes if self.writes else 0.0
 
-    def avg_write_size(self) -> float:
-        return self.bytes_written / self.writes if self.writes else 0.0
-
     def to_dict(self) -> Dict[str, Any]:
         d = {
             k: v
@@ -150,12 +147,6 @@ class JobCounters:
     @property
     def io_time(self) -> float:
         return self.read_time + self.write_time + self.meta_time
-
-    def read_write_ratio(self) -> float:
-        """Bytes read per byte written (inf for read-only jobs)."""
-        if self.bytes_written == 0:
-            return float("inf") if self.bytes_read else 0.0
-        return self.bytes_read / self.bytes_written
 
     def write_intensive(self) -> bool:
         """The traditional assumption the paper challenges (Sec. V)."""

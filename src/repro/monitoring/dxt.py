@@ -3,14 +3,14 @@
 Darshan eXtended Tracing [23] augments Darshan's counters with the exact
 (offset, length, start, end) segment of every read and write.  The
 :class:`DXTTracer` collects those segments per (rank, file); they feed
-fine-grained analyses -- access-pattern plots, per-rank timelines, offset
-heat maps -- that plain counters cannot support.
+fine-grained analyses -- here the per-rank randomness of an access
+stream -- that plain counters cannot support.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class DXTTracer:
         self._segments.setdefault((rec.path, rec.rank), []).append(seg)
 
     # -- queries -----------------------------------------------------------------
-    @property
-    def n_segments(self) -> int:
-        return sum(len(v) for v in self._segments.values())
-
     def segments(self, path: str = None, rank: int = None) -> List[DXTSegment]:
         """Segments filtered by path and/or rank, in start-time order."""
         out: List[DXTSegment] = []
@@ -75,13 +71,6 @@ class DXTTracer:
             out.extend(segs)
         out.sort(key=lambda s: (s.start, s.rank, s.offset))
         return out
-
-    def offsets_array(self, path: str, kind: str = "read") -> np.ndarray:
-        """Offsets of all accesses of one kind to one file (analysis input)."""
-        return np.array(
-            [s.offset for s in self.segments(path=path) if s.kind == kind],
-            dtype=np.int64,
-        )
 
     def randomness(self, path: str, kind: str = "read") -> float:
         """Fraction of accesses that did not continue the previous one.
@@ -102,62 +91,3 @@ class DXTTracer:
             )
             fractions.append(jumps / (len(segs) - 1))
         return float(np.mean(fractions)) if fractions else 0.0
-
-    def heatmap(
-        self, dt: float = 0.1, kind: Optional[str] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-(rank, time-bin) bytes-moved matrix (Darshan's HEATMAP module).
-
-        Returns ``(ranks, bin_start_times, matrix)`` where
-        ``matrix[i, j]`` is the bytes rank ``ranks[i]`` moved in bin ``j``
-        (optionally restricted to ``kind`` = "read"/"write").  The heatmap
-        is the standard visual for spotting rank imbalance and I/O phases.
-        """
-        segs = [s for s in self.segments() if kind is None or s.kind == kind]
-        if not segs:
-            return np.array([], dtype=int), np.array([]), np.zeros((0, 0))
-        ranks = np.array(sorted({s.rank for s in segs}), dtype=int)
-        rank_idx = {r: i for i, r in enumerate(ranks)}
-        t0 = min(s.start for s in segs)
-        t1 = max(s.end for s in segs)
-        n_bins = max(1, int(np.ceil((t1 - t0) / dt)))
-        matrix = np.zeros((len(ranks), n_bins))
-        for s in segs:
-            b0 = int((s.start - t0) / dt)
-            b1 = min(int((s.end - t0) / dt), n_bins - 1)
-            span = b1 - b0 + 1
-            matrix[rank_idx[s.rank], b0 : b1 + 1] += s.nbytes / span
-        times = t0 + dt * np.arange(n_bins)
-        return ranks, times, matrix
-
-    def rank_imbalance(self, kind: Optional[str] = None) -> float:
-        """max/mean of per-rank byte totals (1.0 = perfectly balanced)."""
-        segs = [s for s in self.segments() if kind is None or s.kind == kind]
-        if not segs:
-            return 1.0
-        totals: dict = {}
-        for s in segs:
-            totals[s.rank] = totals.get(s.rank, 0) + s.nbytes
-        values = np.array(list(totals.values()), dtype=float)
-        if values.mean() == 0:
-            return 1.0
-        return float(values.max() / values.mean())
-
-    def bandwidth_timeline(self, dt: float = 0.1) -> Tuple[np.ndarray, np.ndarray]:
-        """(bin_start_times, bytes_moved_per_bin) over the whole trace."""
-        segs = self.segments()
-        if not segs:
-            return np.array([]), np.array([])
-        t0 = min(s.start for s in segs)
-        t1 = max(s.end for s in segs)
-        n_bins = max(1, int(np.ceil((t1 - t0) / dt)))
-        bins = np.zeros(n_bins)
-        for s in segs:
-            # Spread the segment's bytes uniformly over its duration.
-            b0 = int((s.start - t0) / dt)
-            b1 = int((s.end - t0) / dt)
-            b1 = min(b1, n_bins - 1)
-            span = b1 - b0 + 1
-            bins[b0 : b1 + 1] += s.nbytes / span
-        times = t0 + dt * np.arange(n_bins)
-        return times, bins

@@ -54,16 +54,6 @@ class EndToEndReport:
                 return row
         raise KeyError(f"no row for job {job_id}")
 
-    def correlation(self, x_field: str, y_field: str) -> float:
-        """Pearson correlation between two panel columns across jobs."""
-        if len(self.rows) < 2:
-            raise ValueError("need at least two jobs to correlate")
-        x = np.array([getattr(r, x_field) for r in self.rows], dtype=float)
-        y = np.array([getattr(r, y_field) for r in self.rows], dtype=float)
-        if x.std() == 0 or y.std() == 0:
-            return 0.0
-        return float(np.corrcoef(x, y)[0, 1])
-
     def panel(self) -> str:
         """UMAMI-style text panel."""
         header = (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -65,21 +65,6 @@ class FSMonitor:
     # -- analysis ---------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.events)
-
-    def counts_by_kind(self) -> dict:
-        return dict(Counter(e.kind for e in self.events))
-
-    def event_rate(self, window: Optional[float] = None) -> float:
-        """Events per second over the observed interval (or last ``window``)."""
-        if not self.events:
-            return 0.0
-        t1 = max(e.time for e in self.events)
-        t0 = min(e.time for e in self.events)
-        if window is not None:
-            t0 = max(t0, t1 - window)
-        relevant = [e for e in self.events if e.time >= t0]
-        span = max(t1 - t0, 1e-12)
-        return len(relevant) / span
 
     def hot_directories(self, top: int = 5) -> List[tuple]:
         """Directories with the most events, as (dir, count) pairs."""

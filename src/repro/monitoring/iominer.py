@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from repro.monitoring.profiler import JobProfile
-from repro.ops import SIZE_BUCKETS
 
 
 class ProfileMiner:
@@ -58,18 +57,6 @@ class ProfileMiner:
             self.profiles
         )
 
-    def aggregate_size_histogram(self, direction: str = "read") -> List[int]:
-        """Fleet-wide access-size histogram (Darshan bucket layout)."""
-        self._require_nonempty()
-        out = [0] * (len(SIZE_BUCKETS) + 1)
-        for p in self.profiles:
-            hist = (
-                p.job.read_size_hist if direction == "read" else p.job.write_size_hist
-            )
-            for i, v in enumerate(hist):
-                out[i] += v
-        return out
-
     # -- rankings and screens --------------------------------------------------------
     def top_talkers(self, n: int = 5, by: str = "bytes") -> List[JobProfile]:
         """Jobs moving the most data (or doing the most metadata)."""
@@ -98,20 +85,6 @@ class ProfileMiner:
                 continue
             avg = (p.job.bytes_read + p.job.bytes_written) / ops
             if avg < threshold:
-                out.append(p)
-        return out
-
-    def metadata_heavy_jobs(self, ops_per_mib: float = 1.0) -> List[JobProfile]:
-        """Jobs exceeding ``ops_per_mib`` metadata ops per MiB moved."""
-        self._require_nonempty()
-        out = []
-        for p in self.profiles:
-            moved = (p.job.bytes_read + p.job.bytes_written) / 2**20
-            if moved == 0:
-                if p.job.meta_ops > 0:
-                    out.append(p)
-                continue
-            if p.job.meta_ops / moved > ops_per_mib:
                 out.append(p)
         return out
 

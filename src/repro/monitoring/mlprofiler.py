@@ -6,15 +6,15 @@ slicing POSIX-level I/O by *training structure* (epoch, step) rather than
 only by file.  Here, workload annotations (``epoch``/``step`` in op meta)
 propagate down the stack into record extras (see
 :attr:`repro.iostack.posix.PosixLayer.context`), and the
-:class:`MLIOProfiler` aggregates them into the per-epoch/per-step view a
-DL performance engineer needs: read volume and time per epoch, data-stall
-fraction per step, and the epoch-over-epoch trend that exposes caching.
+:class:`MLIOProfiler` aggregates them into the per-epoch view a DL
+performance engineer needs: read volume and time per epoch, the data-stall
+fraction, and the epoch-over-epoch trend that exposes caching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.ops import IORecord, OpKind
 
@@ -42,7 +42,7 @@ class EpochStats:
 
 
 class MLIOProfiler:
-    """Per-epoch/per-step I/O aggregation for training workloads.
+    """Per-epoch I/O aggregation for training workloads.
 
     Use as a run observer.  Only data records carrying an ``epoch``
     annotation are aggregated; everything else (dataset generation,
@@ -53,8 +53,6 @@ class MLIOProfiler:
     def __init__(self, layer: str = "posix"):
         self.layer = layer
         self._epochs: Dict[int, EpochStats] = {}
-        #: (epoch, step) -> [reads, bytes, time]
-        self._steps: Dict[Tuple[int, int], List[float]] = {}
         self.untagged_bytes = 0
 
     def __call__(self, rec: IORecord) -> None:
@@ -76,23 +74,10 @@ class MLIOProfiler:
         if es.first_start is None or rec.start < es.first_start:
             es.first_start = rec.start
         es.last_end = max(es.last_end, rec.end)
-        step = rec.extra.get("step")
-        if step is not None:
-            key = (epoch, int(step))
-            acc = self._steps.setdefault(key, [0, 0, 0.0])
-            acc[0] += 1
-            acc[1] += rec.nbytes
-            acc[2] += rec.duration
 
     # -- queries ----------------------------------------------------------------
     def epochs(self) -> List[EpochStats]:
         return [self._epochs[e] for e in sorted(self._epochs)]
-
-    def n_epochs(self) -> int:
-        return len(self._epochs)
-
-    def steps_in_epoch(self, epoch: int) -> int:
-        return sum(1 for (e, _s) in self._steps if e == epoch)
 
     def stall_fraction(self, epoch: int, wall_time: Optional[float] = None) -> float:
         """Fraction of epoch wall time spent waiting on reads.

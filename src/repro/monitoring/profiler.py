@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.monitoring.counters import FileCounters, JobCounters
-from repro.ops import IORecord, SIZE_BUCKETS
+from repro.ops import IORecord
 
 
 @dataclass
@@ -61,16 +61,6 @@ class JobProfile:
         if self.duration <= 0 or self.n_ranks <= 0:
             return 0.0
         return min(1.0, self.job.io_time / (self.duration * self.n_ranks))
-
-    def dominant_access_size(self, direction: str = "write") -> int:
-        """Upper bound (bytes) of the busiest access-size bucket."""
-        hist = (
-            self.job.write_size_hist if direction == "write" else self.job.read_size_hist
-        )
-        if not any(hist):
-            return 0
-        idx = max(range(len(hist)), key=lambda i: hist[i])
-        return SIZE_BUCKETS[idx] if idx < len(SIZE_BUCKETS) else SIZE_BUCKETS[-1] * 10
 
     def report(self) -> str:
         """darshan-parser-style text report."""

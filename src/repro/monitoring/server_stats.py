@@ -100,35 +100,12 @@ class ServerStatsCollector:
             yield self.pfs.env.timeout(self.interval)
 
     # -- analysis ------------------------------------------------------------------
-    def for_server(self, server: str) -> List[ServerSample]:
-        return [s for s in self.samples if s.server == server]
-
     def servers(self) -> List[str]:
         return sorted({s.server for s in self.samples})
-
-    def throughput_timeline(self, server: str) -> np.ndarray:
-        """(time, bytes/second) computed from cumulative byte counters."""
-        rows = self.for_server(server)
-        if len(rows) < 2:
-            return np.zeros((0, 2))
-        out = []
-        for a, b in zip(rows, rows[1:]):
-            dt = b.time - a.time
-            if dt <= 0:
-                continue
-            moved = (b.bytes_read + b.bytes_written) - (a.bytes_read + a.bytes_written)
-            out.append((b.time, moved / dt))
-        return np.array(out)
 
     def peak_queue_length(self, kind: Optional[str] = None) -> int:
         relevant = [s for s in self.samples if kind is None or s.kind == kind]
         return max((s.queue_length for s in relevant), default=0)
-
-    def mean_utilization(self, server: str) -> float:
-        rows = self.for_server(server)
-        if not rows:
-            return 0.0
-        return float(np.mean([s.utilization for s in rows]))
 
     def load_imbalance(self, kind: str = "oss") -> float:
         """max/mean of final per-server op counts (1.0 = perfectly balanced).

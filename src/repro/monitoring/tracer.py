@@ -41,17 +41,8 @@ class TraceArchive:
     def at_layer(self, layer: str) -> "TraceArchive":
         return TraceArchive(r for r in self.records if r.layer == layer)
 
-    def for_rank(self, rank: int) -> "TraceArchive":
-        return TraceArchive(r for r in self.records if r.rank == rank)
-
-    def for_path(self, path: str) -> "TraceArchive":
-        return TraceArchive(r for r in self.records if r.path == path)
-
     def data_ops(self) -> "TraceArchive":
         return TraceArchive(r for r in self.records if r.kind.is_data)
-
-    def sorted_by_time(self) -> "TraceArchive":
-        return TraceArchive(sorted(self.records, key=lambda r: (r.start, r.rank)))
 
     def op_histogram(self) -> Dict[str, int]:
         return dict(Counter(f"{r.layer}:{r.kind.value}" for r in self.records))
@@ -63,19 +54,6 @@ class TraceArchive:
 
     def bytes_moved(self) -> int:
         return sum(r.nbytes for r in self.records if r.kind.is_data)
-
-    def amplification(self, top: str, bottom: str) -> float:
-        """Bytes at the ``bottom`` layer per byte at the ``top`` layer.
-
-        >1 means the stack amplified traffic (e.g. chunked HDF5 reads or
-        data sieving's read-modify-write); <1 means it coalesced (e.g.
-        collective buffering deduplicating overlapping requests).
-        """
-        top_bytes = self.at_layer(top).bytes_moved()
-        bottom_bytes = self.at_layer(bottom).bytes_moved()
-        if top_bytes == 0:
-            raise ValueError(f"no data traffic at layer {top!r}")
-        return bottom_bytes / top_bytes
 
     def summary(self) -> str:
         lines = [

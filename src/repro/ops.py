@@ -60,16 +60,12 @@ class OpKind(str, Enum):
         return self in DATA_KINDS
 
     @property
-    def is_metadata(self) -> bool:
-        return self in METADATA_KINDS
-
-    @property
     def is_marker(self) -> bool:
         return self in MARKER_KINDS
 
 
-#: Kind classes behind :attr:`OpKind.is_data` / ``is_metadata`` /
-#: ``is_marker``, for hot loops that test membership directly.
+#: Kind classes behind :attr:`OpKind.is_data` / ``is_marker``, and the
+#: metadata kinds, for hot loops that test membership directly.
 DATA_KINDS = frozenset((OpKind.READ, OpKind.WRITE))
 METADATA_KINDS = frozenset((
     OpKind.CREATE,

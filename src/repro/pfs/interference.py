@@ -11,7 +11,7 @@ and fabric links -- nothing here injects artificial slowdown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.pfs.layout import StripeLayout
 
@@ -76,19 +76,3 @@ class SlowdownReport:
                 f"{self.slowdown(j):>8.2f}x"
             )
         return "\n".join(lines)
-
-
-def aggregate_bandwidth_loss(
-    isolated_bw: Iterable[float], shared_bw: Iterable[float]
-) -> float:
-    """Fractional aggregate-bandwidth loss when workloads share the system.
-
-    Interference shows up not only as per-job slowdown but as a drop in
-    *total* delivered bandwidth (seek-induced on disk OSTs).  Returns a
-    value in [0, 1); 0 means sharing was work-conserving.
-    """
-    iso = sum(isolated_bw)
-    shr = sum(shared_bw)
-    if iso <= 0:
-        raise ValueError("isolated bandwidth sum must be positive")
-    return max(0.0, 1.0 - shr / iso)

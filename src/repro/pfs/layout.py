@@ -170,7 +170,3 @@ class StripeLayout:
         out = [s for bucket in merged.values() for s in bucket]
         out.sort(key=lambda s: s.file_offset)
         return out
-
-    def osts_touched(self, offset: int, nbytes: int) -> set:
-        """Set of global OST ids a request lands on."""
-        return {s.ost_id for s in self.slices(offset, nbytes)}

@@ -102,11 +102,6 @@ class MetadataServer:
             return 0.0
         return min(1.0, self.busy_time / (self.env.now * self._svc.capacity))
 
-    @property
-    def degradation(self) -> float:
-        """Current service-time multiplier (1.0 = healthy)."""
-        return self._degradation
-
     def set_degradation(self, factor: float) -> None:
         """Inject a brown-out: every op takes ``factor``x its service time.
 

@@ -62,16 +62,6 @@ class FidelityReport:
             return 0.0
         return abs(self.duration_replayed - self.duration_original) / self.duration_original
 
-    def faithful(self, max_duration_error: float = 0.25) -> bool:
-        """Overall verdict: structure exact, timing within tolerance."""
-        return (
-            self.op_count_match
-            and self.op_mix_match
-            and self.bytes_match
-            and self.offsets_match
-            and self.duration_error <= max_duration_error
-        )
-
     def summary(self) -> str:
         return (
             f"ops {self.ops_original}->{self.ops_replayed} "

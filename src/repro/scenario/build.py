@@ -201,9 +201,9 @@ def run_scenario(
     experiments treat data generation.
 
     ``engine`` overrides the scenario's declared ``stack.engine`` (the
-    ``repro-io scenario run --engine`` knob).  The parallel engines only
-    execute cohort-capable workloads (``scale_write``); declaring any
-    other kind under them is an error rather than a silent fallback.
+    ``repro-io scenario run --engine`` knob).  The partitioned engine only
+    executes cohort-capable workloads (``scale_write``); declaring any
+    other kind under it is an error rather than a silent fallback.
     ``engine_workers`` is the partitioned engine's partition count
     (default: one partition per island).
     """
@@ -253,4 +253,6 @@ def run_scenario(
             for w in setup:
                 run.setup_results.append(harness.run(w))
             run.results.append(run_main(main))
+    # Events still queued (faults past the workloads' end) never fire.
+    harness.platform.env.close()
     return run

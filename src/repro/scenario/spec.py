@@ -60,7 +60,7 @@ WORKLOAD_KIND_NAMES = (
 
 #: DES engines a scenario may request (see
 #: :mod:`repro.simulate.scalemodel` and :mod:`repro.des.partition`).
-STACK_ENGINES = ("sequential", "conservative", "partitioned")
+STACK_ENGINES = ("sequential", "partitioned")
 
 
 class ScenarioError(ValueError):
@@ -141,8 +141,8 @@ class StackSpec:
     retry_backoff: float = 0.005
     retry_backoff_cap: float = 0.5
     #: DES engine the scenario runs on: ``"sequential"`` (default, every
-    #: workload kind), or ``"conservative"`` / ``"partitioned"`` (parallel
-    #: engines; require cohort-capable workloads such as ``scale_write``).
+    #: workload kind), or ``"partitioned"`` (the windowed parallel engine;
+    #: requires cohort-capable workloads such as ``scale_write``).
     engine: str = "sequential"
 
     def validate(self) -> None:

@@ -141,7 +141,7 @@ class ScaleWriteWorkload(Workload):
     through the simulated file system: :func:`repro.scenario.build.run_scenario`
     routes it to :mod:`repro.simulate.scalemodel`, where the whole rank
     population runs either as per-rank coroutines (sequential engine) or
-    as vectorized island cohorts (conservative / partitioned engines) --
+    as vectorized island cohorts (partitioned engine) --
     with bit-identical results either way.  ``params`` mirror
     :class:`~repro.simulate.scalemodel.ScaleConfig` (minus ``ranks`` and
     ``seed``, which come from the workload spec and scenario seed);

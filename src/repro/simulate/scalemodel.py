@@ -1,4 +1,4 @@
-"""The scale model: one SPMD I/O workload, three engines, identical answers.
+"""The scale model: one SPMD I/O workload, two engines, identical answers.
 
 This module is the proving ground for the engine-equivalence claim.  It
 models a bulk-synchronous SPMD application -- ``ranks`` MPI ranks spread
@@ -19,8 +19,9 @@ produce **bit-identical results**:
     The vectorized arm: one :class:`LogicalProcess` per island, whose
     handler advances the whole rank population with numpy cohort kernels
     (elementwise float64, exact selections -- see
-    :mod:`repro.des.cohort`).  Runs on the sequential, conservative, or
-    partitioned executor; island halos are the cross-partition traffic.
+    :mod:`repro.des.cohort`).  Runs on the sequential LP executor or the
+    partitioned windowed executor; island halos are the cross-partition
+    traffic.
 
 Exactness is by construction, not tolerance.  Within one island round all
 ranks start together and write equal-size slices, so the fair-share link
@@ -49,7 +50,7 @@ from repro.des.partition import PartitionPlan, PartitionedExecutor
 from repro.des.ross import LogicalProcess, RossKernel, SequentialExecutor
 from repro.des.sharing import FairShareLink
 
-ENGINES = ("sequential", "conservative", "partitioned")
+ENGINES = ("sequential", "partitioned")
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +368,14 @@ def build_kernel(config: ScaleConfig) -> RossKernel:
 
 def run_cohort(
     config: ScaleConfig,
-    engine: str = "conservative",
     workers: Optional[int] = None,
 ) -> ScaleResult:
-    """Run the island-LP model under the chosen windowed engine.
+    """Run the island-LP model on the partitioned windowed executor.
 
-    Both engines are the conservative windowed executor:
-    ``"conservative"`` on one partition, ``"partitioned"`` on ``workers``
-    contiguous partitions (default: one per island).
+    ``workers`` is the number of contiguous partitions (default: one per
+    island).  Partitions change only the window accounting, never the
+    result: one partition is the plain conservative executor.
     """
-    if engine not in ("conservative", "partitioned"):
-        raise ValueError(f"run_cohort: unknown engine {engine!r}")
-    if engine == "conservative":
-        workers = 1
     plan = PartitionPlan.contiguous(range(config.islands),
                                     workers or config.islands)
     ex = PartitionedExecutor(build_kernel(config), plan)
@@ -393,7 +389,7 @@ def run_cohort(
         "mean_occupancy": stats.mean_occupancy,
         "exchanged": stats.exchanged,
     }
-    return _finalize(engine, config, collected, stats.events, extra)
+    return _finalize("partitioned", config, collected, stats.events, extra)
 
 
 def run_cohort_sequential(config: ScaleConfig) -> ScaleResult:
@@ -413,8 +409,8 @@ def run_scale(
     """Engine dispatch: the one entry point the scenario layer calls."""
     if engine == "sequential":
         return run_scalar(config)
-    if engine in ("conservative", "partitioned"):
-        return run_cohort(config, engine=engine, workers=workers)
+    if engine == "partitioned":
+        return run_cohort(config, workers=workers)
     raise ValueError(
         f"unknown engine {engine!r}; choose from {ENGINES}"
     )

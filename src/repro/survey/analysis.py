@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional
 
-from repro.core.taxonomy import TAXONOMY, find_node
+from repro.core.taxonomy import find_node
 from repro.survey.corpus import CORPUS, Article, Publisher, VenueType
 
 
@@ -47,17 +47,3 @@ def taxonomy_coverage(corpus: Optional[List[Article]] = None) -> Dict[str, int]:
             find_node(cat)  # raises KeyError on stale tags
             counts[cat] += 1
     return dict(sorted(counts.items()))
-
-
-def uncovered_leaves(corpus: Optional[List[Article]] = None) -> List[str]:
-    """Taxonomy leaves no surveyed article covers (research-gap signal).
-
-    The paper's Sec. VI argues exactly from such gaps (e.g. few studies of
-    emerging workloads); this function recomputes them from the corpus.
-    """
-    covered = set(taxonomy_coverage(corpus))
-    return [
-        n.id
-        for n in TAXONOMY.walk()
-        if not n.children and n.id not in covered
-    ]

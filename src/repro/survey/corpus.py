@@ -187,10 +187,3 @@ def articles_by_category() -> Dict[str, List[Article]]:
         for cat in art.categories:
             out.setdefault(cat, []).append(art)
     return out
-
-
-def article_by_key(key: str) -> Article:
-    for art in CORPUS:
-        if art.key == key:
-            return art
-    raise KeyError(f"no article {key!r}")

@@ -16,8 +16,10 @@ one attribute load plus a boolean test at each instrumented site::
         TELEMETRY.metrics.counter("pfs.oss.rpcs").inc()
 
 Enable it with :func:`enable` (the CLI does this for ``--trace`` /
-``--metrics``), snapshot with ``TELEMETRY.metrics.render_text()`` or
-``TELEMETRY.tracer.write_chrome(path)``, and wipe collected data with
+``--metrics``), open spans with :func:`span`, export them with
+:func:`repro.telemetry.collect.write_merged_chrome` (the one Chrome-trace
+exporter; it also folds in worker snapshots), read metrics with
+``TELEMETRY.metrics.render_text()``, and wipe collected data with
 :func:`reset`.  The guard lives at the call site rather than inside the
 metric objects so the DES hot loops (see ``benchmarks/check_regression.py``
 and ``benchmarks/telemetry_overhead.py``) never pay for a disabled feature.
@@ -108,27 +110,6 @@ def span(name: str, cat: str = "repro", **args):
     return TELEMETRY.tracer.span(name, cat=cat, **args)
 
 
-def traced(name=None, cat: str = "repro"):
-    """Decorator: time calls on the global tracer *when telemetry is on*."""
-
-    def decorate(fn):
-        span_name = name or fn.__qualname__
-
-        def wrapper(*a, **kw):
-            if not TELEMETRY.active:
-                return fn(*a, **kw)
-            with TELEMETRY.tracer.span(span_name, cat=cat):
-                return fn(*a, **kw)
-
-        wrapper.__name__ = fn.__name__
-        wrapper.__qualname__ = fn.__qualname__
-        wrapper.__doc__ = fn.__doc__
-        wrapper.__wrapped__ = fn
-        return wrapper
-
-    return decorate
-
-
 __all__ = [
     "TELEMETRY",
     "TelemetryState",
@@ -137,7 +118,6 @@ __all__ = [
     "disable",
     "reset",
     "span",
-    "traced",
     "Counter",
     "Gauge",
     "Histogram",

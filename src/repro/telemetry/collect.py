@@ -87,31 +87,14 @@ def snapshot(clear: bool = False) -> Optional[Dict[str, Any]]:
 
     if not TELEMETRY.active:
         return None
-    tracer = TELEMETRY.tracer
-    spans = [
-        {
-            "name": sp.name,
-            "cat": sp.cat,
-            "span_id": sp.span_id,
-            "parent_id": sp.parent_id,
-            "start_ns": sp.start_ns,
-            "end_ns": sp.end_ns,
-            "args": sp.args,
-        }
-        for sp in tracer.spans
-        if sp.end_ns is not None
-    ]
     doc = {
         "schema": SNAPSHOT_SCHEMA,
-        "pid": os.getpid(),
-        "wall_anchor_ns": time.time_ns(),
-        "perf_anchor_ns": time.perf_counter_ns(),
-        "spans": spans,
+        **_local_spans(),
         "metrics": TELEMETRY.metrics.to_dict(),
         "series": TELEMETRY.series.to_dict(),
     }
     if clear:
-        tracer.clear()
+        TELEMETRY.tracer.clear()
         from repro.telemetry import MetricsRegistry
         from repro.telemetry.timeseries import SeriesRegistry
 
@@ -140,11 +123,11 @@ def merge_snapshot(snap: Optional[Dict[str, Any]]) -> None:
         TELEMETRY.remote.append(snap)
 
 
-def _local_snapshot_inline() -> Dict[str, Any]:
-    """Snapshot of the *parent* process for the merged view (no clear)."""
+def _local_spans() -> Dict[str, Any]:
+    """This process's finished spans with the clock anchors that place
+    them on the wall-clock timeline: the span part of a snapshot."""
     from repro.telemetry import TELEMETRY
 
-    tracer = TELEMETRY.tracer
     return {
         "pid": os.getpid(),
         "wall_anchor_ns": time.time_ns(),
@@ -159,7 +142,7 @@ def _local_snapshot_inline() -> Dict[str, Any]:
                 "end_ns": sp.end_ns,
                 "args": sp.args,
             }
-            for sp in tracer.spans
+            for sp in TELEMETRY.tracer.spans
             if sp.end_ns is not None
         ],
     }
@@ -180,7 +163,7 @@ def merged_chrome_trace() -> Dict[str, Any]:
     """
     from repro.telemetry import TELEMETRY
 
-    procs: List[Dict[str, Any]] = [_local_snapshot_inline()]
+    procs: List[Dict[str, Any]] = [_local_spans()]
     procs.extend(TELEMETRY.remote)
 
     # Wall-clock start of each process's span set.

@@ -18,7 +18,6 @@ cost of ~2x resolution -- the standard HDR/Prometheus trade-off.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Any, Dict, Iterator, Optional, Union
 
@@ -252,9 +251,6 @@ class MetricsRegistry:
                 for name in sorted(self._metrics)
             },
         }
-
-    def render_json(self, indent: int = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def render_text(self) -> str:
         """Aligned ``kind  name  value`` table, sorted by metric name."""

@@ -1,42 +1,35 @@
-"""Low-overhead span tracer with Chrome ``trace_event`` export.
+"""Low-overhead span tracer; its spans export as Chrome ``trace_event`` JSON.
 
 Spans measure *wall-clock* time inside the simulator's own code (not
 virtual simulation time): how long ``Environment.run`` spun the event loop,
 how long one experiment task took, how long the runner spent hashing
 sources.  Spans nest -- the tracer keeps an open-span stack so each span
-records its parent -- and finished spans serialize to the Chrome
-``trace_event`` JSON format (complete ``"ph": "X"`` events), which loads
-directly in Perfetto / ``chrome://tracing``.
+records its parent.
 
 Usage::
 
-    tracer = SpanTracer()
-    with tracer.span("run_experiments", cat="runner", jobs=4):
-        with tracer.span("source_digest", cat="runner"):
+    from repro import telemetry
+    from repro.telemetry.collect import write_merged_chrome
+
+    telemetry.enable()
+    with telemetry.span("run_experiments", cat="runner", jobs=4):
+        with telemetry.span("source_digest", cat="runner"):
             ...
-    tracer.write_chrome("t.json")
+    write_merged_chrome("t.json")
 
-or as a decorator::
+:func:`repro.telemetry.collect.merged_chrome_trace` is the one exporter:
+it renders this process's finished spans and every worker snapshot as
+complete ``"ph": "X"`` events, which load directly in Perfetto /
+``chrome://tracing``.  :func:`span_self_times` aggregates its events.
 
-    @traced("pfs.build", cat="pfs")
-    def build_pfs(...): ...
-
-The clock is :func:`time.perf_counter_ns` (monotonic, ns resolution);
-timestamps in the export are microseconds relative to the tracer's first
-span, as the trace-event spec expects.
+The clock is :func:`time.perf_counter_ns` (monotonic, ns resolution).
 """
 
 from __future__ import annotations
 
-import json
-import logging
-import os
 import threading
 import time
-from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
-
-log = logging.getLogger(__name__)
+from typing import Any, Dict, Iterable, List, Optional
 
 TRACE_SCHEMA = "repro.telemetry.trace/1"
 
@@ -107,8 +100,6 @@ class SpanTracer:
         self.spans: List[Span] = []
         self._local = threading.local()
         self._next_id = 0
-        #: perf_counter_ns at first span; export timestamps are relative.
-        self._epoch_ns: Optional[int] = None
 
     # -- recording ----------------------------------------------------------
     def _stack(self) -> List[Span]:
@@ -120,13 +111,10 @@ class SpanTracer:
 
     def span(self, name: str, cat: str = "repro", **args: Any) -> _SpanHandle:
         """Open a span; use as ``with tracer.span("name"): ...``."""
-        now = _perf_ns()
-        if self._epoch_ns is None:
-            self._epoch_ns = now
         stack = self._stack()
         parent_id = stack[-1].span_id if stack else None
         self._next_id += 1
-        sp = Span(name, cat, self._next_id, parent_id, now, args or None)
+        sp = Span(name, cat, self._next_id, parent_id, _perf_ns(), args or None)
         stack.append(sp)
         return _SpanHandle(self, sp)
 
@@ -144,87 +132,13 @@ class SpanTracer:
                 break
         self.spans.append(sp)
 
-    def traced(
-        self, name: Optional[str] = None, cat: str = "repro"
-    ) -> Callable[[Callable], Callable]:
-        """Decorator form: times every call of the wrapped function."""
-
-        def decorate(fn: Callable) -> Callable:
-            span_name = name or fn.__qualname__
-
-            def wrapper(*a, **kw):
-                with self.span(span_name, cat=cat):
-                    return fn(*a, **kw)
-
-            wrapper.__name__ = fn.__name__
-            wrapper.__qualname__ = fn.__qualname__
-            wrapper.__doc__ = fn.__doc__
-            wrapper.__wrapped__ = fn
-            return wrapper
-
-        return decorate
-
     def clear(self) -> None:
         self.spans.clear()
         self._local = threading.local()
-        self._epoch_ns = None
         self._next_id = 0
 
     def __len__(self) -> int:
         return len(self.spans)
-
-    # -- analysis -----------------------------------------------------------
-    def self_times(self) -> Dict[str, Dict[str, float]]:
-        """:func:`span_self_times` over this tracer's finished spans."""
-        return span_self_times(self.to_chrome()["traceEvents"])
-
-    # -- export -------------------------------------------------------------
-    def to_chrome(self) -> Dict[str, Any]:
-        """Render finished spans as a Chrome trace-event JSON document."""
-        pid = os.getpid()
-        epoch = self._epoch_ns or 0
-        events: List[Dict[str, Any]] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": "repro-io simulator"},
-            }
-        ]
-        for sp in self.spans:
-            if sp.end_ns is None:  # still open: not exportable as "X"
-                continue
-            args: Dict[str, Any] = {"span_id": sp.span_id}
-            if sp.parent_id is not None:
-                args["parent_id"] = sp.parent_id
-            if sp.args:
-                args.update(sp.args)
-            events.append(
-                {
-                    "name": sp.name,
-                    "cat": sp.cat,
-                    "ph": "X",
-                    "ts": (sp.start_ns - epoch) / 1e3,
-                    "dur": sp.duration_ns / 1e3,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": args,
-                }
-            )
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {"schema": TRACE_SCHEMA},
-        }
-
-    def write_chrome(self, path: Union[str, Path]) -> Path:
-        p = Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        with open(p, "w", encoding="utf-8") as fh:
-            json.dump(self.to_chrome(), fh, indent=1)
-        log.info("wrote %d trace span(s) to %s", len(self.spans), p)
-        return p
 
 
 def span_self_times(

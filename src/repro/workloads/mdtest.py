@@ -67,10 +67,6 @@ class MdtestWorkload(Workload):
     def file_path(self, rank: int, i: int) -> str:
         return f"{self.rank_dir(rank)}/f{i:08d}"
 
-    @property
-    def total_creates(self) -> int:
-        return self.config.files_per_rank * self.n_ranks
-
     def ops(self, rank: int) -> Iterator[IOOp]:
         c = self.config
         # Setup: rank 0 makes the root; every rank makes its own directory.

@@ -122,14 +122,6 @@ class WorkflowWorkload(Workload):
     def critical_path_length(self) -> int:
         return len(self.generations)
 
-    def metadata_op_estimate(self) -> int:
-        """Expected metadata ops (create/open/stat/close per file touched)."""
-        n = 0
-        for t in self.tasks.values():
-            n += 2 * len(t.inputs)  # stat + close (open folded into read)
-            n += 2 * len(t.outputs)  # create + close
-        return n
-
     # -- execution -----------------------------------------------------------
     def assignment(self) -> Dict[str, int]:
         """Task -> rank mapping (round-robin within each generation)."""

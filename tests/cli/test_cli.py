@@ -122,6 +122,14 @@ def test_scenario_run_engine_and_metrics(capsys, tmp_path):
     assert "des.partition.window_occupancy" in out
 
 
+def test_scenario_run_conservative_engine_is_a_usage_error(capsys):
+    # One partition is ``--engine partitioned --engine-workers 1``.
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario", "run", "scale-tiny", "--engine", "conservative"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'conservative'" in capsys.readouterr().err
+
+
 def test_scenario_run_sequential_no_telemetry(capsys):
     code, out, _ = run_cli(capsys, "scenario", "run", "scale-tiny")
     assert code == 0

@@ -135,7 +135,7 @@ def test_stats_accumulate():
     env.run()
     assert fab.stats.messages == 1
     assert fab.stats.bytes == 100.0
-    assert 0 < fab.core_utilization() <= 1.0
+    assert 0 < fab.core.utilization <= 1.0
 
 
 def test_invalid_construction():

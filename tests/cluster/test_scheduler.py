@@ -130,7 +130,6 @@ def test_stats_and_makespan():
     env.run()
     assert sched.makespan() == pytest.approx(8.0)
     assert sched.mean_wait() == pytest.approx(2.0)
-    assert sched.log.utilization_nodes(8, 0.0, 8.0) == pytest.approx(1.0)
     env2, sched2 = make()
     with pytest.raises(ValueError):
         sched2.mean_wait()

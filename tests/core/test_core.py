@@ -11,7 +11,7 @@ from repro.core import (
     render_tree,
 )
 from repro.core.cycle import EvaluationCycle
-from repro.core.taxonomy import CYCLE_PHASES, all_leaf_ids
+from repro.core.taxonomy import CYCLE_PHASES
 from repro.workloads import IORConfig, IORWorkload
 
 MiB = 1024 * 1024
@@ -46,7 +46,7 @@ class TestTaxonomy:
         ids = [n.id for n in TAXONOMY.walk()]
         assert len(ids) == len(set(ids))
         assert "modeling.predictive" in ids
-        assert len(all_leaf_ids()) >= 15
+        assert sum(1 for n in TAXONOMY.walk() if not n.children) >= 15
 
     def test_render_tree_structure(self):
         text = render_tree()
@@ -103,7 +103,7 @@ class TestExperimentRecords:
         col.record("C1", "claim one").measure(x=1.0).verdict(True)
         col.record("C2", "claim two").measure(y=2.0).verdict(False, "surprise")
         assert len(col) == 2
-        assert not col.all_supported()
+        assert [r.supported for r in col.records.values()] == [True, False]
         table = col.table()
         assert "| C1 |" in table and "NOT supported" in table
         out = tmp_path / "results.json"
@@ -115,10 +115,3 @@ class TestExperimentRecords:
         a = col.record("X", "claim")
         b = col.record("X", "claim")
         assert a is b
-
-    def test_all_supported_requires_evaluation(self):
-        col = ResultsCollector()
-        col.record("X", "claim")
-        assert not col.all_supported()
-        col.record("X", "claim").verdict(True)
-        assert col.all_supported()

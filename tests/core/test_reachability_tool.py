@@ -75,3 +75,9 @@ def test_static_half_classifies_and_counts(tmp_path):
     assert (unreached["Thing.only_tested"]["refs"],
             unreached["Thing.only_tested"]["test_refs"]) == (0, 1)
     assert "`Thing.only_tested`" in tool.markdown(report)
+    # The named-only-by-tests table lists only_tested, not helper.
+    assert [fn["qualname"] for fn in report["test_only"]] == ["Thing.only_tested"]
+    assert report["test_only_lines"] == 3
+    table = tool.markdown(report).split("## Named only by tests")[1]
+    assert table.startswith(": 1 functions, 3 lines")
+    assert "`Thing.only_tested`" in table and "`helper`" not in table

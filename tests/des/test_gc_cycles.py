@@ -4,7 +4,9 @@ A process drops its bound ``_resume`` when its generator ends, and a
 released request drops itself as its own value, so neither is left in a
 reference cycle.  An idle link holds no timer callback, and the file
 system keeps its clients' counters rather than the clients, so a finished
-run's platform graph is not in a cycle either.  ``gc.DEBUG_SAVEALL`` keeps
+run's platform graph is not in a cycle either.  A scenario that stops with
+events still queued is closed by ``run_scenario``, which releases the
+processes waiting on them.  ``gc.DEBUG_SAVEALL`` keeps
 every object the collector finds unreachable in ``gc.garbage``; none of
 them may be a ``Process``, a ``Request`` or a platform object.
 """
@@ -108,4 +110,23 @@ def test_scenario_run_leaves_no_platform_object_in_a_cycle(name):
 
 
 def test_tiny_run_leaves_no_cyclic_garbage():
-    assert _garbage_of_run("tiny") == []
+    # The fault presets stop with a fault process still waiting on a
+    # queued timeout; run_scenario closes the environment, so the pending
+    # event no longer ties the process and the environment into a cycle.
+    for name in ("tiny", "r2-ior-degraded", "r3-mds-brownout"):
+        assert _garbage_of_run(name) == [], name
+
+
+def test_close_keeps_the_clock_and_releases_waiting_processes():
+    env = Environment()
+
+    def sleeper(env):
+        yield env.timeout(60.0)
+
+    proc = env.process(sleeper(env))
+    env.run(until=1.0)
+    env.close()
+    assert env.now == 1.0 and env.peek() == float("inf")
+    assert proc._resume_cb is None
+    env.run()  # nothing left to run
+    assert env.now == 1.0

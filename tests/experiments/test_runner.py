@@ -17,8 +17,8 @@ from repro.experiments.runner import (
     record_payload,
     run_experiments,
     source_digest,
-    task_seed,
 )
+from repro.jobs.execution import key_seed
 
 SEEDS = (0, 1, 2)
 
@@ -131,9 +131,10 @@ def test_unknown_id_rejected():
 
 
 def test_task_seed_is_stable_and_distinct():
-    assert task_seed("E1", 0) == task_seed("E1", 0)
-    assert task_seed("E1", 0) != task_seed("E1", 1)
-    assert task_seed("E1", 0) != task_seed("E2", 0)
+    # ``_execute`` seeds each task's globals from its "<id>:<seed>" key.
+    assert key_seed("E1:0") == key_seed("E1:0")
+    assert key_seed("E1:0") != key_seed("E1:1")
+    assert key_seed("E1:0") != key_seed("E2:0")
 
 
 def test_record_payload_round_trip():

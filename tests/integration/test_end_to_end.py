@@ -149,6 +149,6 @@ def test_dxt_and_endtoend_on_same_run():
     w = IORWorkload(IORConfig(block_size=4 * MiB, transfer_size=512 * KiB), 2)
     run_workload(platform, pfs, w, observers=[profiler, dxt])
     profile = e2e.finish_job(profiler, n_ranks=2)
-    assert dxt.n_segments == profile.job.writes
+    assert len(dxt.segments()) == profile.job.writes
     report = e2e.report()
     assert report.rows[0].bytes_written == 8 * MiB

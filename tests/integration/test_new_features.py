@@ -1,12 +1,10 @@
-"""Tests for the extension batch: heatmaps, topologies, DSL metadata modes,
-and trace-based cycle generation."""
+"""Tests for the extension batch: topologies, DSL metadata modes and
+trace-based cycle generation."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import Platform, PlatformSpec, tiny_cluster
 from repro.core.cycle import EvaluationCycle
-from repro.monitoring import DXTTracer
 from repro.ops import OpKind
 from repro.pfs import build_pfs
 from repro.simulate import run_workload
@@ -15,40 +13,6 @@ from repro.workloads import IORConfig, IORWorkload
 
 MiB = 1024 * 1024
 KiB = 1024
-
-
-class TestHeatmap:
-    def traced_ior(self):
-        platform = tiny_cluster()
-        pfs = build_pfs(platform)
-        dxt = DXTTracer()
-        w = IORWorkload(IORConfig(block_size=4 * MiB, transfer_size=MiB), 4)
-        run_workload(platform, pfs, w, observers=[dxt])
-        return dxt
-
-    def test_heatmap_shape_and_conservation(self):
-        dxt = self.traced_ior()
-        ranks, times, matrix = dxt.heatmap(dt=0.01)
-        assert list(ranks) == [0, 1, 2, 3]
-        assert matrix.shape == (4, len(times))
-        assert matrix.sum() == pytest.approx(16 * MiB)
-
-    def test_heatmap_kind_filter(self):
-        dxt = self.traced_ior()
-        _, _, writes = dxt.heatmap(dt=0.01, kind="write")
-        _, _, reads = dxt.heatmap(dt=0.01, kind="read")
-        assert writes.sum() == pytest.approx(16 * MiB)
-        assert reads.size == 0 or reads.sum() == 0
-
-    def test_empty_heatmap(self):
-        dxt = DXTTracer()
-        ranks, times, matrix = dxt.heatmap()
-        assert len(ranks) == 0 and matrix.size == 0
-
-    def test_rank_imbalance_balanced_ior(self):
-        dxt = self.traced_ior()
-        assert dxt.rank_imbalance("write") == pytest.approx(1.0)
-        assert DXTTracer().rank_imbalance() == 1.0
 
 
 class TestFabricTopology:

@@ -72,14 +72,12 @@ class TestDatasetExtents:
         d = self.make((8, 8), itemsize=1, chunks=(4, 4))
         ext = d.extents((0, 0), (2, 2))  # inside chunk (0, 0)
         assert ext == [(0, 16)]
-        assert d.chunks_touched((0, 0), (2, 2)) == 1
 
     def test_chunked_selection_amplifies_to_whole_chunks(self):
         d = self.make((8, 8), itemsize=1, chunks=(4, 4))
         # 2x2 selection straddling all four chunks -> 4 whole chunks = 64 B.
         ext = d.extents((3, 3), (2, 2))
         assert sum(n for _, n in ext) == 4 * 16
-        assert d.chunks_touched((3, 3), (2, 2)) == 4
 
     def test_chunked_full_selection_reads_all_chunks(self):
         d = self.make((8, 8), itemsize=1, chunks=(4, 4))

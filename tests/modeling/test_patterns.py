@@ -52,13 +52,6 @@ class TestContextModel:
         acc2 = ContextModel(order=2).evaluate(list(seq))
         assert acc2 > acc1
 
-    def test_distribution_sums_to_one(self):
-        m = ContextModel(order=1)
-        for s in "aababb":
-            m.observe(s)
-        dist = m.predict_distribution()
-        assert sum(dist.values()) == pytest.approx(1.0)
-
 
 class TestOpPredictor:
     def test_empty_stream_rejected(self):

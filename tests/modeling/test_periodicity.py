@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import tiny_cluster
-from repro.modeling.periodicity import burstiness_profile, detect_period
+from repro.modeling.periodicity import detect_period
 from repro.monitoring import DXTTracer
 from repro.pfs import build_pfs
 from repro.simulate import run_workload
@@ -56,24 +56,3 @@ class TestDetectPeriod:
         assert est.is_periodic
         # The cadence is compute (5 s) + write time: period a bit over 5 s.
         assert 4.0 < est.period < 8.0
-
-
-class TestBurstiness:
-    def test_metronome_low_cv(self):
-        times = np.arange(0, 100, 1.0)
-        cv, peak = burstiness_profile(times, bin_seconds=5.0)
-        assert cv == pytest.approx(0.0, abs=1e-9)
-        assert peak == pytest.approx(1.0, rel=0.1)
-
-    def test_bursty_stream_high_ratio(self):
-        times = []
-        for burst in range(10):
-            base = burst * 100.0
-            times.extend(base + 0.001 * i for i in range(50))
-        cv, peak = burstiness_profile(times, bin_seconds=1.0)
-        assert cv > 1.0
-        assert peak > 10.0
-
-    def test_too_few_events_rejected(self):
-        with pytest.raises(ValueError):
-            burstiness_profile([1.0, 2.0])

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitoring.features import FEATURE_NAMES, access_features
-from repro.ops import SIZE_BUCKETS, IOOp, IORecord, OpKind, OpRun, expand_runs
+from repro.ops import (METADATA_KINDS, SIZE_BUCKETS, IOOp, IORecord, OpKind,
+                       OpRun, expand_runs)
 
 
 def _reference_size_bucket(nbytes):
@@ -44,7 +45,7 @@ def _reference_access_features(stream):
         rank_counts[op.rank] += 1
         if op.path:
             files.add(op.path)
-        if op.kind.is_metadata:
+        if op.kind in METADATA_KINDS:
             n_meta += 1
         if op.kind.is_data:
             n_data += 1

@@ -4,8 +4,6 @@ edges not covered by the workload-driven tracer tests."""
 import gzip
 import json
 
-import pytest
-
 from repro.monitoring import load_profile, load_trace, save_profile, save_trace
 from repro.monitoring.profiler import DarshanProfiler
 from repro.monitoring.tracer import TraceArchive
@@ -83,16 +81,6 @@ class TestArchiveQueryEdges:
         assert archive.op_histogram() == {}
         assert "0 records" in archive.summary()
 
-    def test_amplification_from_records(self):
-        archive = TraceArchive(make_records())
-        # 8 KiB at pfs per 4 KiB written + 2 KiB read at posix.
-        assert archive.amplification("posix", "pfs") == pytest.approx(8 / 6)
-
-    def test_amplification_without_top_traffic_raises(self):
-        archive = TraceArchive(make_records())
-        with pytest.raises(ValueError):
-            archive.amplification("hdf5", "posix")
-
     def test_op_histogram_counts_metadata_too(self):
         hist = TraceArchive(make_records()).op_histogram()
         assert hist == {
@@ -105,19 +93,13 @@ class TestArchiveQueryEdges:
         assert len(data) == 3
         assert data.bytes_moved() == 14 * KiB
 
-    def test_sorted_by_time_orders_and_breaks_ties_by_rank(self):
-        archive = TraceArchive(make_records()).sorted_by_time()
-        starts = [r.start for r in archive]
-        assert starts == sorted(starts)
-        tied = [r.rank for r in archive if r.start == 0.1]
-        assert tied == sorted(tied)
-
     def test_round_tripped_archive_answers_same_queries(self, tmp_path):
         out = tmp_path / "t.jsonl.gz"
         save_trace(make_records(), out)
         archive = TraceArchive(load_trace(out))
         original = TraceArchive(make_records())
         assert archive.op_histogram() == original.op_histogram()
-        assert archive.amplification("posix", "pfs") == pytest.approx(
-            original.amplification("posix", "pfs"))
+        for layer in ("posix", "pfs"):
+            assert archive.at_layer(layer).bytes_moved() == \
+                original.at_layer(layer).bytes_moved()
         assert archive.duration() == original.duration()

@@ -39,9 +39,7 @@ def run_dlio(epochs=2, read_cache=0):
 class TestMLIOProfiler:
     def test_epochs_and_steps_sliced(self):
         ml, dlio = run_dlio(epochs=2)
-        assert ml.n_epochs() == 2
-        steps = 128 // 8  # n_samples / batch
-        assert ml.steps_in_epoch(0) == steps
+        assert [es.epoch for es in ml.epochs()] == [0, 1]
         per_epoch = dlio.bytes_read_per_epoch
         for es in ml.epochs():
             assert es.bytes_read == per_epoch
@@ -61,7 +59,7 @@ class TestMLIOProfiler:
         ml = MLIOProfiler()
         ml(IORecord("posix", OpKind.WRITE, "/ckpt", 0, MiB, 0, 0.0, 0.1))
         assert ml.untagged_bytes == MiB
-        assert ml.n_epochs() == 0
+        assert ml.epochs() == []
 
     def test_report_format(self):
         ml, _ = run_dlio()
@@ -130,11 +128,6 @@ class TestProfileMiner:
         assert "dlio" in names
         assert "checkpoint" not in names
 
-    def test_metadata_heavy_screen_flags_mdtest(self):
-        miner = make_fleet()
-        names = {p.job_name for p in miner.metadata_heavy_jobs(ops_per_mib=5.0)}
-        assert "mdtest" in names
-
     def test_write_intensive_fraction(self):
         miner = make_fleet()
         # checkpoint+mdtest write-lean vs dlio read-heavy: fraction in (0,1).
@@ -152,8 +145,6 @@ class TestProfileMiner:
 
     def test_aggregate_histogram_and_report(self):
         miner = make_fleet()
-        hist = miner.aggregate_size_histogram("read")
-        assert sum(hist) > 0
         text = miner.report()
         assert "fleet: 3 jobs" in text
         assert "top talkers" in text

@@ -39,10 +39,8 @@ class TestRecorderTracer:
         tracer = run_traced_ior(n_ranks=2)
         posix = tracer.archive.at_layer("posix")
         assert posix.layers() == ["posix"]
-        r0 = posix.for_rank(0)
-        assert r0.ranks() == [0]
-        f = posix.for_path("/ior.data")
-        assert set(r.path for r in f) == {"/ior.data"}
+        assert posix.ranks() == [0, 1]
+        assert set(r.path for r in posix) == {"/ior.data"}
 
     def test_histogram_and_summary(self):
         tracer = run_traced_ior()
@@ -53,13 +51,10 @@ class TestRecorderTracer:
     def test_amplification_collective(self):
         """Collective buffering coalesces: posix bytes == mpiio bytes here."""
         tracer = run_traced_ior(api="mpiio", collective=True)
-        amp = tracer.archive.amplification("mpiio", "posix")
+        archive = tracer.archive
+        amp = (archive.at_layer("posix").bytes_moved()
+               / archive.at_layer("mpiio").bytes_moved())
         assert amp == pytest.approx(1.0, abs=0.01)
-
-    def test_amplification_requires_traffic(self):
-        tracer = RecorderTracer()
-        with pytest.raises(ValueError):
-            tracer.archive.amplification("hdf5", "posix")
 
     def test_duration_and_bytes(self):
         tracer = run_traced_ior()
@@ -75,7 +70,7 @@ class TestDXT:
         dxt = DXTTracer()
         w = IORWorkload(IORConfig(block_size=MiB, transfer_size=256 * KiB), 2)
         run_workload(platform, pfs, w, observers=[dxt])
-        assert dxt.n_segments == 8
+        assert len(dxt.segments()) == 8
         segs = dxt.segments(path="/ior.data", rank=0)
         assert len(segs) == 4
         assert all(s.end > s.start for s in segs)
@@ -104,30 +99,11 @@ class TestDXT:
         shard = dlio.shard_path(0)
         assert dxt_rand.randomness(shard, "read") > 0.7
 
-    def test_offsets_array(self):
-        dxt = DXTTracer()
-        for t, i in enumerate((5, 1, 3)):
-            dxt(IORecord("posix", OpKind.READ, "/f", i * KiB, KiB, 0, float(t), t + 0.1))
-        arr = dxt.offsets_array("/f", "read")
-        assert list(arr) == [5 * KiB, 1 * KiB, 3 * KiB]
-
-    def test_bandwidth_timeline_conserves_bytes(self):
-        dxt = DXTTracer()
-        dxt(IORecord("posix", OpKind.WRITE, "/f", 0, 1000, 0, 0.0, 1.0))
-        dxt(IORecord("posix", OpKind.WRITE, "/f", 1000, 500, 0, 1.0, 1.5))
-        times, bins = dxt.bandwidth_timeline(dt=0.25)
-        assert bins.sum() == pytest.approx(1500)
-
-    def test_empty_timeline(self):
-        dxt = DXTTracer()
-        times, bins = dxt.bandwidth_timeline()
-        assert len(times) == 0 and len(bins) == 0
-
     def test_ignores_metadata_and_other_layers(self):
         dxt = DXTTracer(layer="posix")
         dxt(IORecord("posix", OpKind.OPEN, "/f", 0, 0, 0, 0.0, 0.1))
         dxt(IORecord("mpiio", OpKind.WRITE, "/f", 0, 10, 0, 0.0, 0.1))
-        assert dxt.n_segments == 0
+        assert dxt.segments() == []
 
 
 def test_trace_persistence_roundtrip(tmp_path):

@@ -85,7 +85,8 @@ class TestFaultInjection:
         dev = BlockDevice(env, "d", bandwidth=100.0, seek_time=0.0)
         with pytest.raises(ValueError):
             dev.set_degradation(0.5)
-        assert dev.degradation == 1.0
+        healthy = BlockDevice(env, "h", bandwidth=100.0, seek_time=0.0)
+        assert dev.service_time(0, 100) == healthy.service_time(0, 100)
 
     def test_degraded_device_slower(self):
         env = Environment()

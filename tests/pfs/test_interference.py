@@ -3,7 +3,6 @@
 import pytest
 
 from repro.pfs import SlowdownReport, StripeLayout, ost_overlap
-from repro.pfs.interference import aggregate_bandwidth_loss
 
 
 def test_ost_overlap_disjoint():
@@ -49,10 +48,3 @@ def test_slowdown_summary_format():
     text = r.summary()
     assert "slowdown" in text
     assert "2.00x" in text
-
-
-def test_aggregate_bandwidth_loss():
-    assert aggregate_bandwidth_loss([100, 100], [80, 80]) == pytest.approx(0.2)
-    assert aggregate_bandwidth_loss([100], [120]) == 0.0
-    with pytest.raises(ValueError):
-        aggregate_bandwidth_loss([0], [10])

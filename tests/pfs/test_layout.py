@@ -84,13 +84,6 @@ def test_negative_inputs_rejected():
         lo.ost_of(-1)
 
 
-def test_osts_touched():
-    lo = StripeLayout(100, [1, 2, 3])
-    assert lo.osts_touched(0, 100) == {1}
-    assert lo.osts_touched(0, 300) == {1, 2, 3}
-    assert lo.osts_touched(250, 100) == {3, 1}
-
-
 # -- property-based tests ----------------------------------------------------
 
 layouts = st.builds(

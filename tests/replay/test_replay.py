@@ -61,7 +61,9 @@ class TestReplayer:
         pfs = build_pfs(platform)
         _, replayed = replay(original, platform, pfs, preserve_think_time=True)
         report = verify_fidelity(original, replayed)
-        assert report.faithful(max_duration_error=0.35), report.summary()
+        assert (report.op_count_match and report.op_mix_match
+                and report.bytes_match and report.offsets_match), report.summary()
+        assert report.duration_error <= 0.35, report.summary()
 
     def test_fast_replay_is_faster(self):
         w = CheckpointWorkload(
@@ -99,7 +101,9 @@ class TestFidelityReport:
     def test_perfect_match(self):
         recs = [self.rec(OpKind.WRITE), self.rec(OpKind.READ, offset=KiB)]
         report = verify_fidelity(recs, list(recs))
-        assert report.faithful()
+        assert report.op_count_match and report.op_mix_match
+        assert report.bytes_match and report.offsets_match
+        assert report.duration_error == 0.0
         assert "ok" in report.summary()
 
     def test_detects_missing_ops(self):
@@ -107,7 +111,6 @@ class TestFidelityReport:
         replay = [self.rec(OpKind.WRITE)]
         report = verify_fidelity(orig, replay)
         assert not report.op_count_match
-        assert not report.faithful()
 
     def test_detects_byte_mismatch(self):
         orig = [self.rec(OpKind.WRITE, nbytes=2 * KiB)]
@@ -131,5 +134,3 @@ class TestFidelityReport:
         replay = [self.rec(OpKind.WRITE, start=0.0, end=12.0)]
         report = verify_fidelity(orig, replay)
         assert report.duration_error == pytest.approx(0.2)
-        assert report.faithful(max_duration_error=0.25)
-        assert not report.faithful(max_duration_error=0.1)

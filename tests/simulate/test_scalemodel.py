@@ -71,10 +71,10 @@ def test_scalar_and_cohort_sequential_bit_identical():
     assert b.events < a.events / 10
 
 
-@pytest.mark.parametrize("engine", ["conservative", "partitioned"])
-def test_parallel_engines_bit_identical_to_scalar(engine):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parallel_engines_bit_identical_to_scalar(workers):
     ref = run_scalar(CFG)
-    out = run_scale(CFG, engine=engine, workers=2)
+    out = run_scale(CFG, engine="partitioned", workers=workers)
     assert out.digest == ref.digest
     assert out.duration == ref.duration
     assert out.bytes_written == ref.bytes_written
@@ -82,21 +82,21 @@ def test_parallel_engines_bit_identical_to_scalar(engine):
 
 def test_partitioned_bit_identical():
     ref = run_scalar(CFG)
-    out = run_cohort(CFG, engine="partitioned", workers=2)
+    out = run_cohort(CFG, workers=2)
     assert out.digest == ref.digest
     assert out.stats["partitions"] == 2
     assert out.stats["exchanged"] > 0  # halos really cross partitions
 
 
 def test_partitioned_defaults_to_one_partition_per_island():
-    out = run_cohort(CFG, engine="partitioned")
+    out = run_cohort(CFG)
     assert out.stats["partitions"] == CFG.islands
     assert out.digest == run_scalar(CFG).digest
 
 
 def test_property_random_configs_all_engines_agree():
-    # Satellite: random workloads produce identical results under all three
-    # engines at a fixed seed.
+    # Random workloads produce identical results under every engine and
+    # under one and two partitions at a fixed seed.
     rng = random.Random(0)
     for _ in range(5):
         cfg = ScaleConfig(
@@ -110,8 +110,10 @@ def test_property_random_configs_all_engines_agree():
         if cfg.islands > cfg.ranks:
             continue
         digests = {
-            engine: run_scale(cfg, engine=engine, workers=2).digest
+            (engine, workers): run_scale(cfg, engine=engine,
+                                         workers=workers).digest
             for engine in ENGINES
+            for workers in (1, 2)
         }
         assert len(set(digests.values())) == 1, (cfg, digests)
 
@@ -129,13 +131,12 @@ def test_bytes_written_is_exact_integer():
 
 
 def test_halos_cross_islands():
-    out = run_cohort(CFG, engine="conservative")
+    out = run_cohort(CFG, workers=1)
     # Every island's digest input includes its neighbour's round ends;
     # corrupting the neighbour changes the digest (cheap sanity proxy:
     # a different seed changes everything).
     other = run_cohort(
-        ScaleConfig(ranks=96, islands=4, rounds=3, seed=12),
-        engine="conservative",
+        ScaleConfig(ranks=96, islands=4, rounds=3, seed=12), workers=1
     )
     assert out.digest != other.digest
 
@@ -148,8 +149,10 @@ def test_single_island_self_halo():
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError, match="unknown engine"):
         run_scale(CFG, engine="optimistic")
+    # One partition is ``partitioned`` with ``workers=1``; there is no
+    # separate ``conservative`` engine name.
     with pytest.raises(ValueError, match="unknown engine"):
-        run_cohort(CFG, engine="sequential")
+        run_scale(CFG, engine="conservative")
 
 
 def test_result_to_dict_roundtrips():

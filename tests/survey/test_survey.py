@@ -18,8 +18,7 @@ from repro.survey import (
     fig4_cycle,
     taxonomy_coverage,
 )
-from repro.survey.analysis import uncovered_leaves
-from repro.survey.corpus import Article, article_by_key
+from repro.survey.corpus import Article
 
 
 class TestCorpus:
@@ -44,13 +43,6 @@ class TestCorpus:
 
     def test_every_article_categorised(self):
         assert all(a.categories for a in CORPUS)
-
-    def test_lookup_by_key(self):
-        art = article_by_key("patel2019revisiting")
-        assert art.first_author == "Patel"
-        assert art.year == 2019
-        with pytest.raises(KeyError):
-            article_by_key("nope")
 
     def test_categories_resolve_in_taxonomy(self):
         # taxonomy_coverage raises on stale tags.
@@ -102,13 +94,6 @@ class TestDistributions:
             v for k, v in coverage.items() if k.startswith("monitoring.")
         )
         assert emerging < traditional
-
-    def test_uncovered_leaves_reported(self):
-        # Leaves with no surveyed article (research gaps) are detectable.
-        gaps = uncovered_leaves()
-        assert isinstance(gaps, list)
-        # Application-code-as-workload has no dedicated article in our corpus.
-        assert "workloads.application" in gaps
 
 
 class TestFigures:

@@ -112,3 +112,15 @@ class TestLogLevelFlag:
             )
         assert code == 0
         assert any(r.name.startswith("repro.") for r in caplog.records)
+
+
+def test_sparkline_of_a_short_series_covers_every_value():
+    # Fewer values than columns: one column per value, so a late peak
+    # shows at the right edge instead of being sampled away.
+    from repro.cli.telemetry import _sparkline
+
+    assert _sparkline([0, 0, 0, 0, 0, 0, 0, 0, 9]) == "        @"
+    assert _sparkline([1.0] * 3) == "   "
+    ramp = _sparkline(list(range(100)), width=32)
+    assert len(ramp) == 32
+    assert list(ramp) == sorted(ramp, key=" .:-=+*#%@".index)

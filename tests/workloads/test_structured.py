@@ -97,7 +97,6 @@ class TestWorkflow:
         # 4 project + 3 difffit + concat + bgmodel + 4 background + add
         assert wf.n_tasks == 4 + 3 + 1 + 1 + 4 + 1
         assert wf.critical_path_length == 6
-        assert wf.metadata_op_estimate() > wf.n_tasks
 
     def test_montage_runs_end_to_end(self):
         platform, pfs = make_system()

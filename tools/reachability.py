@@ -5,8 +5,8 @@ Usage::
 
     python tools/reachability.py [--out DIR]
 
-The dynamic half runs the entry points CI runs -- the CLI smokes,
-``experiment all``, every scenario preset except ``scale-100k``, every
+The dynamic half runs the entry points CI runs -- the CLI smokes (with a
+traced scenario whose stored telemetry is read back), ``experiment all``, every scenario preset except ``scale-100k``, every
 example, sweep/watch/store/grammar, the run service with a cancelled
 queued job, a ping, chaos-kill, a ``kill -9`` restart and a drain, the
 perfbench smokes (one with ``--trace 1``) and the legacy scale and
@@ -24,7 +24,9 @@ patches by name) in ``src/``, ``examples/``, ``perfbench/`` and
 ``benchmarks/`` and, separately, in ``tests/``.
 
 Writes ``DIR/reachability.json`` and ``DIR/reachability.md`` (default
-``DIR`` is ``.reachability/`` in the checkout).  This is a report, not a
+``DIR`` is ``.reachability/`` in the checkout).  The report lists every
+unreached function and, separately, those named only by tests (no
+reference outside ``tests/``).  This is a report, not a
 gate: nothing fails when a function is unreached.
 """
 
@@ -160,11 +162,19 @@ def cli_smokes(s: Session) -> None:
     s.run("repro-io", "taxonomy", "--modules")
     s.run("repro-io", "figures")
     s.run("repro-io", "scenario", "run", "scale-tiny", "--engine", "sequential")
-    s.run("repro-io", "scenario", "run", "scale-tiny", "--engine", "conservative")
+    s.run("repro-io", "scenario", "run", "scale-tiny", "--engine",
+          "partitioned", "--engine-workers", "1")
     s.run("repro-io", "scenario", "run", "scale-tiny", "--engine",
           "partitioned", "--engine-workers", "4", "--metrics-json",
           "metrics.json", "--no-store")
     s.run("repro-io", "telemetry", "metrics.json")
+    # A traced scenario lands its telemetry in the store; both read back.
+    out = s.run("repro-io", "scenario", "run", "tiny", "--trace",
+                "scenario-trace.json", "--series").stdout
+    s.run("repro-io", "telemetry", "scenario-trace.json")
+    digest = [line.split()[-1] for line in out.splitlines()
+              if line.startswith("scenario digest:")]
+    s.run("repro-io", "telemetry", f"telemetry/{(digest or ['?'])[0]}-series")
 
 
 def experiments(s: Session) -> None:
@@ -192,7 +202,7 @@ def examples(s: Session) -> None:
 def sweep_store_grammar(s: Session) -> None:
     s.run("repro-io", "scenario", "sweep", "tiny", "n_oss=2,4",
           "stripe_count=1,4", "--jobs", "2", "--cache-dir", "sweep/cache")
-    s.run("repro-io", "watch", "sweep", "--once")
+    s.run("repro-io", "watch", "sweep", "--interval", "0.5", "--once")
     s.run("repro-io", "telemetry", "sweep/sweep-manifest.json")
     listing = s.run("repro-io", "store", "ls").stdout
     runs = [line.split()[0] for line in listing.splitlines()
@@ -418,6 +428,7 @@ def analyse(root: Path, records: Path, package: str = "repro") -> dict:
         fn["refs"] = callers[fn["name"]]
         fn["test_refs"] = tests[fn["name"]]
     unreached = [fn for fn in functions if not fn["reached"]]
+    test_only = [fn for fn in unreached if not fn["refs"] and fn["test_refs"]]
     modules: Dict[str, bool] = {}
     for fn in functions:
         modules[fn["module"]] = modules.get(fn["module"], False) or fn["reached"]
@@ -427,6 +438,8 @@ def analyse(root: Path, records: Path, package: str = "repro") -> dict:
         "unreached_lines": sum(fn["lines"] for fn in unreached),
         "unreached_modules": sorted(m for m, hit in modules.items() if not hit),
         "unreached": unreached,
+        "test_only": test_only,
+        "test_only_lines": sum(fn["lines"] for fn in test_only),
     }
 
 
@@ -447,16 +460,29 @@ def markdown(report: dict) -> str:
     ]
     for failure in report.get("failures", []):
         lines.append(f"- entry point failed: `{failure}`")
+    lines += ["", "## Unreached functions", ""]
+    lines += _table(report["unreached"])
+    lines += ["", f"## Named only by tests: {len(report['test_only'])} "
+              f"functions, {report['test_only_lines']} lines", "",
+              "Unreached, with no reference outside tests (`refs` 0, "
+              "`test refs` > 0): each needs a caller or goes with its "
+              "tests.", ""]
+    lines += _table(report["test_only"])
+    return "\n".join(lines) + "\n"
+
+
+def _table(functions: Sequence[dict]) -> List[str]:
+    """One markdown row per function, grouped by module."""
     by_module: Dict[str, list] = defaultdict(list)
-    for fn in report["unreached"]:
+    for fn in functions:
         by_module[fn["module"]].append(fn)
-    lines += ["", "| module | function | line | lines | refs | test refs |",
-              "|---|---|---:|---:|---:|---:|"]
+    lines = ["| module | function | line | lines | refs | test refs |",
+             "|---|---|---:|---:|---:|---:|"]
     for module in sorted(by_module):
         for fn in by_module[module]:
             lines.append(f"| {module} | `{fn['qualname']}` | {fn['line']} | "
                          f"{fn['lines']} | {fn['refs']} | {fn['test_refs']} |")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 # -- main ------------------------------------------------------------------------
@@ -481,7 +507,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report["failures"] = session.failures
     (args.out / "reachability.json").write_text(json.dumps(report, indent=1))
     (args.out / "reachability.md").write_text(markdown(report))
-    print(f"reached {report['reached']} of {report['functions']} functions; "
+    print(f"reached {report['reached']} of {report['functions']} functions "
+          f"({report['unreached_lines']} unreached lines; "
+          f"{len(report['test_only'])} functions, "
+          f"{report['test_only_lines']} lines named only by tests); "
           f"report in {args.out / 'reachability.md'}")
     for failure in session.failures:
         print(f"entry point failed: {failure}", file=sys.stderr)
