@@ -2,8 +2,8 @@
 """Benchmark regression gate: kernel microbenchmarks and the scale tier.
 
 ``--tier kernel`` (the default) times the simulation-substrate
-microbenchmarks (the same workloads as ``benchmarks/test_bench_kernel.py``,
-without the pytest-benchmark dependency), writes per-benchmark median
+microbenchmarks (event loop, fair-share link, PFS write path, trace
+compressor), writes per-benchmark median
 seconds to ``BENCH_PR1.json``, and exits nonzero when any benchmark
 regressed more than ``--tolerance`` (default 25%) against the committed
 reference in ``benchmarks/BENCH_BASELINE.json``.
@@ -81,7 +81,7 @@ MiB = 1024 * 1024
 KiB = 1024
 
 
-# -- benchmark workloads (mirror benchmarks/test_bench_kernel.py) ------------
+# -- benchmark workloads ------------------------------------------------------
 
 def bench_event_loop_throughput(scale: float = 1.0) -> None:
     from repro.des import Environment

@@ -96,9 +96,8 @@ def parse_grid(items) -> dict:
 # -- fan-out: experiment and scenario sweep ----------------------------------
 
 def add_fanout_flags(p, unit: str) -> None:
-    """Seed, process fan-out, record cache and manifest flags; ``unit``
-    names what is fanned out (``task`` or ``point``)."""
-    p.add_argument("--seed", type=int, default=0)
+    """Process fan-out, record cache and manifest flags; ``unit`` names
+    what is fanned out (``task`` or ``point``)."""
     p.add_argument("--jobs", type=positive_int, default=1,
                    help=f"worker processes for the {unit} fan-out (default 1)")
     p.add_argument("--no-cache", action="store_true",
@@ -250,23 +249,14 @@ def task_counts(stats: dict) -> str:
             f"{stats.get('requeued', 0)} requeued")
 
 
-def durability_lines(journal: Optional[dict], scrub: dict,
-                     replayed: int) -> list:
-    """The write-ahead journal and store scrub lines of a service report;
-    a part that never ran is left out."""
-    lines = []
-    if journal:
-        lines.append(
-            f"  journal: {journal.get('records', 0)} record(s), "
-            f"{journal.get('fsync_batches', 0)} fsync batch(es), "
-            f"{journal.get('compactions', 0)} compaction(s); "
-            f"{replayed} computation(s) replayed at boot"
-        )
-    if scrub.get("runs"):
-        lines.append(
-            f"  scrub: {scrub['runs']} pass(es), "
-            f"{scrub.get('scanned', 0)} object(s) scanned, "
-            f"{scrub.get('healed', 0)} healed, "
-            f"{scrub.get('quarantined', 0)} quarantined"
-        )
-    return lines
+def durability_lines(journal: Optional[dict], replayed: int) -> list:
+    """The write-ahead journal line of a service report; none when the
+    journal never ran."""
+    if not journal:
+        return []
+    return [
+        f"  journal: {journal.get('records', 0)} record(s), "
+        f"{journal.get('fsync_batches', 0)} fsync batch(es), "
+        f"{journal.get('compactions', 0)} compaction(s); "
+        f"{replayed} computation(s) replayed at boot"
+    ]

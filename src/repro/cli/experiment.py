@@ -9,14 +9,16 @@ from repro.cli import common
 
 
 def register(sub) -> None:
-    p = sub.add_parser("experiment", help="run reproduction experiments")
+    # No prefix matching: ``--seed`` is a usage error, not ``--seeds``.
+    p = sub.add_parser("experiment", help="run reproduction experiments",
+                       allow_abbrev=False)
     p.add_argument(
         "id", help="experiment id (E1-E4, C1-C10, A1-A5, R1-R3) or 'all'"
     )
     common.add_fanout_flags(p, "task")
     p.add_argument(
-        "--seeds", type=_seed_list,
-        help="comma-separated seed list (e.g. 0,1,2); overrides --seed",
+        "--seeds", type=_seed_list, default="0",
+        help="comma-separated seed list (e.g. 0,1,2; default 0)",
     )
     p.add_argument("--json", help="write results JSON to this path")
     common.add_telemetry_flags(p)
@@ -50,7 +52,7 @@ def _cmd_experiment(args) -> int:
     if unknown:
         raise common.CommandError(f"unknown experiment id(s): {unknown}; "
                                   f"have {sorted(ALL_EXPERIMENTS)}")
-    seeds = args.seeds or [args.seed]
+    seeds = args.seeds
     span = telemetry.span(
         "repro-io experiment", cat="cli",
         ids=len(ids), seeds=len(seeds), jobs=args.jobs,

@@ -55,6 +55,7 @@ def register(sub) -> None:
         "workloads.0.params.transfer_size) or bare names (n_oss, "
         "stripe_count) resolved layer by layer",
     )
+    sp.add_argument("--seed", type=int, default=0)
     common.add_fanout_flags(sp, "point")
     sp.add_argument("--json", help="write all point outcomes JSON here")
     sp.set_defaults(fn=_scenario_errors(_cmd_sweep))

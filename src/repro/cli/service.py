@@ -25,24 +25,12 @@ def register(sub) -> None:
                    "rejections (default 256)")
     p.add_argument("--tenant-quota", type=int, default=64,
                    help="max outstanding computations per tenant (default 64)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="do not serve warm results from (or land refs in) "
-                   "the store")
     p.add_argument("--enable-chaos", action="store_true",
                    help="allow the chaos-kill op (testing: kills a pool "
                    "worker mid-job)")
-    p.add_argument("--journal", dest="journal", action="store_true",
-                   default=True, help="write-ahead job journal for crash "
-                   "recovery (default on)")
-    p.add_argument("--no-journal", dest="journal", action="store_false",
-                   help="disable the write-ahead journal (jobs in flight "
-                   "at a crash are lost)")
     p.add_argument("--fsync-interval", type=float, default=0.05,
                    help="journal group-commit window in seconds "
                    "(default 0.05)")
-    p.add_argument("--scrub-interval", type=float, default=0.0,
-                   help="seconds between background store scrub passes "
-                   "(default 0 = disabled)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(
@@ -136,11 +124,8 @@ def _cmd_serve(args) -> int:
         workers=args.workers,
         queue_limit=args.queue_limit,
         tenant_quota=args.tenant_quota,
-        use_cache=not args.no_cache,
         enable_chaos=args.enable_chaos,
-        journal=args.journal,
         fsync_interval=args.fsync_interval,
-        scrub_interval=args.scrub_interval,
     )
     service = RunService(config)
 
@@ -151,13 +136,9 @@ def _cmd_serve(args) -> int:
         print(f"  store     {service.store.root}")
         print(f"  ledger    {service.ledger_path}")
         print(f"  discovery {service.discovery_path}")
-        if config.journal:
-            replayed = service.stats.get("replayed", 0)
-            print(f"  journal   {config.resolved_journal_dir()}"
-                  + (f" ({replayed} computation(s) replayed)"
-                     if replayed else ""))
-        if config.scrub_interval > 0:
-            print(f"  scrub     every {config.scrub_interval:.0f}s")
+        replayed = service.stats.get("replayed", 0)
+        print(f"  journal   {config.resolved_journal_dir()}"
+              + (f" ({replayed} computation(s) replayed)" if replayed else ""))
         print(f"monitor with `repro-io watch {service.ledger_path.parent}`; "
               f"stop with Ctrl-C or `repro-io jobs shutdown`")
         try:
@@ -334,7 +315,6 @@ def _jobs_stats(args) -> int:
           f"inflight digests {doc.get('inflight', 0)}"
           + (" [draining]" if doc.get("draining") else ""))
     for line in common.durability_lines(doc.get("journal"),
-                                        doc.get("scrub", {}),
                                         stats.get("replayed", 0)):
         print(line)
     tenants = doc.get("tenants", {})

@@ -192,8 +192,8 @@ def _partition_lines(metrics: dict) -> list:
 
 def _durability_lines(metrics: dict) -> list:
     """The crash-recovery digest of a metrics document (journal
-    write-ahead activity, boot replays, store scrub outcomes) -- no lines
-    when neither the journal nor the scrubber ran."""
+    write-ahead activity, boot replays) -- no lines when the journal
+    never ran."""
 
     def value(name):
         return metrics.get(name, {}).get("value", 0)
@@ -201,11 +201,8 @@ def _durability_lines(metrics: dict) -> list:
     journal = {k: value(f"service.journal.{k}")
                for k in ("records", "fsync_batches", "compactions")}
     replayed = value("service.journal.replayed")
-    scrub = {k: value(f"store.scrub.{k}")
-             for k in ("scanned", "healed", "quarantined")}
-    scrub["runs"] = value("store.scrub.passes")
     lines = common.durability_lines(
-        journal if journal["records"] or replayed else None, scrub, replayed)
+        journal if journal["records"] or replayed else None, replayed)
     return ["durability:"] + lines if lines else []
 
 
@@ -368,7 +365,6 @@ def _render_service_ledger(doc) -> str:
             f"backpressure, {stats.get('rejected_quota', 0)} quota)"
         )
     lines += common.durability_lines(doc.get("journal"),
-                                     doc.get("scrub", {}),
                                      stats.get("replayed", 0))
     tenants = doc.get("tenants", {})
     if tenants:

@@ -33,7 +33,7 @@ Request lifecycle::
 * **Worker death** -- ``BrokenProcessPool`` never fails a job outright:
   the pool is rebuilt (once per generation, whoever notices first) and
   the computation is re-queued with its waiters intact, up to
-  ``crash_retries`` times.  Failures -- crash or in-task exception --
+  :data:`CRASH_RETRIES` times.  Failures -- crash or in-task exception --
   are **never cached**; ``store verify`` stays clean because nothing
   partial is ever put.
 
@@ -46,7 +46,6 @@ nothing (pure store reads).  A debounced job ledger
 from __future__ import annotations
 
 import asyncio
-import functools
 import itertools
 import json
 import logging
@@ -81,7 +80,6 @@ from repro.service.journal import JOURNAL_DIR_NAME, JobJournal
 from repro.service.scheduler import FairShareQueue
 from repro.service.state import ServiceState
 from repro.store import RunArtifact, RunStore, StoreError
-from repro.store.scrub import scrub_store
 from repro.store.store import DEFAULT_STORE_DIR
 from repro.telemetry import TELEMETRY
 from repro.telemetry.collect import init_worker, merge_snapshot, worker_init_args
@@ -103,6 +101,9 @@ LEDGER_INTERVAL = 0.5
 
 #: Maximum protocol line length (sweep submissions carry full specs).
 _STREAM_LIMIT = 16 * 1024 * 1024
+
+#: Re-queues per computation after a worker-process death.
+CRASH_RETRIES = 2
 
 
 def _run_computation_task(scenario_json: str):
@@ -143,7 +144,13 @@ def _service_worker_init(parent_pid, watch_interval, *telemetry_args):
 
 @dataclass
 class ServiceConfig:
-    """Tunables of one :class:`RunService` instance."""
+    """Tunables of one :class:`RunService` instance.
+
+    A service always keeps its write-ahead journal under
+    ``<state_dir>/service-journal``, always lands computed results in
+    the store (``sweep/`` refs and run documents) and answers repeats
+    from it; store integrity is checked by ``repro-io store scrub``.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral, resolved at start
@@ -155,25 +162,15 @@ class ServiceConfig:
     queue_limit: int = 256
     #: Per-tenant cap on outstanding (queued + running + waited-on) tasks.
     tenant_quota: int = 64
-    #: Re-queues per computation after a worker-process death.
-    crash_retries: int = 2
-    #: Serve/populate the store-backed cache (warm hits, sweep refs).
-    use_cache: bool = True
     #: Job ledger + discovery file directory (default: store parent).
     state_dir: Optional[Path] = None
     #: Allow the ``chaos-kill`` op (tests, CI smoke).
     enable_chaos: bool = False
     #: Precomputed source digest (recomputed at start when ``None``).
     source_digest: Optional[str] = None
-    #: Write-ahead job journal (crash recovery); replayed at startup.
-    journal: bool = True
-    #: Journal directory (default: ``<state_dir>/service-journal``).
-    journal_dir: Optional[Path] = None
     #: Group-commit window: max seconds an appended record waits for
     #: its fsync batch.
     fsync_interval: float = 0.05
-    #: Seconds between background store-scrub passes (0 disables).
-    scrub_interval: float = 0.0
 
     def resolved_state_dir(self) -> Path:
         return Path(
@@ -182,10 +179,7 @@ class ServiceConfig:
         )
 
     def resolved_journal_dir(self) -> Path:
-        return Path(
-            self.journal_dir if self.journal_dir is not None
-            else self.resolved_state_dir() / JOURNAL_DIR_NAME
-        )
+        return self.resolved_state_dir() / JOURNAL_DIR_NAME
 
 
 class RunService:
@@ -211,9 +205,6 @@ class RunService:
         self._journal: Optional[JobJournal] = None
         #: The journal's counters as they stood when :meth:`stop` closed it.
         self._journal_final_stats: Optional[Dict[str, int]] = None
-        self.scrub_stats: Dict[str, int] = {
-            "runs": 0, "scanned": 0, "healed": 0, "quarantined": 0,
-        }
         self._stopped = asyncio.Event()
         self._wake = asyncio.Event()
         self._tasks: set = set()
@@ -247,23 +238,22 @@ class RunService:
     async def start(self) -> Tuple[str, int]:
         """Bind, start the dispatcher/ledger tasks, write discovery.
 
-        With the journal enabled, replay happens *before* the socket is
-        bound: recovered jobs are re-queued (waiter lists intact) and
-        the journal is compacted to the live snapshot, so a client
-        connecting right after boot already sees the recovered state.
+        Journal replay happens *before* the socket is bound: recovered
+        jobs are re-queued (waiter lists intact) and the journal is
+        compacted to the live snapshot, so a client connecting right
+        after boot already sees the recovered state.
         """
         if self._source_digest is None:
             self._source_digest = await asyncio.get_running_loop()\
                 .run_in_executor(None, source_digest)
-        if self.config.journal:
-            journal_dir = self.config.resolved_journal_dir()
-            self._state = JobJournal.replay(journal_dir)
-            self._journal = JobJournal(
-                journal_dir, fsync_interval=self.config.fsync_interval
-            )
-            self._journal.open()
-            self._boot()
-            self._journal.compact(self._state.snapshot())
+        journal_dir = self.config.resolved_journal_dir()
+        self._state = JobJournal.replay(journal_dir)
+        self._journal = JobJournal(
+            journal_dir, fsync_interval=self.config.fsync_interval
+        )
+        self._journal.open()
+        self._boot()
+        self._journal.compact(self._state.snapshot())
         self._new_pool()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,
@@ -273,13 +263,9 @@ class RunService:
         self.host, self.port = sock[0], sock[1]
         self._spawn(self._dispatch_loop(), name="dispatch")
         self._spawn(self._ledger_loop(), name="ledger")
-        if self._journal is not None:
-            self._spawn(
-                self._journal.run_flusher(self._state.snapshot),
-                name="journal",
-            )
-        if self.config.scrub_interval > 0:
-            self._spawn(self._scrub_loop(), name="scrub")
+        self._spawn(
+            self._journal.run_flusher(self._state.snapshot), name="journal",
+        )
         atomic_write_json(
             {
                 "schema": DISCOVERY_SCHEMA,
@@ -453,7 +439,7 @@ class RunService:
             comp.attempts += 1
             if self._stopping:
                 self._resolve(comp, "cancelled", error="service shutting down")
-            elif comp.attempts <= self.config.crash_retries:
+            elif comp.attempts <= CRASH_RETRIES:
                 # Re-queue with waiters intact: a transient kill must not
                 # fail N tenants' jobs.  Nothing was cached (the worker
                 # died before any put), so the retry recomputes cleanly.
@@ -463,7 +449,7 @@ class RunService:
                 log.warning(
                     "computation %s lost its worker (attempt %d/%d); "
                     "re-queueing with %d waiter(s)",
-                    comp.name, comp.attempts, self.config.crash_retries,
+                    comp.name, comp.attempts, CRASH_RETRIES,
                     len(comp.jobs),
                 )
                 self._queue.push(comp.jobs[0].tenant, comp)
@@ -485,11 +471,8 @@ class RunService:
             outcome, seconds, snap = value
             merge_snapshot(snap)
             artifact = RunArtifact.from_sweep_point(outcome)
-            if self.config.use_cache:
-                name, meta = point_ref(comp.digest, self._source_digest)
-                digest = store_ref_artifact(self.store, name, artifact, meta)
-            else:
-                digest = artifact.digest()
+            name, meta = point_ref(comp.digest, self._source_digest)
+            digest = store_ref_artifact(self.store, name, artifact, meta)
             self._resolve(comp, "done", seconds=seconds, artifact=digest)
         finally:
             self._running_count -= 1
@@ -519,9 +502,8 @@ class RunService:
 
     def _finish_job(self, job: Job) -> None:
         """Land a finished job's run document (fresh-compute jobs only)."""
-        if not self.config.use_cache or not any(
-            c.state == "done" and not c.cached for c in job.computations
-        ):
+        if not any(c.state == "done" and not c.cached
+                   for c in job.computations):
             return
         try:
             doc = job.document()
@@ -603,7 +585,7 @@ class RunService:
         inflight = self._state.inflight
         hits: Dict[str, str] = {}  # digest -> artifact digest
         for digest in dict.fromkeys(d for _n, d, _p in points):
-            if digest not in inflight and self.config.use_cache:
+            if digest not in inflight:
                 hit = self._warm_lookup(digest)
                 if hit is not None:
                     hits[digest] = hit
@@ -643,10 +625,10 @@ class RunService:
 
         A hit is a ``sweep/`` ref keyed on this source digest whose object
         is present; the artifact is neither read nor re-hashed.  Object
-        integrity is the store scrub's job (``serve --scrub-interval``,
-        ``repro-io store scrub``): it quarantines a corrupt object, so the
-        next submission of that scenario misses and recomputes it, and
-        ``store verify`` reports one.  An unreadable ref is a logged miss.
+        integrity is ``repro-io store scrub``'s job: it quarantines a
+        corrupt object, so the next submission of that scenario misses and
+        recomputes it, and ``store verify`` reports one.  An unreadable
+        ref is a logged miss.
         """
         name = point_ref_name(digest, self._source_digest)
         try:
@@ -674,7 +656,7 @@ class RunService:
                 self._resolve(comp, "failed",
                               error="journal replay: scenario payload missing")
                 continue
-            hit = self._warm_lookup(comp.digest) if self.config.use_cache else None
+            hit = self._warm_lookup(comp.digest)
             if hit is not None:
                 self._resolve(comp, "done", artifact=hit, cached=True)
             else:
@@ -688,33 +670,6 @@ class RunService:
             self.stats["replayed_jobs"], requeued, self._state.records,
             self._state.corrupt_lines,
         )
-
-    # -- store scrubbing -----------------------------------------------------
-
-    async def _scrub_loop(self) -> None:
-        """Periodic store scrub: verify digests, heal, quarantine."""
-        loop = asyncio.get_running_loop()
-        while not self._stopping:
-            await asyncio.sleep(self.config.scrub_interval)
-            if self._stopping:
-                return
-            try:
-                report = await loop.run_in_executor(
-                    None, functools.partial(scrub_store, self.store)
-                )
-            except Exception:  # pragma: no cover - scrub must not kill us
-                log.exception("store scrub pass failed")
-                continue
-            self.scrub_stats["runs"] += 1
-            for key in ("scanned", "healed", "quarantined"):
-                self.scrub_stats[key] += report.get(key, 0)
-            if report.get("healed") or report.get("quarantined"):
-                log.warning(
-                    "store scrub: %d healed, %d quarantined of %d object(s)",
-                    report.get("healed", 0), report.get("quarantined", 0),
-                    report.get("scanned", 0),
-                )
-            self._ledger_dirty = True
 
     # -- protocol ------------------------------------------------------------
 
@@ -930,7 +885,7 @@ class RunService:
     # -- ledger --------------------------------------------------------------
 
     def _counters(self) -> Dict[str, Any]:
-        """Queue state and the stats/journal/scrub counters, as both the
+        """Queue state and the stats/journal counters, as both the
         ``stats`` op and the job ledger report them."""
         return {
             "queue": len(self._queue),
@@ -942,7 +897,6 @@ class RunService:
                 if self._journal is not None
                 else self._journal_final_stats
             ),
-            "scrub": dict(self.scrub_stats),
         }
 
     def _ledger_extra(self) -> Dict[str, Any]:

@@ -1,4 +1,4 @@
-"""Background store scrubbing: verify, heal, quarantine.
+"""Store scrubbing: verify, heal, quarantine.
 
 ``RunStore.verify`` *reports* corruption; this module acts on it, the
 way a RAID scrubber or a parallel file system's patrol read does.  Every
@@ -22,10 +22,9 @@ reported but left in place: the next ``put`` under that digest makes
 them valid again, and cache reads already treat a missing target as a
 miss rather than an error.
 
-Runs either from the CLI (``repro-io store scrub``) or periodically
-inside the run service (``serve --scrub-interval``); both paths emit
-``store.scrub.*`` telemetry counters so silent corruption shows up in
-``repro-io telemetry`` summaries instead of in a post-mortem.
+Runs from the CLI (``repro-io store scrub``), which prints the report
+and can write it as JSON (``--json``); the run service does not scrub
+on its own.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from typing import Any, Dict
 from repro.ioutil import atomic_write_bytes, sha256_hex
 from repro.store.artifact import ArtifactError, RunArtifact
 from repro.store.store import RunStore
-from repro.telemetry import TELEMETRY
 
 log = logging.getLogger(__name__)
 
@@ -128,14 +126,4 @@ def scrub_store(
     for name, entry in store.refs():
         if not store.has(entry["digest"]):
             report["dangling_refs"].append(name)
-    if TELEMETRY.active:
-        metrics = TELEMETRY.metrics
-        metrics.counter("store.scrub.passes").inc()
-        metrics.counter("store.scrub.scanned").inc(report["scanned"])
-        if report["healed"]:
-            metrics.counter("store.scrub.healed").inc(report["healed"])
-        if report["quarantined"]:
-            metrics.counter("store.scrub.quarantined").inc(
-                report["quarantined"]
-            )
     return report

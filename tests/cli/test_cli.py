@@ -185,11 +185,34 @@ def test_out_of_range_counts_are_usage_errors(argv, capsys):
 
 
 def test_zero_stays_valid_where_it_means_something():
-    args = build_parser().parse_args(
-        ["serve", "--port", "0", "--scrub-interval", "0"])
-    assert (args.port, args.scrub_interval) == (0, 0.0)
+    assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
     assert build_parser().parse_args(["watch", "--timeout", "0"]).timeout == 0
-    assert build_parser().parse_args(["experiment", "E3", "--seed", "0"]).seed == 0
+    assert build_parser().parse_args(["experiment", "E3", "--seeds", "0"]).seeds == [0]
+
+
+def test_experiment_seeds_default_to_zero():
+    assert build_parser().parse_args(["experiment", "E3"]).seeds == [0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--journal"],
+        ["serve", "--no-journal"],
+        ["serve", "--no-cache"],
+        ["serve", "--scrub-interval", "5"],
+        ["experiment", "E3", "--seed", "0"],
+    ],
+    ids=" ".join,
+)
+def test_removed_options_are_usage_errors(argv, capsys):
+    """The service runs in one configuration (always journaled, always
+    landing results, scrubbed only by `store scrub`) and `experiment`
+    takes its seeds from --seeds alone."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_repeated_seed_is_a_usage_error(capsys):

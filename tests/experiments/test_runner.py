@@ -50,6 +50,7 @@ def test_parallel_matches_sequential_byte_identical(parallel_all, sequential_all
     par = [(r.experiment_id, r.seed, r.payload) for r in parallel]
     seq = [(r.experiment_id, r.seed, r.payload) for r in sequential_all]
     assert par == seq
+    assert not any(r.cached for r in sequential_all)
 
 
 def test_all_experiments_supported_across_seeds(sequential_all):

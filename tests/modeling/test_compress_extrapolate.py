@@ -45,6 +45,18 @@ class TestCompression:
         assert ct.compressed_size <= 4
         assert ct.ratio > 10
 
+    def test_long_repetitive_stream_compresses_over_100x(self):
+        # 50 iterations of (compute, 100 sequential writes, barrier).
+        ops = []
+        for _step in range(50):
+            ops.append(IOOp(OpKind.COMPUTE, duration=1.0))
+            for i in range(100):
+                ops.append(IOOp(OpKind.WRITE, "/f", offset=i * KiB, nbytes=KiB))
+            ops.append(IOOp(OpKind.BARRIER))
+        ct = compress_ops(ops)
+        assert decompress(ct) == ops
+        assert ct.ratio > 100
+
     def test_random_offsets_do_not_collapse(self):
         offsets = [7, 3, 11, 1, 9, 4]
         ops = [IOOp(OpKind.READ, "/f", offset=o * KiB, nbytes=KiB) for o in offsets]

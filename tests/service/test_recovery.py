@@ -150,26 +150,6 @@ def test_clean_shutdown_skips_replay(tmp_path, monkeypatch):
     asyncio.run(second_life())
 
 
-def test_journal_disabled_means_no_journal_dir(tmp_path, monkeypatch):
-    monkeypatch.setattr(server_mod, "_run_computation_task", _fake_point_task)
-
-    async def main():
-        service = RunService(_config(tmp_path, journal=False))
-        await service.start()
-        client = await ServiceClient.connect(service.host, service.port)
-        try:
-            doc = await client.submit("tiny", tenant="a")
-            assert doc["ok"]
-            stats = await client.stats()
-            assert stats["journal"] is None
-        finally:
-            await client.close()
-            await service.stop()
-
-    asyncio.run(main())
-    assert not _config(tmp_path).resolved_journal_dir().exists()
-
-
 def test_warm_only_jobs_are_never_journaled(tmp_path, monkeypatch):
     """The warm storm must stay fsync-free: a submission answered
     entirely from the store appends nothing to the journal."""

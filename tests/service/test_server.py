@@ -419,6 +419,32 @@ def test_drain_shutdown_finishes_running_work_then_closes_cleanly(
     assert state.live_jobs() == []
 
 
+def test_bare_config_journals_and_reports_no_scrub_block(tmp_path):
+    """One configuration: a service built from nothing but a store dir
+    keeps its write-ahead journal, and neither the stats op nor the
+    ledger carries a scrub block (scrubbing is `store scrub`'s job)."""
+    config = ServiceConfig(store_dir=tmp_path / "store")
+
+    async def main():
+        service = RunService(config)
+        await service.start()
+        client = await ServiceClient.connect(service.host, service.port)
+        try:
+            stats = await client.stats()
+            ledger = json.loads(service.ledger_path.read_text())
+        finally:
+            await client.close()
+            await service.stop()
+        return stats, ledger
+
+    stats, ledger = asyncio.run(main())
+    for doc in (stats, ledger):
+        assert set(doc["journal"]) >= {"records", "fsync_batches",
+                                       "compactions"}
+        assert "scrub" not in doc
+    assert config.resolved_journal_dir().is_dir()
+
+
 def test_chaos_kill_is_gated_by_config(tmp_path):
     async def main():
         async with _service(tmp_path) as (_service_obj, client):
