@@ -3,10 +3,14 @@
 
 ``--tier kernel`` (the default) times the simulation-substrate
 microbenchmarks (event loop, fair-share link, PFS write path, trace
-compressor), writes per-benchmark median
+compressor, one ``tiny`` scenario run), writes per-benchmark median
 seconds to ``BENCH_PR1.json``, and exits nonzero when any benchmark
 regressed more than ``--tolerance`` (default 25%) against the committed
-reference in ``benchmarks/BENCH_BASELINE.json``.
+reference in ``benchmarks/BENCH_BASELINE.json``.  Every kernel workload
+runs with self-telemetry disabled and client resilience disarmed (the
+defaults), so the tier also gates what those features cost when off: one
+``TELEMETRY.active`` check on the event loop and the probe-installing
+scenario path, one ``PFSClient._resilient`` check on the write path.
 
 The kernel baseline file has three timing sets:
 
@@ -143,11 +147,20 @@ def bench_trace_compressor_speed(scale: float = 1.0) -> None:
     compress_ops(ops)
 
 
+def bench_scenario_probe_path(scale: float = 1.0) -> None:
+    """One ``tiny`` scenario build and run (fixed size; ``scale`` is
+    ignored): the path that would install DES-timeline probes."""
+    from repro.scenario import get_scenario, run_scenario
+
+    assert run_scenario(get_scenario("tiny")).results
+
+
 BENCHMARKS: Dict[str, Callable[[float], None]] = {
     "event_loop_throughput": bench_event_loop_throughput,
     "fair_share_link_many_flows": bench_fair_share_link_many_flows,
     "pfs_write_path": bench_pfs_write_path,
     "trace_compressor_speed": bench_trace_compressor_speed,
+    "scenario_probe_path": bench_scenario_probe_path,
 }
 
 

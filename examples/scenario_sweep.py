@@ -8,8 +8,9 @@ then executes all points through the cached parallel sweep runner and
 prints the resulting bandwidth surface.
 
 A second ``run_sweep`` call over the same grid is served entirely from
-the on-disk cache (same scenario digests, same source digest), and the
-sweep manifest written next to the cache records per-point provenance.
+the on-disk cache (same scenario digests, same source digest), and each
+sweep's run document in the store points at a manifest recording
+per-point provenance.
 
 Equivalent CLI:
     repro-io scenario sweep a3-ior n_oss=2,4 stripe_count=1,2,4 --jobs 4
@@ -20,7 +21,8 @@ Run:  python examples/scenario_sweep.py
 import tempfile
 from pathlib import Path
 
-from repro.scenario import expand_grid, get_scenario, load_sweep_manifest, run_sweep
+from repro.scenario import expand_grid, get_scenario, run_sweep
+from repro.store import RunStore
 
 MiB = 1024 * 1024
 
@@ -50,7 +52,10 @@ def main() -> None:
         assert [r.outcome for r in again] == [r.outcome for r in results]
         print(f"re-run: {n_cached}/{len(again)} points served from cache")
 
-        manifest = load_sweep_manifest(cache_dir.parent / "sweep-manifest.json")
+        store = RunStore(cache_dir)
+        runs = store.runs()
+        assert len(runs) == 2, "each sweep lands one run document"
+        manifest = store.get(runs[-1]["manifest"]).payload
         assert len(manifest["points"]) == len(results)
         assert all(p["cached"] for p in manifest["points"])
         print(f"sweep manifest: {len(manifest['points'])} point(s), "

@@ -96,8 +96,8 @@ def parse_grid(items) -> dict:
 # -- fan-out: experiment and scenario sweep ----------------------------------
 
 def add_fanout_flags(p, unit: str) -> None:
-    """Process fan-out, record cache and manifest flags; ``unit`` names
-    what is fanned out (``task`` or ``point``)."""
+    """Process fan-out and result cache flags; ``unit`` names what is
+    fanned out (``task`` or ``point``)."""
     p.add_argument("--jobs", type=positive_int, default=1,
                    help=f"worker processes for the {unit} fan-out (default 1)")
     p.add_argument("--no-cache", action="store_true",
@@ -105,19 +105,13 @@ def add_fanout_flags(p, unit: str) -> None:
     p.add_argument("--cache-dir", default=DEFAULT_STORE,
                    help=f"run-store root the {unit} cache lives in "
                    f"(default {DEFAULT_STORE})")
-    p.add_argument("--no-manifest", action="store_true",
-                   help="skip writing the run-provenance manifest")
-    p.add_argument("--fail-fast", action="store_true",
-                   help=f"abort on the first failed {unit} instead of "
-                   "recording it and finishing the rest")
 
 
 def fanout_kwargs(args) -> dict:
     """The keyword arguments the fan-out flags give ``run_experiments``
     and ``run_sweep``."""
     return dict(jobs=args.jobs, use_cache=not args.no_cache,
-                cache_dir=args.cache_dir, manifest=not args.no_manifest,
-                fail_fast=args.fail_fast)
+                cache_dir=args.cache_dir)
 
 
 def print_fanout_summary(label: str, results, jobs: int, failed: int) -> None:

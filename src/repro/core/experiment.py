@@ -25,14 +25,6 @@ class ExperimentRecord:
     measured: Dict[str, Any] = field(default_factory=dict)
     supported: Optional[bool] = None
     notes: str = ""
-    #: Reference to the run manifest that produced this record (set by
-    #: :func:`repro.experiments.runner.run_experiments`).  Deliberately
-    #: excluded from :meth:`to_dict`: the canonical payload describes the
-    #: *outcome*, which must be byte-identical whether the record was
-    #: computed fresh or served from cache.
-    provenance: Optional[Dict[str, Any]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def measure(self, **values: Any) -> "ExperimentRecord":
         """Attach measured values (chainable)."""
@@ -85,10 +77,8 @@ def record_payload(record: ExperimentRecord) -> bytes:
     """Canonical byte serialization of a record (for caching and equality).
 
     Two records describing the same outcome serialize to the same bytes
-    regardless of which process produced them.  ``provenance`` is
-    deliberately excluded (see :class:`ExperimentRecord`): the canonical
-    payload describes the *outcome*, which must be byte-identical whether
-    the record was computed fresh or served from the store.
+    regardless of which process produced them, whether computed fresh or
+    served from the store.
     """
     from repro.ioutil import canonical_json_bytes
 

@@ -188,7 +188,7 @@ class Environment:
         When self-telemetry is enabled (:mod:`repro.telemetry`) the same
         run is wrapped in an ``Environment.run`` span and ``des.*`` event
         counters.  The disabled cost is this single attribute check, which
-        is what ``benchmarks/telemetry_overhead.py`` guards.
+        is what ``benchmarks/check_regression.py`` guards.
         """
         if not TELEMETRY.active:
             return self._run(until)

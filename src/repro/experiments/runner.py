@@ -29,21 +29,19 @@ parallel and perfectly cacheable:
 
 * **Failure containment** -- a task that raises, or whose worker process
   dies outright, is recorded as a failed result (``RunResult.error``)
-  in the manifest while the rest of the matrix completes; tasks whose
+  in the run manifest while the rest of the matrix completes; tasks whose
   pool broke are retried once in a fresh pool first (see
-  :func:`repro.ioutil.resilient_pool_map`).  ``fail_fast=True`` restores
-  abort-on-first-failure.
+  :func:`repro.ioutil.resilient_pool_map`).  A failure is never cached.
 
 * **Self-telemetry and provenance** -- cache outcomes (hit / miss / stale /
   corrupt) are counted in the global metrics registry and logged; a stale
   or corrupt entry is *never* served -- it falls back to re-execution,
   and re-putting the recomputed artifact heals a corrupt object in place.
-  Every invocation writes a ``manifest.json`` (see
-  :mod:`repro.telemetry.provenance`) whose tasks reference record
-  artifacts by digest and whose host metadata is a by-digest artifact
-  reference; store-backed runs additionally land a run document
-  (``repro-io store ls`` / ``diff``) and each returned
-  :class:`ExperimentRecord` carries a ``provenance`` reference to both.
+  Every store-backed invocation lands a run manifest (see
+  :func:`repro.telemetry.build_manifest`) and a run document in the store
+  (``repro-io store ls`` / ``diff``, ``repro-io telemetry latest``); the
+  manifest's tasks reference record artifacts by digest and its host
+  metadata is a by-digest artifact reference.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.experiment import (
     ExperimentRecord,
@@ -63,8 +61,7 @@ from repro.jobs import CachedResult, run_cached, source_digest  # re-exported
 from repro.jobs.execution import seed_globals, timed
 from repro.store import RunArtifact, RunStore, host_reference
 from repro.store.store import DEFAULT_STORE_DIR
-from repro.telemetry import TELEMETRY, build_manifest, write_manifest
-from repro.telemetry.provenance import MANIFEST_NAME
+from repro.telemetry import TELEMETRY, build_manifest
 
 log = logging.getLogger(__name__)
 
@@ -103,7 +100,7 @@ class RunResult(CachedResult):
     ``record`` is ``None`` exactly when the task failed (worker crash or
     in-task exception); ``error`` then carries a human-readable reason and
     the failure is recorded in the run manifest instead of aborting the
-    whole invocation (unless ``fail_fast``).
+    whole invocation.
     """
 
     kind = "experiment_record"
@@ -129,10 +126,12 @@ def run_experiments(
     cache_dir: Path | str = DEFAULT_STORE_DIR,
     digest: Optional[str] = None,
     manifest: bool = True,
-    manifest_path: Optional[Union[Path, str]] = None,
-    fail_fast: bool = False,
 ) -> List[RunResult]:
     """Run ``ids`` x ``seeds`` experiment tasks, in parallel when ``jobs > 1``.
+
+    A task that raises -- or whose worker process dies -- becomes a failed
+    :class:`RunResult` (``record is None``, ``error`` set, recorded in the
+    run manifest, never cached) while every other task still completes.
 
     Parameters
     ----------
@@ -145,25 +144,17 @@ def run_experiments(
         Worker process count; ``1`` runs everything in this process.
     use_cache:
         Serve unchanged (id, seed, source digest) tasks from the run
-        store and put fresh results back into it.
+        store and put fresh results back into it.  When false nothing is
+        read from or written to ``cache_dir``.
     cache_dir:
         Store root (created on demand; default ``results/store``).
     digest:
-        Precomputed :func:`source_digest` (recomputed when ``None``).
+        Precomputed :func:`source_digest` (computed when ``None`` and
+        ``use_cache``).
     manifest:
-        Write a run-provenance ``manifest.json`` describing this invocation
-        (see :mod:`repro.telemetry.provenance`), land a run document in the
-        store (when ``use_cache``) and attach a provenance reference to
-        every returned record.
-    manifest_path:
-        Where to write it (default: ``<cache_dir>/../manifest.json``, i.e.
-        next to the store the results live under).
-    fail_fast:
-        When false (default) a task that raises -- or whose worker process
-        dies -- becomes a failed :class:`RunResult` (``record is None``,
-        ``error`` set, recorded in the manifest) while every other task
-        still completes.  When true the first failure propagates as an
-        exception, aborting the run.
+        Land this invocation's run manifest and a run document in the
+        store (``repro-io store ls/diff``, ``repro-io telemetry latest``).
+        Only matters when ``use_cache`` is true.
 
     Returns
     -------
@@ -184,14 +175,14 @@ def run_experiments(
         repeated = sorted({v for i, v in enumerate(values) if v in values[:i]})
         if repeated:
             raise ValueError(f"repeated {what}(s): {repeated}")
-    store = RunStore(cache_dir)
+    store = RunStore(cache_dir) if use_cache else None
     wall_start = time.perf_counter()
     tracer = TELEMETRY.tracer if TELEMETRY.active else None
 
     tasks: List[Tuple[str, int]] = [(eid, seed) for eid in ids for seed in seeds]
     metrics = TELEMETRY.metrics
 
-    if (use_cache or manifest) and digest is None:
+    if use_cache and digest is None:
         if tracer is not None:
             with tracer.span("source_digest", cat="runner"):
                 digest = source_digest()
@@ -209,7 +200,7 @@ def run_experiments(
         )
     outcomes = run_cached(
         tasks, _execute_timed, jobs,
-        store=store if use_cache else None,
+        store=store,
         source_digest=digest,
         ref=lambda task: (
             record_ref_name(task[0], task[1], digest),
@@ -218,7 +209,6 @@ def run_experiments(
         ),
         kind=RunResult.kind,
         decode=record_from_dict,
-        fail_fast=fail_fast,
         fail_label=lambda task: f"experiment task {task[0]}#s{task[1]}",
         span_factory=span_factory,
         pool_span=pool_span,
@@ -246,12 +236,8 @@ def run_experiments(
         metrics.counter("runner.tasks.failed").inc(n_failed)
         log.warning("%d of %d task(s) failed", n_failed, len(tasks))
 
-    if manifest:
-        out_path = (
-            Path(manifest_path) if manifest_path is not None
-            else Path(cache_dir).parent / MANIFEST_NAME
-        )
-        host = host_reference(store) if use_cache else None
+    if use_cache and manifest:
+        host = host_reference(store)
         doc = build_manifest(
             source_digest=digest,
             ids=ids,
@@ -267,34 +253,15 @@ def run_experiments(
             wall_seconds=time.perf_counter() - wall_start,
             host=host,
         )
-        write_manifest(doc, out_path)
-        run_id = None
-        if use_cache:
-            # Land the manifest and the run document in the store so the
-            # invocation is addressable (``repro-io store ls/diff``).
-            manifest_digest = store.put(RunArtifact.from_run_manifest(doc))
-            artifacts = {
-                f"{r.experiment_id}#s{r.seed}": r.artifact_digest
-                for r in ordered
-                if not r.failed
-            }
-            if host is not None:
-                artifacts["host"] = host["artifact"]
-            run_id = store.add_run(
-                "experiment", manifest_digest, artifacts, created=doc["created"]
-            )
-        ref = {"manifest": str(out_path), "source_digest": digest}
-        if run_id is not None:
-            ref["run_id"] = run_id
-            ref["store"] = str(store.root)
-        for r in ordered:
-            if r.record is not None:
-                r.record.provenance = dict(
-                    ref,
-                    seed=r.seed,
-                    cached=r.cached,
-                    seconds=r.seconds,
-                    artifact=r.artifact_digest,
-                )
+        artifacts = {
+            f"{r.experiment_id}#s{r.seed}": r.artifact_digest
+            for r in ordered
+            if not r.failed
+        }
+        artifacts["host"] = host["artifact"]
+        store.add_run(
+            "experiment", store.put(RunArtifact.from_run_manifest(doc)),
+            artifacts, created=doc["created"],
+        )
 
     return ordered

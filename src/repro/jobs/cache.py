@@ -142,7 +142,6 @@ def run_cached(
     kind: str,
     decode: Callable[[Dict[str, Any]], Any] = dict,
     payload: Callable[[Any], Any] = lambda task: task,
-    fail_fast: bool = False,
     fail_label: Callable[[Any], str] = str,
     on_scanned: Optional[Callable[[List[CachedOutcome]], None]] = None,
     on_outcome: Optional[Callable[[Any, TaskOutcome], None]] = None,
@@ -158,9 +157,9 @@ def run_cached(
     rejects is corrupt.  ``store=None`` reads and writes no refs.
     ``timed_fn`` receives ``payload(task)``.  ``on_scanned(outcomes)``
     runs once before any miss executes (only hits are ``cached`` yet).
-    ``fail_label``, ``on_outcome`` and ``span_factory`` take the task; they
-    go to :func:`execute_tasks` with ``fail_fast`` and ``pool_span``.
-    Failures are logged, returned with ``error`` set, and never cached.
+    ``on_outcome`` and ``span_factory`` take the task; they go to
+    :func:`execute_tasks` with ``pool_span``.  Failures are logged under
+    ``fail_label(task)``, returned with ``error`` set, and never cached.
     """
     outcomes: List[CachedOutcome] = []
     for task in tasks:
@@ -191,8 +190,6 @@ def run_cached(
         timed_fn,
         [payload(tasks[i]) for i in misses],
         jobs,
-        fail_fast=fail_fast,
-        fail_label=lambda k: fail_label(tasks[misses[k]]),
         on_outcome=None if on_outcome is None else (
             lambda k, outcome: on_outcome(tasks[misses[k]], outcome)
         ),

@@ -1,21 +1,20 @@
-"""Uniform task fan-out for every job front-end.
+"""Uniform task fan-out for the experiment runner and scenario sweeps.
 
-:func:`execute_tasks` is the single execution path behind the experiment
-runner, scenario sweeps and the run service's pool slots: it takes a
-*timed task function* (module-level, picklable, returning
-``(payload, seconds, worker_snapshot)``) plus a list of payloads and
-returns one :class:`TaskOutcome` per payload, in payload order, no
-matter whether the work ran in-process or on a worker pool.
-
-The contract both historical callers relied on is preserved exactly:
+:func:`execute_tasks` is the single execution path behind both (through
+:func:`repro.jobs.run_cached`; the run service schedules its own
+computations and takes only the ledger, the source digest and the store
+writer from :mod:`repro.jobs`): it takes a *timed task function*
+(module-level, picklable, returning ``(payload, seconds,
+worker_snapshot)``) plus a list of payloads and returns one
+:class:`TaskOutcome` per payload, in payload order, no matter whether the
+work ran in-process or on a worker pool.
 
 * ``jobs == 1`` (or a single payload) runs in-process -- no pool spawn
-  cost, telemetry lands directly in the parent registries, and a raised
-  exception under ``fail_fast`` propagates *unwrapped*;
+  cost, and telemetry lands directly in the parent registries;
 * the pool path uses :func:`repro.ioutil.resilient_pool_map` (worker
-  death is retried once in an isolated pool, then contained as a
-  per-task error) and under ``fail_fast`` raises ``RuntimeError`` with
-  the caller-supplied task label;
+  death is retried once in an isolated pool);
+* a raised exception or a dead worker becomes a per-task error, never an
+  abort of the whole fan-out;
 * worker telemetry snapshots are merged commutatively in payload order,
   so completion order never changes the merged result;
 * failures never produce a payload -- callers can cache every
@@ -102,8 +101,6 @@ def execute_tasks(
     payloads: Sequence[Any],
     jobs: int,
     *,
-    fail_fast: bool = False,
-    fail_label: Optional[Callable[[int], str]] = None,
     on_outcome: Optional[Callable[[int, TaskOutcome], None]] = None,
     span_factory: Optional[Callable[[int], ContextManager]] = None,
     pool_span: Optional[Callable[[int, int], ContextManager]] = None,
@@ -122,13 +119,6 @@ def execute_tasks(
     jobs:
         Worker process count; ``1`` (or a single payload) runs
         everything in this process.
-    fail_fast:
-        In-process, re-raise the task's original exception; on the pool
-        path, raise ``RuntimeError(f"{fail_label(i)} failed: {error}")``
-        for the first failed task in payload order.
-    fail_label:
-        Human label for task ``i`` in fail-fast pool errors (defaults to
-        ``task <i>``).
     on_outcome:
         Progress hook ``on_outcome(i, outcome)`` -- called per task in
         completion order on the pool path, payload order in-process.
@@ -140,8 +130,6 @@ def execute_tasks(
         Optional tracer span wrapping the whole pool fan-out
         (``pool_span(workers, n_tasks)`` -> context manager).
     """
-    if fail_label is None:
-        fail_label = lambda i: f"task {i}"  # noqa: E731
     outcomes: List[TaskOutcome] = []
 
     if jobs == 1 or len(payloads) == 1:
@@ -154,8 +142,6 @@ def execute_tasks(
                 if len(value) == 2:  # pragma: no cover - monkeypatched fns
                     value = (*value, None)
             except Exception as exc:
-                if fail_fast:
-                    raise
                 outcome = TaskOutcome(
                     None,
                     time.perf_counter() - start,
@@ -195,10 +181,8 @@ def execute_tasks(
             initargs=worker_init_args(),
             on_result=hook,
         )
-    for i, (value, error) in enumerate(raw):
+    for value, error in raw:
         if error is not None:
-            if fail_fast:
-                raise RuntimeError(f"{fail_label(i)} failed: {error}")
             outcomes.append(TaskOutcome(None, 0.0, error))
             continue
         result, seconds, snap = value

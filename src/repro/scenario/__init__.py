@@ -52,7 +52,6 @@ from repro.scenario.sweep import (
     SweepResult,
     apply_overrides,
     expand_grid,
-    load_sweep_manifest,
     run_sweep,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "get_scenario",
     "instantiate_workloads",
     "list_scenarios",
-    "load_sweep_manifest",
     "run_scenario",
     "run_sweep",
 ]

@@ -22,15 +22,15 @@ Parameters address any layer of the spec:
 uses too: process-pool fan-out, the content-addressed
 :class:`repro.store.RunStore` as the point cache (``sweep_point``
 artifacts behind ``sweep/<scenario digest16>-<source digest16>`` refs),
-and a sweep manifest recording per-point provenance (overrides, digests,
-cache status, wall-clock, artifact address).
+and, for store-backed sweeps, a sweep manifest in the store recording
+per-point provenance (overrides, digests, cache status, wall-clock,
+artifact address).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import logging
 import time
 from dataclasses import dataclass
@@ -53,7 +53,6 @@ from repro.store.store import DEFAULT_STORE_DIR
 log = logging.getLogger(__name__)
 
 SWEEP_SCHEMA = "repro.scenario.sweep/1"
-SWEEP_MANIFEST_NAME = "sweep-manifest.json"
 SWEEP_PROGRESS_NAME = "sweep-progress.json"
 SWEEP_PROGRESS_SCHEMA = "repro.scenario.sweep.progress/1"
 
@@ -214,7 +213,7 @@ class SweepResult(CachedResult):
 
     ``outcome`` is ``None`` exactly when the point failed (worker crash or
     in-point exception); ``error`` then carries the reason and the failure
-    is recorded in the sweep manifest.
+    is recorded in the sweep manifest and the progress ledger.
     """
 
     kind = "sweep_point"
@@ -266,9 +265,6 @@ def run_sweep(
     jobs: int = 1,
     use_cache: bool = True,
     cache_dir: Union[Path, str] = DEFAULT_CACHE_DIR,
-    manifest: bool = True,
-    manifest_path: Optional[Union[Path, str]] = None,
-    fail_fast: bool = False,
 ) -> List[SweepResult]:
     """Run every grid point of a sweep, in parallel when ``jobs > 1``.
 
@@ -280,37 +276,29 @@ def run_sweep(
     grid order regardless of ``jobs``.
 
     A point that raises -- or whose worker process dies -- becomes a
-    failed :class:`SweepResult` (``outcome is None``, ``error`` set,
-    recorded in the manifest, never cached) while the remaining points
-    still run; ``fail_fast=True`` aborts on the first failure instead.
+    failed :class:`SweepResult` (``outcome is None``, ``error`` set, never
+    cached) while the remaining points still run.
 
-    When ``manifest`` is true a sweep manifest (schema
-    ``repro.scenario.sweep/1``) is written next to the store recording,
-    for every point, the overrides, the scenario digest, cache status,
-    wall-clock seconds and the point's artifact address; store-backed
-    sweeps (``use_cache``) additionally land the manifest and a run
-    document in the store (``repro-io store ls/diff``).
+    Live progress goes to ``<cache_dir>/../sweep-progress.json`` (flushed
+    after the cache scan, on every point completion and at finish) for
+    ``repro-io watch``.  Store-backed sweeps (``use_cache``) land a sweep
+    manifest (schema ``repro.scenario.sweep/1``) and a run document in the
+    store (``repro-io store ls/diff``, ``repro-io telemetry latest``): for
+    every point, the overrides, the scenario digest, cache status,
+    wall-clock seconds and the point's artifact address.
     """
-    from repro.telemetry.provenance import host_metadata, write_manifest
-
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     points = expand_grid(base, grid)
     cache_dir = Path(cache_dir)
-    store = RunStore(cache_dir)
+    store = RunStore(cache_dir) if use_cache else None
     wall_start = time.perf_counter()
-    src_digest = source_digest()
+    src_digest = source_digest() if use_cache else None
 
-    manifest_out = (
-        Path(manifest_path) if manifest_path is not None
-        else cache_dir.parent / SWEEP_MANIFEST_NAME
-    )
-    # Live progress next to the manifest: flushed after the cache scan,
-    # on every point completion and at finish, for ``repro-io watch``.
     progress = ProgressLedger(
-        manifest_out.with_name(SWEEP_PROGRESS_NAME), SWEEP_PROGRESS_SCHEMA,
+        cache_dir.parent / SWEEP_PROGRESS_NAME, SWEEP_PROGRESS_SCHEMA,
         (p.name for p in points), extra={"sweep": base.name, "jobs": jobs},
-    ) if manifest else None
+    )
 
     def scanned(outcomes) -> None:
         for point, outcome in zip(points, outcomes):
@@ -320,16 +308,15 @@ def run_sweep(
 
     outcomes = run_cached(
         points, _execute_point_timed, jobs,
-        store=store if use_cache else None,
+        store=store,
         source_digest=src_digest,
         ref=lambda point: point_ref(point.scenario.digest(), src_digest),
         kind=SweepResult.kind,
         payload=lambda point: point.scenario.canonical_json(),
-        fail_fast=fail_fast,
         fail_label=lambda point: f"sweep point {point.name!r}",
-        on_scanned=None if progress is None else scanned,
-        on_outcome=None if progress is None else (
-            lambda point, o: progress.mark_done(point.name, o.seconds, o.error)
+        on_scanned=scanned,
+        on_outcome=lambda point, o: progress.mark_done(
+            point.name, o.seconds, o.error
         ),
     )
     ordered = [
@@ -337,9 +324,8 @@ def run_sweep(
         for point, o in zip(points, outcomes)
     ]
 
-    if manifest:
-        out_path = manifest_out
-        host = host_reference(store) if use_cache else host_metadata()
+    if use_cache:
+        host = host_reference(store)
         doc = {
             "schema": SWEEP_SCHEMA,
             "created": time.time(),
@@ -361,29 +347,14 @@ def run_sweep(
             "wall_seconds": time.perf_counter() - wall_start,
             "host": host,
         }
-        write_manifest(doc, out_path)
-        if use_cache:
-            manifest_digest = store.put(RunArtifact.from_sweep_manifest(doc))
-            artifacts = {
-                r.point.name: r.artifact_digest for r in ordered if not r.failed
-            }
-            if "artifact" in host:
-                artifacts["host"] = host["artifact"]
-            store.add_run(
-                "sweep", manifest_digest, artifacts, created=doc["created"]
-            )
-    if progress is not None:
-        progress.write(finished=True)
+        artifacts = {
+            r.point.name: r.artifact_digest for r in ordered if not r.failed
+        }
+        artifacts["host"] = host["artifact"]
+        store.add_run(
+            "sweep", store.put(RunArtifact.from_sweep_manifest(doc)),
+            artifacts, created=doc["created"],
+        )
+    progress.write(finished=True)
 
     return ordered
-
-
-def load_sweep_manifest(path: Union[Path, str]) -> Dict[str, Any]:
-    """Read a sweep manifest back, validating its schema marker."""
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != SWEEP_SCHEMA:
-        raise ValueError(
-            f"{path} is not a scenario sweep manifest (schema={doc.get('schema')!r})"
-        )
-    return doc

@@ -21,8 +21,8 @@ Enable it with :func:`enable` (the CLI does this for ``--trace`` /
 exporter; it also folds in worker snapshots), read metrics with
 ``TELEMETRY.metrics.render_text()``, and wipe collected data with
 :func:`reset`.  The guard lives at the call site rather than inside the
-metric objects so the DES hot loops (see ``benchmarks/check_regression.py``
-and ``benchmarks/telemetry_overhead.py``) never pay for a disabled feature.
+metric objects so the DES hot loops (gated by
+``benchmarks/check_regression.py``) never pay for a disabled feature.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from repro.telemetry.provenance import (
     build_manifest,
     cache_hit_ratio,
     host_metadata,
-    load_manifest,
-    write_manifest,
 )
 from repro.telemetry.tracing import (
     Span,
@@ -78,11 +76,6 @@ class TelemetryState:
 TELEMETRY = TelemetryState()
 
 
-def enabled() -> bool:
-    """Is self-telemetry currently collecting?"""
-    return TELEMETRY.active
-
-
 def enable() -> TelemetryState:
     """Turn on span tracing and gated metric collection."""
     TELEMETRY.active = True
@@ -113,7 +106,6 @@ def span(name: str, cat: str = "repro", **args):
 __all__ = [
     "TELEMETRY",
     "TelemetryState",
-    "enabled",
     "enable",
     "disable",
     "reset",
@@ -136,6 +128,4 @@ __all__ = [
     "build_manifest",
     "cache_hit_ratio",
     "host_metadata",
-    "load_manifest",
-    "write_manifest",
 ]

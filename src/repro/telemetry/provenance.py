@@ -7,25 +7,20 @@ metadata.  Hunold's reproducibility argument (see PAPERS.md) applies to
 our own harness: a results directory without this metadata cannot be
 re-trusted once the source tree moves on, and a cached record cannot be
 distinguished from a fresh one.  :func:`build_manifest` is pure (easy to
-test); :func:`write_manifest` persists atomically next to the results it
-describes.
+test); the experiment runner lands the document in the run store, where a
+run document (``repro-io store ls``) points at it.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-import logging
 import platform
 import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-log = logging.getLogger(__name__)
-
 MANIFEST_SCHEMA = "repro.telemetry.manifest/1"
-MANIFEST_NAME = "manifest.json"
 
 PathLike = Union[str, Path]
 
@@ -91,32 +86,6 @@ def build_manifest(
         "wall_seconds": wall_seconds,
         "host": host_metadata() if host is None else dict(host),
     }
-
-
-def write_manifest(manifest: Dict[str, Any], path: PathLike) -> Path:
-    """Atomically write ``manifest`` as JSON; returns the final path."""
-    from repro.ioutil import atomic_write_json
-
-    p = atomic_write_json(manifest, path, trailing_newline=True)
-    log.info(
-        "wrote run manifest (%d task(s), %d cache hit(s)) to %s",
-        len(manifest.get("tasks", ())),
-        manifest.get("cache", {}).get("hits", 0),
-        p,
-    )
-    return p
-
-
-def load_manifest(path: PathLike) -> Dict[str, Any]:
-    """Read a manifest back, validating its schema marker."""
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != MANIFEST_SCHEMA:
-        raise ValueError(
-            f"{path} is not a repro telemetry manifest "
-            f"(schema={doc.get('schema')!r})"
-        )
-    return doc
 
 
 def cache_hit_ratio(manifest: Dict[str, Any]) -> float:

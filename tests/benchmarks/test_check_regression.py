@@ -77,9 +77,6 @@ def test_store_seeds_baseline_and_records_report(harness, tmp_path):
     assert rc == 0
     store = RunStore(store_dir)
     baseline = store.get_ref(harness.BASELINE_REF)
-    # BENCH_BASELINE.json also carries reference timings for other gates
-    # (telemetry_overhead.py's scenario_probe_path), so the kernel set is
-    # a subset of the stored keys, not an exact match.
     assert set(harness.BENCHMARKS) <= \
         set(store.get(baseline["digest"]).payload["reference_min"])
     latest = store.get_ref(harness.REPORT_REF)
@@ -97,12 +94,13 @@ def test_committed_baseline_matches_benchmark_set(harness):
     baseline = json.loads(
         (SCRIPT.parent / "BENCH_BASELINE.json").read_text()
     )
-    # 'seed' predates the extra gates that share this file, so it is the
-    # kernel set exactly; 'reference'/'reference_min' also carry keys for
-    # telemetry_overhead.py's scenario_probe_path gate.
-    assert set(baseline["seed"]) == set(harness.BENCHMARKS)
+    # 'seed' is the pre-optimization engine; scenario_probe_path was added
+    # later and has no seed-era timing.
+    assert set(baseline["seed"]) == set(harness.BENCHMARKS) - {
+        "scenario_probe_path"
+    }
     for key in ("reference", "reference_min"):
-        assert set(harness.BENCHMARKS) <= set(baseline[key]), key
+        assert set(harness.BENCHMARKS) == set(baseline[key]), key
 
 
 # ---------------------------------------------------------------------------

@@ -202,13 +202,18 @@ def test_experiment_seeds_default_to_zero():
         ["serve", "--no-cache"],
         ["serve", "--scrub-interval", "5"],
         ["experiment", "E3", "--seed", "0"],
+        ["experiment", "E3", "--no-manifest"],
+        ["experiment", "E3", "--fail-fast"],
+        ["scenario", "sweep", "tiny", "n_oss=2", "--no-manifest"],
+        ["scenario", "sweep", "tiny", "n_oss=2", "--fail-fast"],
     ],
     ids=" ".join,
 )
 def test_removed_options_are_usage_errors(argv, capsys):
     """The service runs in one configuration (always journaled, always
-    landing results, scrubbed only by `store scrub`) and `experiment`
-    takes its seeds from --seeds alone."""
+    landing results, scrubbed only by `store scrub`), `experiment` takes
+    its seeds from --seeds alone, and the fan-out commands always record
+    every failure and keep their manifest only in the store."""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2

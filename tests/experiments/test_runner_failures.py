@@ -1,13 +1,11 @@
 """Runner failure containment: crashes and exceptions become recorded
-results, not aborted invocations (unless ``fail_fast``)."""
+results, not aborted invocations."""
 
 import os
 
-import pytest
-
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import run_experiments
-from repro.telemetry.provenance import load_manifest
+from repro.store import RunStore
 
 # Captured at import time so the crashing stand-ins (inherited by forked
 # workers) can still run the real tasks.
@@ -28,17 +26,18 @@ def _crash_on_e3(task):
 
 def test_sequential_failure_recorded_not_raised(tmp_path, monkeypatch):
     monkeypatch.setattr(runner_mod, "_execute", _raise_on_e3)
-    manifest_path = tmp_path / "manifest.json"
     results = run_experiments(
         ids=["E3", "C1"], jobs=1, use_cache=True, cache_dir=tmp_path,
-        digest="a" * 64, manifest_path=manifest_path,
+        digest="a" * 64,
     )
     failed, ok = results
     assert failed.failed and failed.record is None
     assert "ValueError" in failed.error and "synthetic" in failed.error
     assert ok.record is not None and ok.record.id == "C1"
-    # The failure is in the manifest, and never cached.
-    tasks = {t["id"]: t for t in load_manifest(manifest_path)["tasks"]}
+    # The failure is in the stored manifest, and never cached.
+    store = RunStore(tmp_path)
+    run, = store.runs()
+    tasks = {t["id"]: t for t in store.get(run["manifest"]).payload["tasks"]}
     assert "synthetic" in tasks["E3"]["error"]
     assert "error" not in tasks["C1"]
     records = tmp_path / "refs" / "records"
@@ -46,30 +45,16 @@ def test_sequential_failure_recorded_not_raised(tmp_path, monkeypatch):
     assert len(list(records.glob("C1-*.json"))) == 1
 
 
-def test_sequential_fail_fast_raises(tmp_path, monkeypatch):
-    monkeypatch.setattr(runner_mod, "_execute", _raise_on_e3)
-    with pytest.raises(ValueError, match="synthetic"):
-        run_experiments(ids=["E3", "C1"], jobs=1, use_cache=False,
-                        manifest=False, fail_fast=True)
-
-
-def test_worker_crash_recorded_others_complete(monkeypatch):
+def test_worker_crash_recorded_others_complete(tmp_path, monkeypatch):
     monkeypatch.setattr(runner_mod, "_execute", _crash_on_e3)
     results = run_experiments(
-        ids=["E3", "C1", "E1"], jobs=2, use_cache=False, manifest=False,
+        ids=["E3", "C1", "E1"], jobs=2, use_cache=False, cache_dir=tmp_path,
     )
     by_id = {r.experiment_id: r for r in results}
     assert by_id["E3"].failed
     assert "crash" in by_id["E3"].error
     assert by_id["C1"].record is not None and by_id["C1"].record.supported
     assert by_id["E1"].record is not None and by_id["E1"].record.supported
-
-
-def test_worker_crash_fail_fast_raises(monkeypatch):
-    monkeypatch.setattr(runner_mod, "_execute", _crash_on_e3)
-    with pytest.raises(RuntimeError, match="E3.*crash"):
-        run_experiments(ids=["E3", "C1"], jobs=2, use_cache=False,
-                        manifest=False, fail_fast=True)
 
 
 def test_failed_task_recomputes_once_fixed(tmp_path, monkeypatch):

@@ -1,7 +1,5 @@
 """The shared execution core: one task fan-out behind every front-end."""
 
-import pytest
-
 from repro.jobs import TaskOutcome, execute_tasks
 
 # Pool workers pickle task functions by reference: module level only.
@@ -43,11 +41,6 @@ def test_sequential_records_failures_and_continues():
     assert "bad three" in outcomes[1].error
 
 
-def test_sequential_fail_fast_raises_the_original_exception():
-    with pytest.raises(ValueError, match="bad three"):
-        execute_tasks(_timed_fail_on_three, [1, 3], jobs=1, fail_fast=True)
-
-
 def test_sequential_on_outcome_fires_per_task_in_order():
     seen = []
     execute_tasks(
@@ -79,14 +72,6 @@ def test_pool_records_failures_with_zero_seconds():
     assert outcomes[1].seconds == 0.0
     assert "ValueError" in outcomes[1].error
     assert [outcomes[0].value, outcomes[2].value] == [1, 5]
-
-
-def test_pool_fail_fast_raises_runtime_error_with_label():
-    with pytest.raises(RuntimeError, match="point three failed.*bad three"):
-        execute_tasks(
-            _timed_fail_on_three, [1, 3], jobs=2, fail_fast=True,
-            fail_label=lambda i: "point three" if i == 1 else f"point {i}",
-        )
 
 
 def test_pool_on_outcome_converts_to_task_outcomes():

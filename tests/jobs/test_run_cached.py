@@ -110,10 +110,16 @@ def test_hooks_receive_tasks_not_miss_indices(tmp_path, jobs):
     assert spans == ([] if jobs > 1 else ["t2", "t3"])
 
 
-def test_fail_label_names_the_task_not_its_miss_index():
-    with pytest.raises(RuntimeError, match="point t3 failed: .*bad three"):
-        _run(None, ["t1", "t3"], fn=_timed_fail_on_three, jobs=2,
-             fail_fast=True, fail_label=lambda task: f"point {task}")
+def test_fail_label_names_the_task_not_its_miss_index(tmp_path, caplog):
+    store = RunStore(tmp_path)
+    _run(store, ["t1"])  # t1 is a hit, so t3 is miss index 0
+    with caplog.at_level("ERROR", logger="repro.jobs.cache"):
+        outcomes = _run(store, ["t1", "t3"], fn=_timed_fail_on_three,
+                        jobs=2, fail_label=lambda task: f"point {task}")
+    assert outcomes[0].cached and outcomes[1].failed
+    assert "bad three" in outcomes[1].error
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith("point t3 failed: ")
 
 
 def test_sweep_and_service_share_one_cache(tmp_path):
@@ -123,7 +129,7 @@ def test_sweep_and_service_share_one_cache(tmp_path):
     from repro.service import RunService, ServiceConfig
 
     result, = run_sweep(get_scenario("tiny"), {"n_oss": [2]},
-                        cache_dir=tmp_path / "store", manifest=False)
+                        cache_dir=tmp_path / "store")
     service = RunService(ServiceConfig(
         store_dir=tmp_path / "store", source_digest=source_digest(),
     ))

@@ -1,7 +1,6 @@
 """Sweep tests: override paths, grid expansion, cached parallel execution."""
 
 import itertools
-import json
 
 import pytest
 
@@ -13,10 +12,10 @@ from repro.scenario import (
     apply_overrides,
     expand_grid,
     get_scenario,
-    load_sweep_manifest,
     run_sweep,
 )
-from repro.scenario.sweep import SWEEP_MANIFEST_NAME, SWEEP_SCHEMA, point_name
+from repro.scenario.sweep import SWEEP_SCHEMA, point_name
+from repro.store import RunStore
 
 KiB = 1024
 MiB = 1024 * 1024
@@ -159,15 +158,20 @@ def test_run_sweep_computes_then_caches(tmp_path):
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):
-    serial = run_sweep(_base(), GRID, jobs=1, use_cache=False, manifest=False)
-    fanned = run_sweep(_base(), GRID, jobs=4, use_cache=False, manifest=False)
+    serial = run_sweep(_base(), GRID, jobs=1, use_cache=False, cache_dir=tmp_path)
+    fanned = run_sweep(_base(), GRID, jobs=4, use_cache=False, cache_dir=tmp_path)
     assert [r.outcome for r in serial] == [r.outcome for r in fanned]
+
+
+def _stored_manifest(cache_dir):
+    store = RunStore(cache_dir)
+    return store.get(store.runs()[-1]["manifest"]).payload
 
 
 def test_run_sweep_manifest_provenance(tmp_path):
     cache_dir = tmp_path / "cache"
     results = run_sweep(_base(), GRID, cache_dir=cache_dir)
-    doc = load_sweep_manifest(tmp_path / SWEEP_MANIFEST_NAME)
+    doc = _stored_manifest(cache_dir)
     assert doc["schema"] == SWEEP_SCHEMA
     assert doc["base_scenario"] == "sweeptest"
     assert doc["base_digest"] == _base().digest()
@@ -184,11 +188,10 @@ def test_run_sweep_manifest_provenance(tmp_path):
 
 def test_run_sweep_seed_rebases(tmp_path):
     results = run_sweep(
-        _base().with_seed(7), {"n_oss": (2,)},
-        cache_dir=tmp_path / "cache", manifest_path=tmp_path / "m.json",
+        _base().with_seed(7), {"n_oss": (2,)}, cache_dir=tmp_path / "cache",
     )
     assert results[0].outcome["seed"] == 7
-    doc = load_sweep_manifest(tmp_path / "m.json")
+    doc = _stored_manifest(tmp_path / "cache")
     assert doc["base_digest"] == _base().with_seed(7).digest()
 
 
@@ -197,21 +200,13 @@ def test_run_sweep_no_cache_recomputes(tmp_path):
     run_sweep(_base(), {"n_oss": (2,)}, cache_dir=cache_dir)
     again = run_sweep(
         _base(), {"n_oss": (2,)}, use_cache=False, cache_dir=cache_dir,
-        manifest=False,
     )
     assert not again[0].cached
 
 
-def test_run_sweep_rejects_bad_jobs():
+def test_run_sweep_rejects_bad_jobs(tmp_path):
     with pytest.raises(ValueError, match="jobs"):
-        run_sweep(_base(), {}, jobs=0, manifest=False, use_cache=False)
-
-
-def test_load_sweep_manifest_rejects_other_schemas(tmp_path):
-    path = tmp_path / "other.json"
-    path.write_text(json.dumps({"schema": "something/else"}))
-    with pytest.raises(ValueError, match="not a scenario sweep manifest"):
-        load_sweep_manifest(path)
+        run_sweep(_base(), {}, jobs=0, use_cache=False, cache_dir=tmp_path)
 
 
 def test_sweep_reproduces_striping_speedup(tmp_path):
@@ -221,7 +216,7 @@ def test_sweep_reproduces_striping_speedup(tmp_path):
     ))
     results = run_sweep(
         base, {"stripe_count": (1, 4)},
-        cache_dir=tmp_path / "cache", manifest=False,
+        cache_dir=tmp_path / "cache",
     )
     assert results[0].outcome["duration"] > results[1].outcome["duration"]
 

@@ -152,9 +152,13 @@ class TestTelemetryStoreTokens:
         assert code == 0
         assert "E3" in out
 
-    def test_file_paths_still_work(self, populated, capsys):
-        manifest = populated.parent / "manifest.json"
-        assert manifest.exists()
+    def test_file_paths_still_work(self, populated, tmp_path, capsys):
+        # Runs leave no loose manifest; an exported one reads as a file.
+        assert not (populated.parent / "manifest.json").exists()
+        store = RunStore(populated)
+        manifest = tmp_path / "exported.json"
+        manifest.write_text(json.dumps(
+            dict(store.get(store.runs()[-1]["manifest"]).payload)))
         code, out, _ = run_cli(capsys, "telemetry", str(manifest))
         assert code == 0
         assert "manifest: 1 task(s)" in out

@@ -22,18 +22,16 @@ def artifacts(tmp_path, capsys):
     """One instrumented experiment run producing all three artifacts."""
     trace = tmp_path / "trace.json"
     metrics = tmp_path / "metrics.json"
-    manifest = tmp_path / "manifest.json"
+    store = tmp_path / "cache"
     code, out, _ = run_cli(
-        capsys, "experiment", "C5",
-        "--cache-dir", str(tmp_path / "cache"), "--no-cache",
+        capsys, "experiment", "C5", "--cache-dir", str(store), "--no-cache",
         "--trace", str(trace), "--metrics", "--metrics-json", str(metrics),
     )
     assert code == 0
-    # --no-cache still writes the manifest next to the cache dir.
-    run_cli(capsys, "experiment", "C5", "--cache-dir", str(tmp_path / "cache"))
-    assert (tmp_path / "manifest.json").exists()
-    return {"trace": trace, "metrics": metrics, "manifest": manifest,
-            "out": out}
+    # The cached run lands its manifest in the store, not beside it.
+    run_cli(capsys, "experiment", "C5", "--cache-dir", str(store))
+    assert not (tmp_path / "manifest.json").exists()
+    return {"trace": trace, "metrics": metrics, "store": store, "out": out}
 
 
 class TestExperimentTelemetryFlags:
@@ -61,12 +59,12 @@ class TestExperimentTelemetryFlags:
 
     def test_no_flags_no_artifacts(self, tmp_path, capsys):
         code, out, _ = run_cli(
-            capsys, "experiment", "C5", "--no-cache", "--no-manifest",
+            capsys, "experiment", "C5", "--no-cache",
             "--cache-dir", str(tmp_path / "cache"),
         )
         assert code == 0
         assert "self-telemetry" not in out
-        assert not (tmp_path / "manifest.json").exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTelemetrySubcommand:
@@ -76,9 +74,9 @@ class TestTelemetrySubcommand:
         assert "span" in out and "self ms" in out
         assert "Environment.run" in out
 
-    def test_summarizes_manifest(self, artifacts, tmp_path, capsys):
+    def test_summarizes_manifest(self, artifacts, capsys):
         code, out, _ = run_cli(
-            capsys, "telemetry", str(tmp_path / "manifest.json"))
+            capsys, "telemetry", "latest", "--store-dir", str(artifacts["store"]))
         assert code == 0
         assert "hit ratio" in out
         assert "C5" in out
@@ -108,7 +106,7 @@ class TestLogLevelFlag:
         with caplog.at_level(logging.DEBUG):
             code, _, _ = run_cli(
                 capsys, "--log-level", "debug", "experiment", "C5",
-                "--cache-dir", str(tmp_path / "cache"), "--no-manifest",
+                "--cache-dir", str(tmp_path / "cache"),
             )
         assert code == 0
         assert any(r.name.startswith("repro.") for r in caplog.records)

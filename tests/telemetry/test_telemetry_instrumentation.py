@@ -10,8 +10,8 @@ from repro import telemetry
 from repro.des import Environment, FairShareLink
 from repro.des.engine import SimulationError
 from repro.experiments.runner import run_experiments
+from repro.store import RunStore
 from repro.telemetry import TELEMETRY
-from repro.telemetry.provenance import load_manifest
 
 
 def ticker(env, n=50, dt=0.1):
@@ -166,20 +166,23 @@ class TestMPIInstrumentation:
         assert mpi_spans[0].args == {"ranks": 4}
 
 
+def stored_manifest(cache_dir):
+    """The manifest of the newest run document in the store."""
+    store = RunStore(cache_dir)
+    return store.get(store.runs()[-1]["manifest"]).payload
+
+
 class TestRunnerTelemetry:
     def test_manifest_written_and_consistent_across_cached_rerun(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        m1 = tmp_path / "m1.json"
-        m2 = tmp_path / "m2.json"
         res1 = run_experiments(
-            ids=["E3"], seeds=(0, 1), cache_dir=cache_dir,
-            digest="a" * 64, manifest_path=m1,
+            ids=["E3"], seeds=(0, 1), cache_dir=cache_dir, digest="a" * 64,
         )
+        doc1 = stored_manifest(cache_dir)
         res2 = run_experiments(
-            ids=["E3"], seeds=(0, 1), cache_dir=cache_dir,
-            digest="a" * 64, manifest_path=m2,
+            ids=["E3"], seeds=(0, 1), cache_dir=cache_dir, digest="a" * 64,
         )
-        doc1, doc2 = load_manifest(m1), load_manifest(m2)
+        doc2 = stored_manifest(cache_dir)
         assert doc1["cache"] == {"hits": 0, "fresh": 2, "stale": 0, "corrupt": 0}
         assert doc2["cache"] == {"hits": 2, "fresh": 0, "stale": 0, "corrupt": 0}
         # Cached records hash to the same bytes the fresh run produced.
@@ -188,35 +191,18 @@ class TestRunnerTelemetry:
         assert [r.payload for r in res1] == [r.payload for r in res2]
         assert all(t["cached"] for t in doc2["tasks"])
 
-    def test_records_carry_provenance_reference(self, tmp_path):
-        out = tmp_path / "manifest.json"
-        res = run_experiments(
-            ids=["E3"], seeds=(0,), cache_dir=tmp_path / "cache",
-            digest="a" * 64, manifest_path=out,
-        )
-        prov = res[0].record.provenance
-        assert prov["manifest"] == str(out)
-        assert prov["source_digest"] == "a" * 64
-        assert prov["cached"] is False
-        # Provenance must NOT leak into the canonical payload (cache
-        # byte-identity would break between cached and fresh records).
-        assert b"provenance" not in res[0].payload
-        assert b"manifest" not in res[0].payload
-
     def test_no_manifest_flag(self, tmp_path):
         res = run_experiments(
             ids=["E3"], seeds=(0,), cache_dir=tmp_path / "cache",
             digest="a" * 64, manifest=False,
         )
-        assert res[0].record.provenance is None
-        assert not (tmp_path / "manifest.json").exists()
+        assert res[0].record is not None
+        assert RunStore(tmp_path / "cache").runs() == []
 
     def test_stale_and_corrupt_counted_and_logged(self, tmp_path, caplog):
         from repro.experiments.runner import record_ref_name
-        from repro.store import RunStore
 
         cache_dir = tmp_path / "cache"
-        m = tmp_path / "m.json"
         run_experiments(ids=["E3"], seeds=(0,), cache_dir=cache_dir,
                         digest="a" * 64, manifest=False)
         store = RunStore(cache_dir)
@@ -228,9 +214,9 @@ class TestRunnerTelemetry:
         store.object_path(entry["digest"]).write_text("{not json")
         with caplog.at_level(logging.WARNING, logger="repro.experiments.runner"):
             run_experiments(ids=["E3"], seeds=(0,), cache_dir=cache_dir,
-                            digest="a" * 64, manifest_path=m)
+                            digest="a" * 64)
         assert any("corrupt cache entry" in r.message for r in caplog.records)
-        assert load_manifest(m)["cache"]["corrupt"] == 1
+        assert stored_manifest(cache_dir)["cache"]["corrupt"] == 1
 
         # Stale: a ref keyed on another source digest (same ref name) is
         # counted and logged.
@@ -240,9 +226,9 @@ class TestRunnerTelemetry:
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="repro.experiments.runner"):
             run_experiments(ids=["E3"], seeds=(0,), cache_dir=cache_dir,
-                            digest="a" * 64, manifest_path=m)
+                            digest="a" * 64)
         assert any("stale cache ref" in r.message for r in caplog.records)
-        assert load_manifest(m)["cache"]["stale"] == 1
+        assert stored_manifest(cache_dir)["cache"]["stale"] == 1
 
     def test_runner_spans_when_enabled(self, tmp_path):
         telemetry.enable()

@@ -9,8 +9,6 @@ from repro.telemetry.provenance import (
     build_manifest,
     cache_hit_ratio,
     host_metadata,
-    load_manifest,
-    write_manifest,
 )
 
 
@@ -55,22 +53,6 @@ class TestBuildManifest:
 
     def test_is_json_serializable(self):
         json.dumps(make_manifest())
-
-
-class TestWriteLoad:
-    def test_round_trip(self, tmp_path):
-        doc = make_manifest()
-        out = write_manifest(doc, tmp_path / "deep" / "manifest.json")
-        assert out.exists()
-        assert load_manifest(out) == doc
-        # Atomic write leaves no temp file behind.
-        assert list(out.parent.glob("*.tmp")) == []
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text('{"schema": "something/else"}')
-        with pytest.raises(ValueError):
-            load_manifest(p)
 
 
 class TestCacheHitRatio:

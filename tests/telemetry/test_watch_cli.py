@@ -34,17 +34,13 @@ def _base():
 @pytest.fixture
 def swept(tmp_path):
     """One finished two-point sweep with its progress ledger."""
-    manifest = tmp_path / "sweep-manifest.json"
-    results = run_sweep(
-        _base(), {"n_oss": [1, 2]},
-        cache_dir=tmp_path / "store", manifest_path=manifest,
-    )
+    results = run_sweep(_base(), {"n_oss": [1, 2]}, cache_dir=tmp_path / "store")
     assert len(results) == 2
     return tmp_path
 
 
 class TestProgressLedger:
-    def test_written_next_to_manifest(self, swept):
+    def test_written_next_to_the_store(self, swept):
         doc = json.loads((swept / SWEEP_PROGRESS_NAME).read_text())
         assert doc["schema"] == SWEEP_PROGRESS_SCHEMA
         assert doc["finished"] is True
@@ -55,21 +51,19 @@ class TestProgressLedger:
             assert point["status"] in ("done", "cached")
 
     def test_cached_rerun_counts_hits(self, swept):
-        run_sweep(
-            _base(), {"n_oss": [1, 2]},
-            cache_dir=swept / "store",
-            manifest_path=swept / "sweep-manifest.json",
-        )
+        run_sweep(_base(), {"n_oss": [1, 2]}, cache_dir=swept / "store")
         doc = json.loads((swept / SWEEP_PROGRESS_NAME).read_text())
         assert doc["counts"]["cached"] == 2
         assert doc["finished"] is True
 
-    def test_no_manifest_no_ledger(self, tmp_path):
+    def test_uncached_sweep_writes_ledger(self, tmp_path):
         run_sweep(
             _base(), {"n_oss": [1]},
-            cache_dir=tmp_path / "store", manifest=False,
+            use_cache=False, cache_dir=tmp_path / "store",
         )
-        assert not (tmp_path / SWEEP_PROGRESS_NAME).exists()
+        doc = json.loads((tmp_path / SWEEP_PROGRESS_NAME).read_text())
+        assert doc["finished"] is True and doc["counts"]["done"] == 1
+        assert not (tmp_path / "store").exists()
 
 
 class TestWatchCommand:

@@ -179,7 +179,7 @@ def cli_smokes(s: Session) -> None:
 
 def experiments(s: Session) -> None:
     s.run("repro-io", "experiment", "all", "--seeds", "0", "--jobs", "2",
-          "--no-cache", "--no-manifest", "--trace", "trace.json", "--series")
+          "--no-cache", "--trace", "trace.json", "--series")
     s.run("repro-io", "experiment", "all", "--seeds", "0")
     s.run("repro-io", "experiment", "all", "--seeds", "0")
     s.run("repro-io", "telemetry", "latest")
@@ -203,7 +203,7 @@ def sweep_store_grammar(s: Session) -> None:
     s.run("repro-io", "scenario", "sweep", "tiny", "n_oss=2,4",
           "stripe_count=1,4", "--jobs", "2", "--cache-dir", "sweep/cache")
     s.run("repro-io", "watch", "sweep", "--interval", "0.5", "--once")
-    s.run("repro-io", "telemetry", "sweep/sweep-manifest.json")
+    s.run("repro-io", "telemetry", "latest", "--store-dir", "sweep/cache")
     listing = s.run("repro-io", "store", "ls").stdout
     runs = [line.split()[0] for line in listing.splitlines()
             if line.startswith("  experiment-")]
