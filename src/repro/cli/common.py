@@ -46,7 +46,11 @@ def add_store_dir(p, help: str) -> None:
 
 
 def write_json(path, doc, what: str) -> None:
-    """Write ``doc`` to ``path`` as indented JSON and say so."""
+    """Write ``doc`` to ``path`` as indented JSON, creating its parent
+    directories, and say so."""
+    from pathlib import Path
+
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
     print(f"{what} written to {path}")
@@ -125,67 +129,35 @@ def print_fanout_summary(label: str, results, jobs: int, failed: int) -> None:
 def add_telemetry_flags(p) -> None:
     p.add_argument(
         "--trace", metavar="OUT.json",
-        help="enable self-telemetry and write the merged cross-process "
-        "Chrome trace (one pid track per worker; load in Perfetto)",
-    )
-    p.add_argument(
-        "--metrics", action="store_true",
-        help="enable self-telemetry and print the metrics table",
-    )
-    p.add_argument(
-        "--series", action="store_true",
-        help="enable self-telemetry and print the simulation-time series "
-        "table (probe samples)",
-    )
-    p.add_argument(
-        "--metrics-json", metavar="OUT.json",
-        help="enable self-telemetry and write the metrics registry as JSON "
-        "(summarize with `repro-io telemetry OUT.json`)",
+        help="enable self-telemetry and write its one document: the merged "
+        "cross-process Chrome trace (one pid track per worker; load in "
+        "Perfetto) carrying the metrics and series (summarize with "
+        "`repro-io telemetry OUT.json`)",
     )
 
 
 def enable_telemetry(args) -> bool:
-    """Switch self-telemetry on when any telemetry flag is set; return
-    whether it is on."""
-    wanted = bool(args.trace or args.metrics or args.series
-                  or args.metrics_json)
-    if wanted:
+    """Switch self-telemetry on when ``--trace`` is set; return whether
+    it is on."""
+    if args.trace:
         from repro import telemetry
 
         telemetry.enable()
-    return wanted
+    return bool(args.trace)
 
 
 def emit_telemetry(args) -> Optional[dict]:
-    """Write and print the outputs the telemetry flags asked for; return
-    the merged trace document when ``--trace`` wrote one."""
-    from repro import telemetry
+    """Build the telemetry document once, write it to ``--trace`` and
+    return it; ``None`` when telemetry is off."""
+    if not args.trace:
+        return None
+    from repro.telemetry.collect import merged_chrome_trace
 
-    trace_doc = None
-    if args.trace:
-        from repro.telemetry.collect import (
-            merged_chrome_trace,
-            write_merged_chrome,
-        )
-
-        trace_doc = merged_chrome_trace()
-        path = write_merged_chrome(args.trace)
-        pids = trace_doc["otherData"].get("processes", [])
-        print(f"telemetry trace written to {path} "
-              f"({len(pids)} process track(s); load in Perfetto or "
-              f"chrome://tracing)")
-    if args.metrics:
-        print()
-        print("-- self-telemetry metrics " + "-" * 34)
-        print(telemetry.TELEMETRY.metrics.render_text())
-    if args.series:
-        print()
-        print("-- simulation-time series " + "-" * 34)
-        print(telemetry.TELEMETRY.series.render_text())
-    if args.metrics_json:
-        write_json(args.metrics_json, telemetry.TELEMETRY.metrics.to_dict(),
-                   "metrics JSON")
-    return trace_doc
+    doc = merged_chrome_trace()
+    pids = doc["otherData"]["processes"]
+    write_json(args.trace, doc,
+               f"telemetry trace ({len(pids)} process track(s))")
+    return doc
 
 
 # -- the run service ---------------------------------------------------------

@@ -36,12 +36,8 @@ def register(sub) -> None:
         help="partitioned-engine partition count (default: one per island)",
     )
     common.add_telemetry_flags(sp)
-    common.add_store_dir(sp, "run store that archives telemetry artifacts "
+    common.add_store_dir(sp, "run store that archives the --trace document "
                          "of this run")
-    sp.add_argument(
-        "--no-store", action="store_true",
-        help="keep telemetry outputs as loose files only; skip the store",
-    )
     sp.set_defaults(fn=_scenario_errors(_cmd_run))
 
     sp = scen_sub.add_parser(
@@ -88,7 +84,7 @@ def _cmd_list(args) -> int:
 def _cmd_run(args) -> int:
     from repro.scenario import run_scenario
 
-    want_telemetry = common.enable_telemetry(args)
+    common.enable_telemetry(args)
     spec = common.scenario_spec(args.scenario, args.seed)
     run = run_scenario(
         spec,
@@ -111,8 +107,8 @@ def _cmd_run(args) -> int:
     if args.json:
         common.write_json(args.json, run.to_dict(), "results")
     trace_doc = common.emit_telemetry(args)
-    if want_telemetry and not args.no_store:
-        _store_scenario_telemetry(args, spec, trace_doc)
+    if trace_doc is not None:
+        _store_scenario_telemetry(args.store_dir, spec, trace_doc)
     return 0
 
 
@@ -148,42 +144,27 @@ def _cmd_sweep(args) -> int:
     return 1 if errored else 0
 
 
-def _store_scenario_telemetry(args, spec, trace_doc) -> None:
-    """Land a telemetry-enabled scenario run's trace/metrics/series in the
-    run store, behind ``telemetry/<scenario digest16>-*`` refs.
+def _store_scenario_telemetry(store_dir, spec, trace_doc) -> None:
+    """Land a traced scenario run's telemetry document in the run store
+    as one ``trace`` artifact behind the ``telemetry/<scenario digest16>``
+    ref.
 
-    The loose ``--trace``/``--metrics-json`` files remain (easy to open in
-    Perfetto), but the store copies are the durable, content-addressed
-    record -- ``repro-io telemetry telemetry/<digest16>-series`` works on
-    any machine holding the store.
+    The loose ``--trace`` file remains (easy to open in Perfetto), but
+    the store copy is the durable, content-addressed record --
+    ``repro-io telemetry telemetry/<digest16>`` summarizes its spans,
+    metrics and series on any machine holding the store.
     """
     import time as _time
 
-    from repro import telemetry
     from repro.store import RunArtifact, RunStore, StoreError
 
-    if trace_doc is None:
-        from repro.telemetry.collect import merged_chrome_trace
-
-        trace_doc = merged_chrome_trace()
-    d16 = spec.digest()[:16]
+    ref = f"telemetry/{spec.digest()[:16]}"
     meta = {"scenario": spec.name, "scenario_digest": spec.digest(),
             "created": _time.time()}
     try:
-        store = RunStore(args.store_dir)
-        stored = {}
-        for label, artifact in (
-            ("trace", RunArtifact.from_trace(trace_doc)),
-            ("metrics",
-             RunArtifact.from_metrics(telemetry.TELEMETRY.metrics.to_dict())),
-            ("series",
-             RunArtifact.from_timeseries(telemetry.TELEMETRY.series.to_dict())),
-        ):
-            digest = store.put(artifact)
-            store.set_ref(f"telemetry/{d16}-{label}", digest, meta=meta)
-            stored[label] = digest
-        print("telemetry stored: " + ", ".join(
-            f"{label} {digest[:16]}" for label, digest in stored.items()
-        ) + f"  (refs telemetry/{d16}-*)")
+        store = RunStore(store_dir)
+        digest = store.put(RunArtifact.from_trace(trace_doc))
+        store.set_ref(ref, digest, meta=meta)
+        print(f"telemetry stored: trace {digest[:16]}  (ref {ref})")
     except (StoreError, OSError) as exc:
-        log.warning("could not store telemetry artifacts: %s", exc)
+        log.warning("could not store the telemetry document: %s", exc)

@@ -105,6 +105,8 @@ def _cmd_telemetry(args) -> int:
 
 
 def _summarize_trace(doc, top: int) -> None:
+    """The span table, then the metrics and series sections the trace
+    carries in ``otherData``."""
     from repro.telemetry import validate_chrome_trace
     from repro.telemetry.tracing import span_self_times
 
@@ -112,17 +114,27 @@ def _summarize_trace(doc, top: int) -> None:
     if problems:
         raise common.CommandError(f"invalid trace: {'; '.join(problems[:5])}")
     spans = [ev for ev in doc["traceEvents"] if ev.get("ph") == "X"]
-    if not spans:
+    if spans:
+        wall = (max(ev["ts"] + ev["dur"] for ev in spans)
+                - min(ev["ts"] for ev in spans))
+        print(f"trace: {len(spans)} span(s), {wall / 1e3:.1f} ms wall")
+        print(f"{'span':<28} {'count':>6} {'total ms':>10} {'self ms':>10}")
+        agg = span_self_times(spans)
+        ranked = sorted(agg.items(), key=lambda kv: kv[1]["self_s"],
+                        reverse=True)
+        for name, entry in ranked[:top]:
+            print(f"{name:<28} {entry['count']:>6} "
+                  f"{entry['total_s'] * 1e3:>10.2f} "
+                  f"{entry['self_s'] * 1e3:>10.2f}")
+    else:
         print("trace contains no complete spans")
-        return
-    wall = max(ev["ts"] + ev["dur"] for ev in spans) - min(ev["ts"] for ev in spans)
-    print(f"trace: {len(spans)} span(s), {wall / 1e3:.1f} ms wall")
-    print(f"{'span':<28} {'count':>6} {'total ms':>10} {'self ms':>10}")
-    agg = span_self_times(spans)
-    ranked = sorted(agg.items(), key=lambda kv: kv[1]["self_s"], reverse=True)
-    for name, entry in ranked[:top]:
-        print(f"{name:<28} {entry['count']:>6} "
-              f"{entry['total_s'] * 1e3:>10.2f} {entry['self_s'] * 1e3:>10.2f}")
+    other = doc.get("otherData") or {}
+    if "metrics" in other:
+        print()
+        _summarize_metrics(other["metrics"], top)
+    if "series" in other:
+        print()
+        _summarize_series(other["series"], top)
 
 
 def _summarize_manifest(doc, top: int) -> None:
@@ -155,7 +167,7 @@ def _summarize_metrics(doc, top: int) -> None:
                   f"mean={m.get('mean', 0.0):.4g}")
         else:
             print(f"  {m['kind']:<9} {name:<36} {m.get('value')}")
-    for line in _partition_lines(metrics) + _durability_lines(metrics):
+    for line in _partition_lines(metrics):
         print(line)
 
 
@@ -188,22 +200,6 @@ def _partition_lines(metrics: dict) -> list:
     if per_p:
         lines.append("  per-partition events: " + " ".join(per_p))
     return lines
-
-
-def _durability_lines(metrics: dict) -> list:
-    """The crash-recovery digest of a metrics document (journal
-    write-ahead activity, boot replays) -- no lines when the journal
-    never ran."""
-
-    def value(name):
-        return metrics.get(name, {}).get("value", 0)
-
-    journal = {k: value(f"service.journal.{k}")
-               for k in ("records", "fsync_batches", "compactions")}
-    replayed = value("service.journal.replayed")
-    lines = common.durability_lines(
-        journal if journal["records"] or replayed else None, replayed)
-    return ["durability:"] + lines if lines else []
 
 
 _SPARK_CHARS = " .:-=+*#%@"

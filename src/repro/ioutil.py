@@ -63,7 +63,6 @@ def atomic_write_json(
     path: PathLike,
     *,
     indent: Optional[int] = 1,
-    trailing_newline: bool = False,
 ) -> Path:
     """Write ``payload`` as JSON so readers never see a partial file.
 
@@ -77,8 +76,6 @@ def atomic_write_json(
     large documents rewritten often, like the progress ledgers, pass it.
     """
     text = json.dumps(payload, indent=indent)
-    if trailing_newline:
-        text += "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(

@@ -65,7 +65,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.service.state import ServiceState
-from repro.telemetry import TELEMETRY
 
 log = logging.getLogger(__name__)
 
@@ -247,9 +246,6 @@ class JobJournal:
             self.stats["fsync_batches"] += 1
             self._segment_records += n
             self._records_since_compact += n
-            if TELEMETRY.active:
-                TELEMETRY.metrics.counter("service.journal.records").inc(n)
-                TELEMETRY.metrics.counter("service.journal.fsync_batches").inc()
             if self._segment_records >= self.segment_max_records:
                 self._rotate()
         waiters, self._waiters = self._waiters, []
@@ -334,8 +330,6 @@ class JobJournal:
         self.stats["compactions"] += 1
         self.stats["records"] += len(records)
         self.stats["segments"] = len(self._segment_indices())
-        if TELEMETRY.active:
-            TELEMETRY.metrics.counter("service.journal.compactions").inc()
         log.info(
             "journal compacted to %d live record(s) in %s",
             len(records), path.name,

@@ -81,8 +81,7 @@ from repro.service.scheduler import FairShareQueue
 from repro.service.state import ServiceState
 from repro.store import RunArtifact, RunStore, StoreError
 from repro.store.store import DEFAULT_STORE_DIR
-from repro.telemetry import TELEMETRY
-from repro.telemetry.collect import init_worker, merge_snapshot, worker_init_args
+from repro.telemetry.collect import init_worker, worker_init_args
 
 log = logging.getLogger(__name__)
 
@@ -135,7 +134,8 @@ def _watch_parent(parent_pid: int, interval: float) -> None:
 
 
 def _service_worker_init(parent_pid, watch_interval, *telemetry_args):
-    """Pool initializer: telemetry plumbing + a parent-death watchdog."""
+    """Pool initializer: the parent's log level (and its telemetry
+    state, which is off in a service) plus a parent-death watchdog."""
     init_worker(*telemetry_args)
     threading.Thread(
         target=_watch_parent, args=(parent_pid, watch_interval), daemon=True,
@@ -468,8 +468,7 @@ class RunService:
                 comp, "failed", error=f"{type(exc).__name__}: {exc}"
             )
         else:
-            outcome, seconds, snap = value
-            merge_snapshot(snap)
+            outcome, seconds, _ = value
             artifact = RunArtifact.from_sweep_point(outcome)
             name, meta = point_ref(comp.digest, self._source_digest)
             digest = store_ref_artifact(self.store, name, artifact, meta)
@@ -662,8 +661,6 @@ class RunService:
             else:
                 self._queue.push(comp.jobs[0].tenant, comp)
         requeued = self.stats["replayed"] = len(self._queue)
-        if TELEMETRY.active:
-            TELEMETRY.metrics.counter("service.journal.replayed").inc(requeued)
         log.info(
             "journal replay: %d live job(s), %d computation(s) re-queued "
             "(%d record(s), %d corrupt line(s) skipped)",

@@ -33,6 +33,8 @@ KINDS: Dict[str, str] = {
     "sweep_manifest": "scenario-sweep provenance manifest",
     "sweep_point": "one sweep point's ScenarioRun outcome",
     "trace": "Chrome trace-event document (self-telemetry spans)",
+    # No writer produces these two any more (the trace carries both);
+    # they stay so older stores still verify and summarize.
     "metrics": "metrics-registry snapshot",
     "timeseries": "simulation-clock time-series snapshot (probe samples)",
     "host": "host/interpreter metadata",
@@ -125,15 +127,6 @@ class RunArtifact:
     @classmethod
     def from_trace(cls, doc: Mapping[str, Any]) -> "RunArtifact":
         return cls(kind="trace", payload=doc)
-
-    @classmethod
-    def from_metrics(cls, doc: Mapping[str, Any]) -> "RunArtifact":
-        return cls(kind="metrics", payload=doc)
-
-    @classmethod
-    def from_timeseries(cls, doc: Mapping[str, Any]) -> "RunArtifact":
-        """Wrap a :meth:`SeriesRegistry.to_dict` document."""
-        return cls(kind="timeseries", payload=doc)
 
     @classmethod
     def from_host(cls, meta: Mapping[str, str]) -> "RunArtifact":

@@ -15,14 +15,15 @@ one attribute load plus a boolean test at each instrumented site::
     if TELEMETRY.active:
         TELEMETRY.metrics.counter("pfs.oss.rpcs").inc()
 
-Enable it with :func:`enable` (the CLI does this for ``--trace`` /
-``--metrics``), open spans with :func:`span`, export them with
-:func:`repro.telemetry.collect.write_merged_chrome` (the one Chrome-trace
-exporter; it also folds in worker snapshots), read metrics with
-``TELEMETRY.metrics.render_text()``, and wipe collected data with
-:func:`reset`.  The guard lives at the call site rather than inside the
-metric objects so the DES hot loops (gated by
-``benchmarks/check_regression.py``) never pay for a disabled feature.
+Enable it with :func:`enable` (the CLI does this for ``--trace``), open
+spans with :func:`span`, and export everything collected with
+:func:`repro.telemetry.collect.merged_chrome_trace`: the one telemetry
+document, a Chrome trace that folds in worker snapshots and carries the
+metrics and series in its ``otherData`` (``repro-io telemetry`` renders
+it).  Wipe collected data with :func:`reset`.  The guard lives at the
+call site rather than inside the metric objects so the DES hot loops
+(gated by ``benchmarks/check_regression.py``) never pay for a disabled
+feature.
 """
 
 from __future__ import annotations

@@ -27,12 +27,10 @@ single host is microseconds -- fine for eyeballing in Perfetto).
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import time
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.telemetry.tracing import TRACE_SCHEMA
 
@@ -43,7 +41,6 @@ __all__ = [
     "snapshot",
     "merge_snapshot",
     "merged_chrome_trace",
-    "write_merged_chrome",
     "worker_init_args",
     "init_worker",
 ]
@@ -149,13 +146,17 @@ def _local_spans() -> Dict[str, Any]:
 
 
 def merged_chrome_trace() -> Dict[str, Any]:
-    """One Chrome trace-event document spanning every collected process.
+    """The one telemetry document: a Chrome trace spanning every
+    collected process.
 
     Parent spans and every remote snapshot become per-pid ``"X"`` tracks
     on one wall-clock timeline; simulation-time series become ``"C"``
     counter tracks (their timestamps are *simulated* seconds rendered as
     microseconds -- a separate, zero-based axis that Perfetto displays
     alongside; the counter process is labelled to make that explicit).
+    ``otherData`` also carries the merged metrics registry
+    (``"metrics"``) and series registry (``"series"``) as their
+    ``to_dict`` documents, which ``repro-io telemetry`` summarizes.
 
     Event order is canonicalized (metadata first, then by pid/ts/name),
     so the export is deterministic for a given set of snapshots no
@@ -251,18 +252,10 @@ def merged_chrome_trace() -> Dict[str, Any]:
             "schema": TRACE_SCHEMA,
             "merged": True,
             "processes": sorted(seen_pids),
+            "metrics": TELEMETRY.metrics.to_dict(),
+            "series": TELEMETRY.series.to_dict(),
         },
     }
-
-
-def write_merged_chrome(path: Union[str, Path]) -> Path:
-    """Write :func:`merged_chrome_trace` to ``path`` and return it."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    doc = merged_chrome_trace()
-    with open(p, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-    return p
 
 
 # -- worker bootstrap -------------------------------------------------------

@@ -28,17 +28,6 @@ _MAX_EXP = 34
 METRICS_SCHEMA = "repro.telemetry.metrics/1"
 
 
-def _fmt_num(v: Union[int, float, None]) -> str:
-    """Compact numeric rendering for the text table."""
-    if v is None:
-        return "-"
-    if isinstance(v, int):
-        return str(v)
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return f"{v:.4g}"
-
-
 class Counter:
     """A monotonically increasing count (events, bytes, cache hits)."""
 
@@ -57,9 +46,6 @@ class Counter:
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
-
-    def render(self) -> str:
-        return _fmt_num(self.value)
 
 
 class Gauge:
@@ -83,9 +69,6 @@ class Gauge:
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
-
-    def render(self) -> str:
-        return _fmt_num(self.value)
 
 
 class Histogram:
@@ -141,14 +124,6 @@ class Histogram:
             "buckets": {str(e): n for e, n in sorted(self.buckets.items())},
         }
 
-    def render(self) -> str:
-        if not self.count:
-            return "n=0"
-        return (
-            f"n={self.count} mean={_fmt_num(self.mean)} "
-            f"min={_fmt_num(self.vmin)} max={_fmt_num(self.vmax)}"
-        )
-
 
 def _bucket_exp(v: float) -> int:
     # frexp(v) = (m, e) with v = m * 2**e and 0.5 <= m < 1, so 2**e is the
@@ -163,7 +138,7 @@ Metric = Union[Counter, Gauge, Histogram]
 
 
 class MetricsRegistry:
-    """Named metrics with get-or-create accessors and two renderers.
+    """Named metrics with get-or-create accessors and a JSON export.
 
     >>> reg = MetricsRegistry()
     >>> reg.counter("des.runs").inc()
@@ -242,7 +217,7 @@ class MetricsRegistry:
             else:
                 raise ValueError(f"metric {name!r} has unknown kind {kind!r}")
 
-    # -- renderers ----------------------------------------------------------
+    # -- export -------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
             "schema": METRICS_SCHEMA,
@@ -251,15 +226,3 @@ class MetricsRegistry:
                 for name in sorted(self._metrics)
             },
         }
-
-    def render_text(self) -> str:
-        """Aligned ``kind  name  value`` table, sorted by metric name."""
-        if not self._metrics:
-            return "(no metrics recorded)"
-        rows = [
-            (m.kind, name, self._metrics[name].render())
-            for name, m in sorted(self._metrics.items())
-        ]
-        name_w = max(len(r[1]) for r in rows)
-        return "\n".join(f"{kind:<9} {name:<{name_w}}  {val}"
-                         for kind, name, val in rows)

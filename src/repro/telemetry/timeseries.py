@@ -99,10 +99,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def stats(self) -> Dict[str, float]:
-        """:func:`value_stats` of the recorded samples."""
-        return value_stats(self.values)
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -169,21 +165,6 @@ class SeriesRegistry:
             ts.values = [p[1] for p in pairs]
             while len(ts.times) >= ts.max_points:
                 ts._decimate()
-
-    def render_text(self) -> str:
-        lines = ["time series:"]
-        if not self._series:
-            lines.append("  (none recorded)")
-            return "\n".join(lines)
-        for name in sorted(self._series):
-            ts = self._series[name]
-            s = ts.stats()
-            unit = f" {ts.unit}" if ts.unit else ""
-            lines.append(
-                f"  {name:<44} n={s['count']:<6} min={s['min']:.4g} "
-                f"mean={s['mean']:.4g} p99={s['p99']:.4g} max={s['max']:.4g}{unit}"
-            )
-        return "\n".join(lines)
 
 
 # -- DES-timeline probes ---------------------------------------------------

@@ -9,13 +9,13 @@ records its parent.
 Usage::
 
     from repro import telemetry
-    from repro.telemetry.collect import write_merged_chrome
+    from repro.telemetry.collect import merged_chrome_trace
 
     telemetry.enable()
     with telemetry.span("run_experiments", cat="runner", jobs=4):
         with telemetry.span("source_digest", cat="runner"):
             ...
-    write_merged_chrome("t.json")
+    doc = merged_chrome_trace()
 
 :func:`repro.telemetry.collect.merged_chrome_trace` is the one exporter:
 it renders this process's finished spans and every worker snapshot as

@@ -103,23 +103,22 @@ def test_run_dsl_bad_syntax(capsys, tmp_path):
 def test_scenario_run_engine_and_metrics(capsys, tmp_path):
     from repro import telemetry
 
-    metrics_json = tmp_path / "metrics.json"
+    trace = tmp_path / "trace.json"
     code, out, _ = run_cli(
         capsys, "scenario", "run", "scale-tiny",
         "--engine", "partitioned", "--engine-workers", "2",
-        "--metrics", "--metrics-json", str(metrics_json),
+        "--trace", str(trace), "--store-dir", str(tmp_path / "store"),
     )
     telemetry.disable()
     assert code == 0
     assert "scale engine partitioned: " in out
     # The cohort-size histogram and the per-partition window metrics are
-    # in the printed table and in the JSON the telemetry command reads.
+    # in the summary of the one telemetry document.
+    code, out, _ = run_cli(capsys, "telemetry", str(trace))
+    assert code == 0
     assert "des.cohort.size" in out
     assert "des.partition.window_occupancy" in out
-    assert metrics_json.exists()
-    code, out, _ = run_cli(capsys, "telemetry", str(metrics_json))
-    assert code == 0
-    assert "des.partition.window_occupancy" in out
+    assert "partitioned execution:" in out
 
 
 def test_scenario_run_conservative_engine_is_a_usage_error(capsys):
@@ -206,6 +205,11 @@ def test_experiment_seeds_default_to_zero():
         ["experiment", "E3", "--fail-fast"],
         ["scenario", "sweep", "tiny", "n_oss=2", "--no-manifest"],
         ["scenario", "sweep", "tiny", "n_oss=2", "--fail-fast"],
+        ["experiment", "E3", "--metrics"],
+        ["experiment", "E3", "--series"],
+        ["experiment", "E3", "--metrics-json", "m.json"],
+        ["scenario", "run", "tiny", "--metrics"],
+        ["scenario", "run", "tiny", "--no-store"],
     ],
     ids=" ".join,
 )
@@ -213,7 +217,8 @@ def test_removed_options_are_usage_errors(argv, capsys):
     """The service runs in one configuration (always journaled, always
     landing results, scrubbed only by `store scrub`), `experiment` takes
     its seeds from --seeds alone, and the fan-out commands always record
-    every failure and keep their manifest only in the store."""
+    every failure and keep their manifest only in the store, and
+    `--trace` is the one self-telemetry switch."""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2

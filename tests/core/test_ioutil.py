@@ -39,11 +39,6 @@ def test_atomic_write_failure_cleans_up_and_preserves_old(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
-def test_atomic_write_trailing_newline(tmp_path):
-    path = atomic_write_json({}, tmp_path / "doc.json", trailing_newline=True)
-    assert path.read_text().endswith("\n")
-
-
 # -- resilient_pool_map -------------------------------------------------------
 # Workers pickle these by reference, so they must be module-level.
 

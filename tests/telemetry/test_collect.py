@@ -13,7 +13,6 @@ from repro.telemetry.collect import (
     snapshot,
     worker_init_args,
     worker_snapshot,
-    write_merged_chrome,
 )
 from repro.telemetry.tracing import validate_chrome_trace
 
@@ -178,10 +177,20 @@ class TestMergedChromeTrace:
 
     def test_determinism_across_merge_order(self):
         # The merged export must not depend on pool completion order.
+        def series(t, v):
+            return {"series": [{"name": "q", "unit": "reqs",
+                                "times": [t], "values": [v]}]}
+
+        def metrics(n):
+            return {"metrics": {"n": {"kind": "counter", "value": n}}}
+
         snaps = [
-            fake_snapshot(101, [span("a", 1000, 2000)]),
-            fake_snapshot(102, [span("b", 500, 1500)]),
-            fake_snapshot(103, [span("c", 0, 3000)]),
+            fake_snapshot(101, [span("a", 1000, 2000)], metrics(1),
+                          series(0.2, 1.0)),
+            fake_snapshot(102, [span("b", 500, 1500)], metrics(2),
+                          series(0.1, 2.0)),
+            fake_snapshot(103, [span("c", 0, 3000)], metrics(4),
+                          series(0.3, 3.0)),
         ]
         traces = []
         for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]):
@@ -190,16 +199,26 @@ class TestMergedChromeTrace:
             for k in order:
                 merge_snapshot(snaps[k])
             traces.append(merged_chrome_trace())
+        # Whole documents, metrics and series in otherData included.
         assert traces[0] == traces[1] == traces[2]
+        other = traces[0]["otherData"]
+        assert other["metrics"]["metrics"]["n"]["value"] == 7
+        assert other["series"]["series"][0]["times"] == [0.1, 0.2, 0.3]
 
     def test_write_merged_round_trips(self, tmp_path):
+        # ``--trace`` writes the document it built, creating parent
+        # directories, and the file reads back equal.
+        import argparse
         import json
+
+        from repro.cli.common import emit_telemetry
 
         telemetry.enable()
         merge_snapshot(fake_snapshot(7, [span("w", 0, 100)]))
-        out = write_merged_chrome(tmp_path / "sub" / "merged.json")
+        out = tmp_path / "sub" / "merged.json"
+        doc = emit_telemetry(argparse.Namespace(trace=str(out)))
         with open(out, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            assert json.load(fh) == doc
         assert validate_chrome_trace(doc) == []
         assert 7 in doc["otherData"]["processes"]
 

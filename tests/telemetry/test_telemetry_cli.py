@@ -1,6 +1,6 @@
-"""CLI surface of the self-telemetry layer: ``--trace`` / ``--metrics`` /
-``--metrics-json`` on ``repro-io experiment`` and the ``repro-io telemetry``
-summarizer."""
+"""CLI surface of the self-telemetry layer: ``--trace`` on ``repro-io
+experiment`` writes the one telemetry document, and the ``repro-io
+telemetry`` summarizer renders it."""
 
 import json
 
@@ -19,43 +19,47 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture
 def artifacts(tmp_path, capsys):
-    """One instrumented experiment run producing all three artifacts."""
+    """One traced experiment run and the summary of its document."""
     trace = tmp_path / "trace.json"
-    metrics = tmp_path / "metrics.json"
     store = tmp_path / "cache"
     code, out, _ = run_cli(
         capsys, "experiment", "C5", "--cache-dir", str(store), "--no-cache",
-        "--trace", str(trace), "--metrics", "--metrics-json", str(metrics),
+        "--trace", str(trace),
     )
+    assert code == 0
+    code, summary, _ = run_cli(capsys, "telemetry", str(trace))
     assert code == 0
     # The cached run lands its manifest in the store, not beside it.
     run_cli(capsys, "experiment", "C5", "--cache-dir", str(store))
     assert not (tmp_path / "manifest.json").exists()
-    return {"trace": trace, "metrics": metrics, "store": store, "out": out}
+    return {"trace": trace, "store": store, "out": out, "summary": summary}
+
+
+def load(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class TestExperimentTelemetryFlags:
     def test_trace_is_valid_chrome_json(self, artifacts):
-        with open(artifacts["trace"], "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = load(artifacts["trace"])
         assert validate_chrome_trace(doc) == []
         names = {ev["name"] for ev in doc["traceEvents"]}
         assert "repro-io experiment" in names
         assert "Environment.run" in names
         assert "experiment_task" in names
+        assert "process track(s)" in artifacts["out"]
 
     def test_metrics_table_printed(self, artifacts):
-        out = artifacts["out"]
-        assert "self-telemetry metrics" in out
-        assert "des.events.executed" in out
-        assert "runner.cache.miss" in out
-        assert "pfs.oss.rpcs" in out
+        summary = artifacts["summary"]
+        assert "des.events.executed" in summary
+        assert "runner.cache.miss" in summary
+        assert "pfs.oss.rpcs" in summary
 
     def test_metrics_json_schema(self, artifacts):
-        with open(artifacts["metrics"], "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        assert doc["schema"] == METRICS_SCHEMA
-        assert doc["metrics"]["des.runs"]["value"] >= 1
+        metrics = load(artifacts["trace"])["otherData"]["metrics"]
+        assert metrics["schema"] == METRICS_SCHEMA
+        assert metrics["metrics"]["des.runs"]["value"] >= 1
 
     def test_no_flags_no_artifacts(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -63,16 +67,18 @@ class TestExperimentTelemetryFlags:
             "--cache-dir", str(tmp_path / "cache"),
         )
         assert code == 0
-        assert "self-telemetry" not in out
+        assert "telemetry" not in out
         assert list(tmp_path.iterdir()) == []
 
 
 class TestTelemetrySubcommand:
-    def test_summarizes_trace(self, artifacts, capsys):
-        code, out, _ = run_cli(capsys, "telemetry", str(artifacts["trace"]))
-        assert code == 0
-        assert "span" in out and "self ms" in out
-        assert "Environment.run" in out
+    def test_summarizes_trace(self, artifacts):
+        # Span table, then the metrics and series sections, in that order.
+        summary = artifacts["summary"]
+        assert "span" in summary and "self ms" in summary
+        assert "Environment.run" in summary
+        assert (summary.index("self ms") < summary.index("metrics: ")
+                < summary.index("time series: "))
 
     def test_summarizes_manifest(self, artifacts, capsys):
         code, out, _ = run_cli(
@@ -81,8 +87,13 @@ class TestTelemetrySubcommand:
         assert "hit ratio" in out
         assert "C5" in out
 
-    def test_summarizes_metrics(self, artifacts, capsys):
-        code, out, _ = run_cli(capsys, "telemetry", str(artifacts["metrics"]))
+    def test_summarizes_metrics(self, artifacts, tmp_path, capsys):
+        # A loose metrics document (as written before the trace carried
+        # it) goes through the same summarizer.
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text(
+            json.dumps(load(artifacts["trace"])["otherData"]["metrics"]))
+        code, out, _ = run_cli(capsys, "telemetry", str(metrics))
         assert code == 0
         assert "des.runs" in out
 

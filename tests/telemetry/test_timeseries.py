@@ -10,6 +10,7 @@ from repro.telemetry.timeseries import (
     SeriesRegistry,
     TimeSeries,
     attach_probe,
+    value_stats,
 )
 
 
@@ -19,21 +20,21 @@ class TestTimeSeries:
         for i in range(10):
             ts.record(i * 0.1, float(i))
         assert len(ts) == 10
-        s = ts.stats()
+        s = value_stats(ts.values)
         assert s["count"] == 10
         assert s["min"] == 0.0 and s["max"] == 9.0
         assert s["mean"] == pytest.approx(4.5)
         assert s["last"] == 9.0
 
     def test_empty_stats(self):
-        assert TimeSeries("x").stats() == {"count": 0}
+        assert value_stats(TimeSeries("x").values) == {"count": 0}
 
     def test_p99_nearest_rank(self):
         ts = TimeSeries("x")
         for i in range(100):
             ts.record(i, float(i))
         # ceil(0.99 * 100) = 99 -> index 98.
-        assert ts.stats()["p99"] == 98.0
+        assert value_stats(ts.values)["p99"] == 98.0
 
     def test_decimation_bounds_memory(self):
         ts = TimeSeries("x", max_points=8)
@@ -109,13 +110,6 @@ class TestSeriesRegistry:
             other.record("q", i + 0.5, i)
         reg.merge(other.to_dict())
         assert len(reg.series("q")) < 8
-
-    def test_render_text(self):
-        reg = SeriesRegistry()
-        assert "(none recorded)" in reg.render_text()
-        reg.record("q", 0.0, 1.0, "reqs")
-        text = reg.render_text()
-        assert "q" in text and "reqs" in text and "mean=1" in text
 
 
 class TestProbe:

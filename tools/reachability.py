@@ -165,21 +165,22 @@ def cli_smokes(s: Session) -> None:
     s.run("repro-io", "scenario", "run", "scale-tiny", "--engine",
           "partitioned", "--engine-workers", "1")
     s.run("repro-io", "scenario", "run", "scale-tiny", "--engine",
-          "partitioned", "--engine-workers", "4", "--metrics-json",
-          "metrics.json", "--no-store")
-    s.run("repro-io", "telemetry", "metrics.json")
+          "partitioned", "--engine-workers", "4", "--trace",
+          "partitioned-trace.json", "--store-dir", "partitioned-store")
+    s.run("repro-io", "telemetry", "partitioned-trace.json")
     # A traced scenario lands its telemetry in the store; both read back.
     out = s.run("repro-io", "scenario", "run", "tiny", "--trace",
-                "scenario-trace.json", "--series").stdout
+                "scenario-trace.json").stdout
     s.run("repro-io", "telemetry", "scenario-trace.json")
     digest = [line.split()[-1] for line in out.splitlines()
               if line.startswith("scenario digest:")]
-    s.run("repro-io", "telemetry", f"telemetry/{(digest or ['?'])[0]}-series")
+    s.run("repro-io", "telemetry", f"telemetry/{(digest or ['?'])[0]}")
 
 
 def experiments(s: Session) -> None:
     s.run("repro-io", "experiment", "all", "--seeds", "0", "--jobs", "2",
-          "--no-cache", "--trace", "trace.json", "--series")
+          "--no-cache", "--trace", "trace.json")
+    s.run("repro-io", "telemetry", "trace.json")
     s.run("repro-io", "experiment", "all", "--seeds", "0")
     s.run("repro-io", "experiment", "all", "--seeds", "0")
     s.run("repro-io", "telemetry", "latest")
